@@ -56,7 +56,7 @@ from .simulator import (
     run_speedup_empirical,
     run_thrash,
 )
-from .viability import Rng, ViabilityModel, sample_failure_time, step_viable
+from .viability import Rng
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "StreamCandidate",
     "TrialSummary",
     "VerifyReport",
-    "ViabilityModel",
     "batched_speedup",
     "censored_depletion_mean",
     "confidence",
@@ -98,11 +97,9 @@ __all__ = [
     "run_speedup_empirical",
     "run_thrash",
     "run_verify",
-    "sample_failure_time",
     "simulated_makespan",
     "sort_results",
     "stationary_availability",
-    "step_viable",
     "switch_score",
     "utility_estimate",
     "value",

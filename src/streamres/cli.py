@@ -560,6 +560,8 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
+    if args.curve in ("value", "weight") and args.samples < 2:
+        raise ValueError("samples must be >= 2")
     if args.curve == "value":
         span = 1000.0
         for i in range(args.samples):
@@ -605,7 +607,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         candidates,
         HttpTransport(),
         timeout_ms=args.timeout_ms,
-        max_in_flight=args.max_in_flight or len(candidates),
+        max_in_flight=args.max_in_flight,
     )
     for result in sort_results(results):
         state = "ok" if result.viable else ("timeout" if result.timed_out else "dead")

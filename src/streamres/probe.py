@@ -3,24 +3,31 @@
 A probe round issues up to max_in_flight checks at once and always waits for
 every verdict; there is no early exit, because the reservoir wants the full
 ranking, not just the first success.  SimTransport draws deterministic
-verdicts from per-candidate substreams; HttpTransport issues real HEAD
-requests and never raises.
+verdicts from per-candidate substreams; HttpTransport sends real HEAD
+probes on the standard library, each bounded by one deadline, and never
+raises.
 """
 
 from __future__ import annotations
 
+import re
+import socket
 import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 from heapq import heappush, heapreplace
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
+from urllib.parse import quote, urlsplit
 
 import numpy as np
-import requests
 
 from .viability import Rng
+
+if TYPE_CHECKING:
+    import ssl
 
 __all__ = [
     "StreamCandidate",
@@ -35,6 +42,17 @@ __all__ = [
 ]
 
 DEFAULT_TIMEOUT_MS = 3000.0
+
+# Default cap on probes in flight: a whole 12-provider round still runs at
+# once, and a long URL list does not take one OS thread per URL.
+MAX_IN_FLIGHT = 16
+
+# A response head longer than this is treated as malformed.
+MAX_HEAD_BYTES = 65536
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_STATUS_LINE = re.compile(rb"HTTP/\d\.\d (\d{3})\b")
+# Characters a request target keeps as they are when percent-encoded.
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 # Geometric round counts explode as the per-probe failure probability
 # approaches 1; reject anything at or beyond this.
@@ -116,34 +134,91 @@ class SimTransport:
 
 
 class HttpTransport:
-    """HEAD-request transport.  2xx/3xx means viable; errors never propagate."""
+    """HEAD-request transport on the standard library; errors never propagate.
 
-    def __init__(self, session: requests.Session | None = None) -> None:
-        self._session = session or requests.Session()
+    One deadline, timeout_ms after the call, bounds the whole probe: connect,
+    TLS handshake and reading the response head (RFC 9110 section 9.3.2: a
+    HEAD response is its head alone).  2xx/3xx means viable; redirects are
+    not followed.
+    """
 
     def probe(self, candidate: StreamCandidate, timeout_ms: float) -> ProbeResult:
         started = time.perf_counter()
         try:
-            response = self._session.head(
-                candidate.locator, timeout=timeout_ms / 1000.0, allow_redirects=False
-            )
-        except requests.Timeout:
+            status = _head_status(candidate.locator, started + timeout_ms / 1000.0)
+        except TimeoutError:
             return ProbeResult(
                 candidate=candidate,
                 viable=False,
                 latency_ms=timeout_ms,
                 timed_out=True,
             )
-        except requests.RequestException:
-            elapsed = (time.perf_counter() - started) * 1000.0
-            return ProbeResult(candidate=candidate, viable=False, latency_ms=elapsed)
+        except (OSError, ValueError):
+            status = None
         elapsed = (time.perf_counter() - started) * 1000.0
         return ProbeResult(
             candidate=candidate,
-            viable=200 <= response.status_code < 400,
+            viable=status is not None and 200 <= status < 400,
             latency_ms=elapsed,
-            status=response.status_code,
+            status=status,
         )
+
+
+def _head_status(url: str, deadline: float) -> int:
+    """Send HEAD for url and return the status code of the response head.
+
+    Every blocking step after name lookup waits at most until deadline (a
+    perf_counter value) and raises TimeoutError past it.  Malformed URLs and
+    heads raise ValueError; network and TLS failures raise OSError.
+    """
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"not an http(s) URL: {url!r}")
+    port = parts.port or (443 if parts.scheme == "https" else 80)
+    target = quote(parts.path or "/", safe=_URL_SAFE)
+    if parts.query:
+        target += "?" + quote(parts.query, safe=_URL_SAFE)
+    request = (
+        f"HEAD {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
+        "User-Agent: streamres\r\nAccept: */*\r\nConnection: close\r\n\r\n"
+    ).encode("ascii")
+    # Each address of the host may wait for what is left of the deadline.
+    sock = socket.create_connection((parts.hostname, port), _remaining(deadline))
+    try:
+        if parts.scheme == "https":
+            sock.settimeout(_remaining(deadline))
+            sock = _tls_context().wrap_socket(sock, server_hostname=parts.hostname)
+        sock.settimeout(_remaining(deadline))
+        sock.sendall(request)
+        head = b""
+        while not _HEAD_END.search(head):
+            if len(head) > MAX_HEAD_BYTES:
+                raise ValueError("response head too large")
+            sock.settimeout(_remaining(deadline))
+            chunk = sock.recv(4096)
+            if not chunk:
+                raise ValueError("connection closed inside the response head")
+            head += chunk
+    finally:
+        sock.close()
+    status_line = _STATUS_LINE.match(head)
+    if status_line is None:
+        raise ValueError("malformed status line")
+    return int(status_line[1])
+
+
+def _remaining(deadline: float) -> float:
+    left = deadline - time.perf_counter()
+    if left <= 0.0:
+        raise TimeoutError("probe deadline passed")
+    return left
+
+
+@cache
+def _tls_context() -> ssl.SSLContext:
+    import ssl  # only https probes pay for the import
+
+    return ssl.create_default_context()
 
 
 def probe_all(
@@ -154,13 +229,15 @@ def probe_all(
 ) -> list[ProbeResult]:
     """Probe every candidate concurrently and return one result per candidate.
 
-    Results come back in input order.  A verdict slower than the timeout is
-    recorded as timed out and non-viable with latency clamped to the timeout.
+    Results come back in input order; at most max_in_flight probes run at
+    once (default: every candidate, up to MAX_IN_FLIGHT).  A verdict slower
+    than the timeout is recorded as timed out and non-viable with latency
+    clamped to the timeout.
     """
     if timeout_ms <= 0.0:
         raise ValueError("timeout must be positive")
     if max_in_flight is None:
-        max_in_flight = max(1, len(candidates))
+        max_in_flight = max(1, min(len(candidates), MAX_IN_FLIGHT))
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
     if not candidates:

@@ -81,7 +81,6 @@ class Slot:
     verified_count: int = 1
     last_verified: float = 0.0
     prefetched: bool = False
-    probe_latency_ms: float = 0.0
     arrival: int = 0
 
     @property
@@ -143,10 +142,16 @@ class Reservoir:
         return reservoir
 
     def _fill(self, probe_results: Sequence[ProbeResult], now: float) -> bool:
-        viable = [r for r in sort_results(probe_results) if r.viable]
-        if not viable:
+        # Like refill, never admit an id twice: each id keeps its fastest
+        # verdict, up to capacity.
+        picked: dict[str, ProbeResult] = {}
+        for result in sort_results(probe_results):
+            if not result.viable or len(picked) == self.capacity:
+                break
+            picked.setdefault(result.candidate.id, result)
+        if not picked:
             return False
-        for result in viable[: self.capacity]:
+        for result in picked.values():
             self._admit(result, now)
         # Highest quality leads; admission (latency) order breaks ties via
         # arrival, keeping equal-quality picks deterministic.
@@ -162,7 +167,6 @@ class Reservoir:
             verified_count=FRESH_VERIFICATIONS,
             last_verified=now,
             prefetched=True,
-            probe_latency_ms=result.latency_ms,
             arrival=self._arrival_seq,
         )
         self._arrival_seq += 1
@@ -344,6 +348,7 @@ class Reservoir:
         if not probe_results or not any(r.viable for r in probe_results):
             self._log("reacquire", None, now)
             return False
+        self._check_clock(now)  # before the first change, so a raise changes nothing
         self._transition(ReservoirState.SPRINT)
         return self._fill(probe_results, now)
 
@@ -372,12 +377,15 @@ class Reservoir:
     def _log(
         self, kind: str, slot_id: str | None, now: float, score: float | None = None
     ) -> None:
-        if now < self._clock:
-            raise ValueError("event timestamps must be non-decreasing")
+        self._check_clock(now)
         self._clock = now
         self._events.append(
             ReservoirEvent(kind=kind, slot_id=slot_id, timestamp=now, score=score)
         )
+
+    def _check_clock(self, now: float) -> None:
+        if now < self._clock:
+            raise ValueError("event timestamps must be non-decreasing")
 
     def _sort_standbys(self) -> None:
         tail = sorted(self._slots[1:], key=_slot_order)

@@ -102,7 +102,6 @@ class MonotonicityConfig:
 class TrialSummary:
     """Per-trial outcome of a reservoir experiment."""
 
-    depletion_time: float
     monotone_violations: int
     final_quality: int
     convergence_step: int
@@ -244,7 +243,6 @@ def run_monotonicity(
         trace_sink.extend(reservoir.trace_lines())
     if not history:
         return TrialSummary(
-            depletion_time=float(config.steps),
             monotone_violations=0,
             final_quality=0,
             convergence_step=config.steps,
@@ -257,7 +255,6 @@ def run_monotonicity(
     first_at_final = next(i for i, q in enumerate(history) if q == final)
     offset = config.steps + 1 - len(history)  # steps spent before acquisition
     return TrialSummary(
-        depletion_time=float(config.steps),
         monotone_violations=violations,
         final_quality=final,
         convergence_step=first_at_final + offset,
@@ -317,7 +314,6 @@ def run_thrash(
     violations = sum(1 for prev, cur in zip(history, history[1:]) if cur < prev)
     final = history[-1]
     return TrialSummary(
-        depletion_time=float(steps),
         monotone_violations=violations,
         final_quality=final,
         convergence_step=next(i for i, q in enumerate(history) if q == final),

@@ -1,30 +1,16 @@
-"""Stream viability models and reproducible random substreams.
+"""Reproducible random substreams.
 
-Three failure models cover the different experiment styles: continuous
-exponential lifetimes for the closed-form oracles, an exact two-state
-up/down chain for availability runs, and per-step Bernoulli failure for the
-discrete depletion runs.  Rng hands out counter-derived substreams so every
-(seed, trial) pair sees the same draws no matter how trials are scheduled.
+Rng hands out counter-derived substreams so every (seed, trial) pair sees
+the same draws no matter how trials are scheduled.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .analytics import MarkovRates, stationary_availability
-
-__all__ = [
-    "Rng",
-    "ViabilityModel",
-    "sample_failure_time",
-    "step_viable",
-]
-
-ViabilityMode = Literal["exponential-failure", "two-state-markov", "bernoulli-step"]
+__all__ = ["Rng"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,83 +32,3 @@ class Rng:
     def substream(self, *path: int) -> np.random.Generator:
         key = self.path + path
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
-
-
-@dataclass(frozen=True, slots=True)
-class ViabilityModel:
-    """Failure model for one stream slot.
-
-    exponential-failure: memoryless lifetime with the given failure_rate.
-    two-state-markov: provider alternates up/down; step transitions follow
-        the exact law of the chain observed every dt, so the long-run
-        up-fraction is recovery / (recovery + failure) at any dt.
-    bernoulli-step: fails with probability per_step_fail each step; a failed
-        slot stays down (replacement is the reservoir's job, not recovery).
-    """
-
-    mode: ViabilityMode
-    failure_rate: float = 0.0
-    rates: MarkovRates | None = None
-    per_step_fail: float = 0.0
-    dt: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.mode == "exponential-failure":
-            if self.failure_rate <= 0.0:
-                raise ValueError("exponential mode needs a positive failure_rate")
-        elif self.mode == "two-state-markov":
-            if self.rates is None:
-                raise ValueError("two-state mode needs MarkovRates")
-        elif self.mode == "bernoulli-step":
-            if not 0.0 <= self.per_step_fail <= 1.0:
-                raise ValueError("per_step_fail must lie in [0, 1]")
-        else:
-            raise ValueError(f"unknown viability mode {self.mode!r}")
-
-    @classmethod
-    def exponential(cls, failure_rate: float, dt: float = 1.0) -> "ViabilityModel":
-        return cls(mode="exponential-failure", failure_rate=failure_rate, dt=dt)
-
-    @classmethod
-    def two_state(cls, rates: MarkovRates, dt: float = 1.0) -> "ViabilityModel":
-        return cls(mode="two-state-markov", rates=rates, dt=dt)
-
-    @classmethod
-    def bernoulli(cls, per_step_fail: float) -> "ViabilityModel":
-        return cls(mode="bernoulli-step", per_step_fail=per_step_fail)
-
-
-def sample_failure_time(failure_rate: float, gen: np.random.Generator) -> float:
-    """Draw an exponential lifetime with the given rate."""
-    if failure_rate <= 0.0:
-        raise ValueError("failure rate must be positive")
-    return float(gen.exponential(1.0 / failure_rate))
-
-
-def step_viable(
-    model: ViabilityModel, currently_viable: bool, gen: np.random.Generator
-) -> bool:
-    """Advance one slot by one step and report whether it is still viable."""
-    u = gen.random()
-    if model.mode == "bernoulli-step":
-        if not currently_viable:
-            return False
-        return u >= model.per_step_fail
-    if model.mode == "exponential-failure":
-        if not currently_viable:
-            return False
-        return u < math.exp(-model.failure_rate * model.dt)
-    # Two-state chain observed every dt.  Using the exact transient solution
-    # (rather than first-event probabilities) keeps the stationary up-fraction
-    # at recovery / (recovery + failure) for any dt, including dt = 1.
-    rates = model.rates
-    assert rates is not None
-    pi_up = stationary_availability(rates)
-    decay = math.exp(-(rates.failure_rate + rates.recovery_rate) * model.dt)
-    if currently_viable:
-        p_up = pi_up + (1.0 - pi_up) * decay
-    else:
-        p_up = pi_up * (1.0 - decay)
-    return u < p_up

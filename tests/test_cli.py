@@ -259,6 +259,14 @@ class TestCurves:
         assert float(p) == 0.5
         assert float(w) == pytest.approx(0.4206, abs=5e-4)
 
+    @pytest.mark.parametrize("curve", ["value", "weight"])
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_too_few_samples_is_usage_error(self, capsys, curve, samples):
+        code, out, err = run_cli(["curves", curve, "--samples", samples], capsys)
+        assert code == 2
+        assert "samples" in err
+        assert out == ""
+
 
 class _Handler(http.server.BaseHTTPRequestHandler):
     def do_HEAD(self):
@@ -297,6 +305,26 @@ class TestProbe:
         code, out, _ = run_cli(["probe", "--urls", str(urls)], capsys)
         assert code == 1
         assert "acquisition failed" in out
+
+    def test_repeated_url_is_admitted_once(self, capsys, tmp_path, local_server):
+        urls = tmp_path / "urls.txt"
+        line = f"{local_server}/a 1080\n"
+        urls.write_text(f"{line}{line}{local_server}/b\n")
+        code, out, _ = run_cli(["probe", "--urls", str(urls), "--k", "3"], capsys)
+        assert code == 0
+        assert f"active {local_server}/a" in out
+        assert f"standby {local_server}/a" not in out
+        assert f"standby {local_server}/b" in out
+
+    def test_zero_max_in_flight_is_usage_error(self, capsys, tmp_path, local_server):
+        urls = tmp_path / "urls.txt"
+        urls.write_text(f"{local_server}/a 1080\n")
+        code, out, err = run_cli(
+            ["probe", "--urls", str(urls), "--max-in-flight", "0"], capsys
+        )
+        assert code == 2
+        assert "max_in_flight" in err
+        assert out == ""
 
     def test_empty_url_file_is_usage_error(self, capsys, tmp_path):
         urls = tmp_path / "urls.txt"

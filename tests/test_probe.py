@@ -2,11 +2,18 @@
 
 import http.server
 import math
+import os
 import socketserver
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import streamres
+from streamres import probe as probe_module
 from streamres.analytics import SpeedupScenario, batched_speedup
 from streamres.probe import (
     HttpTransport,
@@ -104,6 +111,38 @@ class TestProbeAll:
             probe_all(make_candidates(1), SimTransport(Rng(1)), timeout_ms=0.0)
         with pytest.raises(ValueError):
             probe_all(make_candidates(1), SimTransport(Rng(1)), max_in_flight=0)
+
+    def test_default_fan_out_is_capped(self, monkeypatch):
+        monkeypatch.setattr(probe_module, "MAX_IN_FLIGHT", 3)
+        transport = PeakCountingTransport(SimTransport(Rng(5)))
+        results = probe_all(make_candidates(8), transport)
+        assert len(results) == 8
+        assert transport.peak == 3
+
+    def test_paper_round_fits_under_the_cap(self):
+        # The paper probes all 12 providers of a round at once.
+        assert probe_module.MAX_IN_FLIGHT >= 12
+
+
+class PeakCountingTransport:
+    """Wraps a transport; records the most probes ever in flight at once."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.peak = 0
+
+    def probe(self, candidate, timeout_ms):
+        with self._lock:
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            time.sleep(0.05)  # overlap the probes the pool lets run
+            return self._inner.probe(candidate, timeout_ms)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
 
 
 class TestSortResults:
@@ -242,3 +281,115 @@ class TestCandidateValidation:
     def test_quality_must_be_positive(self):
         with pytest.raises(ValueError):
             StreamCandidate("a", "p", 0, "sim://a")
+
+
+DRIP_LINES = (
+    b"HTTP/1.1 200 OK",
+    b"Content-Type: video/mp2t",
+    b"Cache-Control: no-cache",
+    b"Content-Length: 0",
+    b"Connection: close",
+    b"",
+)
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    """Answers by path with heads http.server cannot send: slow, cut or malformed."""
+
+    def handle(self):
+        self.connection.settimeout(5.0)
+        try:
+            path = self.rfile.readline().split()[1]
+            while self.rfile.readline() not in (b"\r\n", b""):
+                pass
+            self._answer(path)
+        except OSError:
+            pass  # the client hung up first
+
+    def _answer(self, path):
+        if path == b"/drip":  # one line every 80 ms: the head takes ~480 ms
+            for line in DRIP_LINES:
+                time.sleep(0.08)
+                self.wfile.write(line + b"\r\n")
+        elif path == b"/stall":  # the status line at ~150 ms, then nothing
+            time.sleep(0.15)
+            self.wfile.write(b"HTTP/1.1 200 OK\r\n")
+            self.rfile.read(1)  # returns when the client hangs up
+        elif path == b"/garbage":
+            self.wfile.write(b"SPDY/9 fine\r\n\r\n")
+        elif path == b"/cut":
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-")
+        elif path.startswith(b"/quoted/"):
+            ok = path == b"/quoted/caf%C3%A9%20x?k=v%20w"
+            self.wfile.write(b"HTTP/1.1 %d X\r\n\r\n" % (200 if ok else 400))
+        elif path == b"/huge":
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 100_000)
+            self.rfile.read(1)
+
+
+class _RawServer(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    block_on_close = False
+
+
+@pytest.fixture(scope="module")
+def raw_server():
+    with _RawServer(("127.0.0.1", 0), _RawHandler) as server:
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+        server.shutdown()
+
+
+def timed_probe(url, timeout_ms):
+    started = time.perf_counter()
+    result = HttpTransport().probe(StreamCandidate("h", "p", 720, url), timeout_ms)
+    return result, (time.perf_counter() - started) * 1000.0
+
+
+class TestHttpHead:
+    @pytest.mark.parametrize("path", ["/drip", "/stall"])
+    def test_one_deadline_bounds_the_whole_head(self, raw_server, path):
+        result, wall_ms = timed_probe(f"{raw_server}{path}", 200.0)
+        assert result.timed_out
+        assert not result.viable
+        assert result.latency_ms == 200.0
+        assert result.status is None
+        assert wall_ms < 300.0
+
+    @pytest.mark.parametrize("path", ["/garbage", "/cut", "/huge"])
+    def test_malformed_head_is_dead(self, raw_server, path):
+        result, wall_ms = timed_probe(f"{raw_server}{path}", 2000.0)
+        assert not result.viable
+        assert not result.timed_out
+        assert result.status is None
+        assert result.latency_ms == pytest.approx(wall_ms, abs=50.0)
+
+    def test_request_target_is_percent_encoded(self, raw_server):
+        result, _ = timed_probe(f"{raw_server}/quoted/café x?k=v w", 2000.0)
+        assert result.viable
+        assert result.status == 200
+
+    @pytest.mark.parametrize(
+        "url",
+        ["ftp://127.0.0.1/x", "http:///no-host", "http://127.0.0.1:99999/x", "not a url"],
+    )
+    def test_unusable_url_is_dead(self, url):
+        result, _ = timed_probe(url, 500.0)
+        assert not result.viable
+        assert not result.timed_out
+        assert result.status is None
+
+    def test_failed_tls_handshake_is_dead(self, local_server):
+        # A plain-HTTP server cannot complete a TLS handshake.
+        result, _ = timed_probe(local_server.replace("http:", "https:") + "/ok", 2000.0)
+        assert not result.viable
+        assert not result.timed_out
+        assert result.status is None
+
+
+def test_import_leaves_requests_out():
+    src = str(Path(streamres.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, streamres; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

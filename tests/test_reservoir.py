@@ -69,6 +69,17 @@ class TestSprintFill:
         assert reservoir is not None
         assert reservoir.slot_ids() == {"ok"}
 
+    def test_repeated_id_is_admitted_once(self):
+        round_ = [result("u", 1080, 40.0), result("u", 1080, 60.0), result("v", 720)]
+        reservoir = Reservoir.sprint_fill(round_, capacity=3)
+        assert [slot.candidate.id for slot in reservoir.slots] == ["u", "v"]
+        assert reservoir.run_health_cycle(lambda slot: True, now=1.0) == 0
+
+    def test_repeated_id_takes_no_capacity(self):
+        round_ = [result("u", 1080, 40.0), result("u", 1080, 60.0), result("v", 720)]
+        reservoir = Reservoir.sprint_fill(round_, capacity=2)
+        assert [slot.candidate.id for slot in reservoir.slots] == ["u", "v"]
+
     def test_nothing_viable_returns_none(self):
         assert (
             Reservoir.sprint_fill([result("dead", 720, viable=False)], capacity=3)
@@ -347,6 +358,22 @@ class TestReacquire:
         reservoir = filled_reservoir()
         with pytest.raises(RuntimeError):
             reservoir.reacquire([result("a", 720)], now=1.0)
+
+    def test_repeated_id_is_admitted_once(self):
+        reservoir = self.drained()
+        round_ = [result("u", 1080, 40.0), result("u", 1080, 60.0), result("v", 720)]
+        assert reservoir.reacquire(round_, now=2.0)
+        assert [slot.candidate.id for slot in reservoir.slots] == ["u", "v"]
+        assert reservoir.run_health_cycle(lambda slot: True, now=3.0) == 0
+
+    def test_backward_clock_changes_nothing(self):
+        reservoir = self.drained()
+        events = reservoir.events
+        with pytest.raises(ValueError):
+            reservoir.reacquire([result("a", 720)], now=0.5)
+        assert reservoir.state is ReservoirState.DEPLETED
+        assert reservoir.slots == ()
+        assert reservoir.events == events
 
 
 class TestStateGuards:

@@ -1,12 +1,8 @@
-"""Random substreams and the three slot failure models."""
-
-import math
+"""Random substreams: reproducible, path-addressed, seed-dependent."""
 
 import numpy as np
-import pytest
 
-from streamres.analytics import MarkovRates, stationary_availability
-from streamres.viability import Rng, ViabilityModel, sample_failure_time, step_viable
+from streamres.viability import Rng
 
 
 class TestRng:
@@ -36,114 +32,3 @@ class TestRng:
         a = Rng(42).split(31).substream(5).random(8)
         b = Rng(42).split(34).substream(5).random(8)
         assert not np.array_equal(a, b)
-
-
-class TestExponentialModel:
-    def test_survival_matches_rate(self):
-        model = ViabilityModel.exponential(0.25, dt=1.0)
-        gen = Rng(7).substream(0)
-        steps = 40_000
-        survived = sum(step_viable(model, True, gen) for _ in range(steps))
-        expected = math.exp(-0.25)
-        se = math.sqrt(expected * (1 - expected) / steps)
-        assert survived / steps == pytest.approx(expected, abs=4 * se)
-
-    def test_down_is_absorbing(self):
-        model = ViabilityModel.exponential(0.25)
-        gen = Rng(7).substream(1)
-        assert not any(step_viable(model, False, gen) for _ in range(100))
-
-    def test_sample_failure_time_mean(self):
-        gen = Rng(11).substream(0)
-        rate = 0.2
-        draws = [sample_failure_time(rate, gen) for _ in range(20_000)]
-        mean = sum(draws) / len(draws)
-        se = (1.0 / rate) / math.sqrt(len(draws))
-        assert mean == pytest.approx(1.0 / rate, abs=4 * se)
-        assert min(draws) > 0.0
-
-    def test_sample_failure_time_validation(self):
-        with pytest.raises(ValueError):
-            sample_failure_time(0.0, Rng(1).substream(0))
-
-
-class TestBernoulliModel:
-    def test_failure_frequency(self):
-        model = ViabilityModel.bernoulli(0.3)
-        gen = Rng(5).substream(0)
-        steps = 40_000
-        survived = sum(step_viable(model, True, gen) for _ in range(steps))
-        se = math.sqrt(0.7 * 0.3 / steps)
-        assert survived / steps == pytest.approx(0.7, abs=4 * se)
-
-    def test_down_is_absorbing(self):
-        model = ViabilityModel.bernoulli(0.3)
-        gen = Rng(5).substream(1)
-        assert not any(step_viable(model, False, gen) for _ in range(100))
-
-    def test_certain_failure(self):
-        model = ViabilityModel.bernoulli(1.0)
-        gen = Rng(5).substream(2)
-        assert not step_viable(model, True, gen)
-
-
-class TestTwoStateModel:
-    def test_stationary_fraction_at_unit_step(self):
-        # The published availability comes out of the chain sampled at
-        # dt = 1, which only works because transitions follow the exact
-        # transient law rather than single-event probabilities.
-        rates = MarkovRates(failure_rate=0.1, recovery_rate=0.9)
-        model = ViabilityModel.two_state(rates, dt=1.0)
-        gen = Rng(42).substream(0)
-        up = True
-        steps = 200_000
-        up_count = 0
-        for _ in range(steps):
-            up = step_viable(model, up, gen)
-            up_count += up
-        assert up_count / steps == pytest.approx(
-            stationary_availability(rates), abs=0.01
-        )
-
-    def test_stationary_fraction_is_dt_invariant(self):
-        rates = MarkovRates(failure_rate=0.2, recovery_rate=0.6)
-        for dt in (0.1, 1.0, 5.0):
-            model = ViabilityModel.two_state(rates, dt=dt)
-            gen = Rng(9).substream(int(dt * 10))
-            up = False
-            steps = 120_000
-            up_count = 0
-            for _ in range(steps):
-                up = step_viable(model, up, gen)
-                up_count += up
-            assert up_count / steps == pytest.approx(
-                stationary_availability(rates), abs=0.015
-            )
-
-    def test_recovers_from_down(self):
-        rates = MarkovRates(failure_rate=0.1, recovery_rate=0.9)
-        model = ViabilityModel.two_state(rates, dt=1.0)
-        gen = Rng(3).substream(0)
-        assert any(step_viable(model, False, gen) for _ in range(50))
-
-
-class TestModelValidation:
-    def test_exponential_needs_positive_rate(self):
-        with pytest.raises(ValueError):
-            ViabilityModel.exponential(0.0)
-
-    def test_two_state_needs_rates(self):
-        with pytest.raises(ValueError):
-            ViabilityModel(mode="two-state-markov")
-
-    def test_bernoulli_bounds(self):
-        with pytest.raises(ValueError):
-            ViabilityModel.bernoulli(1.5)
-
-    def test_dt_positive(self):
-        with pytest.raises(ValueError):
-            ViabilityModel.exponential(0.1, dt=0.0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            ViabilityModel(mode="coin-flip")  # type: ignore[arg-type]
