@@ -7,6 +7,8 @@ with closed-form reliability analytics, seeded Monte Carlo experiments, and
 a CLI verification registry.
 """
 
+from typing import TYPE_CHECKING
+
 from .analytics import (
     MarkovRates,
     SpeedupScenario,
@@ -21,7 +23,6 @@ from .analytics import (
     stationary_availability,
     utility_estimate,
 )
-from .cli import CheckResult, VerifyReport, main, run_verify
 from .probe import (
     HttpTransport,
     ProbeResult,
@@ -58,7 +59,22 @@ from .simulator import (
 )
 from .viability import Rng
 
+if TYPE_CHECKING:
+    from .cli import CheckResult, VerifyReport, main, run_verify
+
 __version__ = "0.1.0"
+
+# Loaded on first access (PEP 562), so `python -m streamres.cli` does not find
+# the CLI module already imported by its own package.
+_CLI_NAMES = frozenset({"CheckResult", "VerifyReport", "main", "run_verify"})
+
+
+def __getattr__(name: str) -> object:
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CheckResult",

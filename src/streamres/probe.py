@@ -24,7 +24,7 @@ from urllib.parse import quote, urlsplit
 
 import numpy as np
 
-from .viability import Rng
+from .viability import TRIAL_BLOCK, Rng
 
 if TYPE_CHECKING:
     import ssl
@@ -293,7 +293,9 @@ def empirical_first_success_rounds(
     Each round of the batched scan probes batch_size candidates and the scan
     walks n/b batches, so a trial costs (n/b) * rounds-to-first-success; the
     concurrent scan probes everything at once and costs just its round count.
-    Per-trial substreams keep the estimate reproducible under any schedule.
+    Trials are drawn in blocks of TRIAL_BLOCK from substream(block), batched
+    counts before concurrent ones, so the estimate depends only on the seed
+    and the trial count.
     """
     if n_candidates < 1 or not 1 <= batch_size <= n_candidates:
         raise ValueError("need 1 <= batch_size <= n_candidates")
@@ -306,8 +308,9 @@ def empirical_first_success_rounds(
     cost_factor = n_candidates / batch_size
     batched = np.empty(trials)
     concurrent = np.empty(trials)
-    for trial in range(trials):
-        gen = rng.substream(trial)
-        batched[trial] = cost_factor * gen.geometric(p_batch)
-        concurrent[trial] = gen.geometric(p_all)
+    for lo in range(0, trials, TRIAL_BLOCK):
+        hi = min(lo + TRIAL_BLOCK, trials)
+        gen = rng.substream(lo // TRIAL_BLOCK)
+        batched[lo:hi] = cost_factor * gen.geometric(p_batch, hi - lo)
+        concurrent[lo:hi] = gen.geometric(p_all, hi - lo)
     return float(batched.mean()), float(concurrent.mean())

@@ -210,6 +210,7 @@ class Reservoir:
         is asked to refill.
         """
         self._require(ReservoirState.MAINTAIN)
+        self._check_clock(now)
         if slot_index == 0:
             raise ValueError("the active slot is implicitly verified, not checked")
         if not 1 <= slot_index < len(self._slots):
@@ -231,6 +232,7 @@ class Reservoir:
         refill request).
         """
         self._require(ReservoirState.MAINTAIN)
+        self._check_clock(now)
         failures = 0
         for slot_id in [slot.candidate.id for slot in self._slots[1:]]:
             index = self._index_of(slot_id)
@@ -252,6 +254,7 @@ class Reservoir:
         dropped.  A candidate already holding a slot is never admitted twice.
         """
         self._require(ReservoirState.MAINTAIN)
+        self._check_clock(now)
         fresh = [r for r in fresh_results if r.viable]
         fresh.sort(key=lambda r: (-r.candidate.quality, r.latency_ms))
         admitted = 0
@@ -289,6 +292,7 @@ class Reservoir:
         pre-swap standby index and its score, or None for no switch.
         """
         self._require(ReservoirState.MAINTAIN)
+        self._check_clock(now)
         best_index = None
         best_score = 0.0
         for index, slot in enumerate(self._slots[1:], start=1):
@@ -323,6 +327,7 @@ class Reservoir:
         Returns the new active slot, or None when depleted.
         """
         self._require(ReservoirState.MAINTAIN)
+        self._check_clock(now)
         self._transition(ReservoirState.TRANSITION)
         failed = self._slots.pop(0)
         self._log("failover", failed.candidate.id, now)
@@ -348,7 +353,7 @@ class Reservoir:
         if not probe_results or not any(r.viable for r in probe_results):
             self._log("reacquire", None, now)
             return False
-        self._check_clock(now)  # before the first change, so a raise changes nothing
+        self._check_clock(now)
         self._transition(ReservoirState.SPRINT)
         return self._fill(probe_results, now)
 
@@ -384,6 +389,8 @@ class Reservoir:
         )
 
     def _check_clock(self, now: float) -> None:
+        # Each public operation calls this before its first change, so a
+        # backward clock raises with the reservoir exactly as it was.
         if now < self._clock:
             raise ValueError("event timestamps must be non-decreasing")
 

@@ -3,8 +3,10 @@
 Three experiment families: depletion horizons under slot failure (with and
 without refill), quality convergence under lazy refill from providers of
 unequal availability, and switch-thrash counting under persistent standbys.
-Every trial draws from its own (seed, trial) substream and aggregation is
-block-ordered, so results are bit-identical however trials are scheduled.
+Depletion and monotonicity trials draw from their own (seed, trial)
+substream, the speedup estimate from one substream per block of trials, and
+aggregation is block-ordered, so results are bit-identical however trials
+are scheduled.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .probe import ProbeResult, StreamCandidate, empirical_first_success_rounds
 from .prospect import DEFAULT_PARAMS, ProspectParams
 from .reservoir import Reservoir
 from .analytics import SpeedupScenario
-from .viability import Rng
+from .viability import TRIAL_BLOCK, Rng
 
 __all__ = [
     "DepletionConfig",
@@ -31,8 +33,6 @@ __all__ = [
     "run_thrash",
     "run_speedup_empirical",
 ]
-
-_BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,7 +126,9 @@ def _trial_values(
     """
     if workers <= 1:
         return np.array([trial_fn(i) for i in range(trials)], dtype=float)
-    spans = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    spans = [
+        (lo, min(lo + TRIAL_BLOCK, trials)) for lo in range(0, trials, TRIAL_BLOCK)
+    ]
 
     def run_span(span: tuple[int, int]) -> list[float]:
         return [trial_fn(i) for i in range(span[0], span[1])]

@@ -1,7 +1,9 @@
 """Reproducible random substreams.
 
 Rng hands out counter-derived substreams so every (seed, trial) pair sees
-the same draws no matter how trials are scheduled.
+the same draws no matter how trials are scheduled.  Vectorised experiments
+key one substream per TRIAL_BLOCK trials instead, so their draws depend on
+the block index alone.
 """
 
 from __future__ import annotations
@@ -10,7 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Rng"]
+__all__ = ["Rng", "TRIAL_BLOCK"]
+
+# Trials per block: the unit of block-keyed substreams and of the fixed
+# reduction order that keeps results identical for any worker count.
+TRIAL_BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,12 +1,48 @@
 """CLI contract: exit codes, output formats, config file, determinism."""
 
 import http.server
+import os
 import socketserver
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import streamres
 from streamres.cli import CheckResult, build_parser, main, run_verify
+
+
+# `verify --format records` at the defaults.  Only T2.4's actual moved when
+# the speedup estimate went from one substream per trial to one per block of
+# trials; the depletion and monotonicity lines pin their per-trial draws.
+DEFAULT_RECORDS = (
+    "T1.1\t10\t9.981\t0.3\tpass\n"
+    "T1.2\t91.4\t91.2296\t1.5\tpass\n"
+    "T1.3\t9.15\t9.140326621\t0.2\tpass\n"
+    "T1.4\t1.833333333\t9.140326621\t0\tpass\n"
+    "T1.5\t15.45354445\t15.48673994\t0.5\tpass\n"
+    "T2.1\t4.27\t4.273432576\t0.01\tpass\n"
+    "T2.2\t4.01\t4.009743677\t0.01\tpass\n"
+    "T2.3\t5.31\t5.3125\t0.01\tpass\n"
+    "T2.4\t4.273432576\t4.271557284\t0.05\tpass\n"  # per-trial substreams gave 4.26892
+    "T2.5\t0\t0\t0\tpass\n"
+    "T3.1\t0\t0\t0\tpass\n"
+    "T3.2\t2160\t2160\t0\tpass\n"
+    "T3.3\t15\t0.17\t5\tpass\n"
+    "T3.4\t45\t0.1\t12\tpass\n"
+    "T4.1\t2.25\t2.25\t0.001\tpass\n"
+    "T4.2\t0.0553\t0.05526613675\t0.0005\tpass\n"
+    "T4.3\t0.4206\t0.4206393543\t0.0005\tpass\n"
+    "T4.4\t0.9116\t0.9115837526\t0.0005\tpass\n"
+    "T4.5\t-0.01\t-0.009688299389\t0.002\tpass\n"
+    "T4.6\t0.055\t0.05542386568\t0.002\tpass\n"
+    "T4.7\t0.079\t0.07849025522\t0.002\tpass\n"
+    "T4.8\t-0.12\t-0.12\t1e-06\tpass\n"
+    "T4.9\t-0.097\t-0.09720453375\t0.002\tpass\n"
+    "T4.10\t2\t0\t0\tpass\n"
+)
 
 
 def run_cli(argv, capsys):
@@ -49,6 +85,11 @@ class TestVerify:
         a = run_verify(seed=1, trials=200).records()
         b = run_verify(seed=2, trials=200).records()
         assert a != b
+
+    def test_default_records(self, capsys):
+        code, out, _ = run_cli(["verify", "--format", "records"], capsys)
+        assert code == 0
+        assert out == DEFAULT_RECORDS
 
     def test_below_minimum_trials_is_usage_error(self, capsys):
         code, _, err = run_cli(["verify", "--trials", "50"], capsys)
@@ -343,3 +384,32 @@ class TestCheckResult:
         text = parser.format_help()
         for name in ("verify", "simulate", "score", "speedup", "probe", "curves"):
             assert name in text
+
+
+class TestPackageEntry:
+    @staticmethod
+    def python(*args):
+        src = str(Path(streamres.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True
+        )
+
+    def test_import_leaves_cli_out(self):
+        code = "import sys, streamres; sys.exit('streamres.cli' in sys.modules)"
+        assert self.python("-c", code).returncode == 0
+
+    def test_cli_names_resolve_lazily(self):
+        import streamres.cli
+
+        for name in ("CheckResult", "VerifyReport", "main", "run_verify"):
+            assert getattr(streamres, name) is getattr(streamres.cli, name)
+        with pytest.raises(AttributeError):
+            streamres.no_such_name
+
+    @pytest.mark.parametrize("module", ["streamres", "streamres.cli"])
+    def test_run_as_module(self, module):
+        done = self.python("-m", module, "verify", "--trials", "100")
+        assert done.returncode == 0
+        assert "24 checks: 24 passed" in done.stdout
+        assert "RuntimeWarning" not in done.stderr

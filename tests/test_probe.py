@@ -10,9 +10,11 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import streamres
+from streamres import cli as cli_module
 from streamres import probe as probe_module
 from streamres.analytics import SpeedupScenario, batched_speedup
 from streamres.probe import (
@@ -25,6 +27,7 @@ from streamres.probe import (
     simulated_makespan,
     sort_results,
 )
+from streamres.simulator import run_speedup_empirical
 from streamres.viability import Rng
 
 
@@ -190,6 +193,18 @@ class TestSimulatedMakespan:
             simulated_makespan([-1.0], 1)
 
 
+class CountingRng:
+    """An Rng that records the path of every substream it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.paths = []
+
+    def substream(self, *path):
+        self.paths.append(path)
+        return self.rng.substream(*path)
+
+
 class TestEmpiricalFirstSuccess:
     def test_matches_closed_form(self):
         scenario = SpeedupScenario(12, 3, 0.4)
@@ -216,6 +231,33 @@ class TestEmpiricalFirstSuccess:
         a = empirical_first_success_rounds(12, 3, 0.4, 500, Rng(9))
         b = empirical_first_success_rounds(12, 3, 0.4, 500, Rng(9))
         assert a == b
+
+    def test_one_substream_per_block(self):
+        # 257 trials: a full block of 256 from substream(0), then one trial
+        # from substream(1); each block draws its batched counts first.
+        rng = CountingRng(Rng(5))
+        batched, concurrent = empirical_first_success_rounds(12, 3, 0.4, 257, rng)
+        assert rng.paths == [(0,), (1,)]
+        p_batch, p_all = 1.0 - 0.4**3, 1.0 - 0.4**12
+        expected_batched, expected_concurrent = [], []
+        for block, size in ((0, 256), (1, 1)):
+            gen = Rng(5).substream(block)
+            expected_batched.append(4.0 * gen.geometric(p_batch, size))
+            expected_concurrent.append(gen.geometric(p_all, size))
+        assert batched == float(np.concatenate(expected_batched).mean())
+        assert concurrent == float(np.concatenate(expected_concurrent).mean())
+
+    def test_verify_draws_t24_from_391_substreams(self, monkeypatch):
+        # T2.4 runs 20 x 5000 = 100 000 trials at the defaults: 391 blocks.
+        recorders = []
+
+        def recorded(scenario, trials, rng):
+            recorders.append(CountingRng(rng))
+            return run_speedup_empirical(scenario, trials, recorders[-1])
+
+        monkeypatch.setattr(cli_module, "run_speedup_empirical", recorded)
+        cli_module.run_verify(seed=42, trials=5000)
+        assert [len(recorder.paths) for recorder in recorders] == [391]
 
     def test_validation(self):
         with pytest.raises(ValueError):

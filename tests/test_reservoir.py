@@ -402,6 +402,39 @@ class TestStateGuards:
             reservoir.run_health_cycle(lambda slot: True, now=4.0)
 
 
+def snapshot(reservoir):
+    return (
+        [(slot.candidate.id, slot.verified_count) for slot in reservoir.slots],
+        reservoir.state,
+        reservoir.events,
+        reservoir.switch_count,
+    )
+
+
+# Each call would change the reservoir below if the clock were not checked
+# first: drop or credit the standby, admit "new", promote "uhd", or pop the
+# active slot.
+BACKWARD_CALLS = {
+    "on_health_result": lambda r: r.on_health_result(1, False, now=1.0),
+    "run_health_cycle": lambda r: r.run_health_cycle(lambda slot: True, now=1.0),
+    "refill": lambda r: r.refill([result("new", 720)], now=1.0),
+    "evaluate_upgrade": lambda r: r.evaluate_upgrade(now=1.0),
+    "on_active_failure": lambda r: r.on_active_failure(now=1.0),
+}
+
+
+class TestBackwardClock:
+    @pytest.mark.parametrize("method", list(BACKWARD_CALLS))
+    def test_raise_changes_nothing(self, method):
+        reservoir = Reservoir.sprint_fill([result("base", 360)], capacity=3, now=5.0)
+        assert reservoir is not None
+        reservoir.refill([result("uhd", 2160)], now=5.0)
+        before = snapshot(reservoir)
+        with pytest.raises(ValueError):
+            BACKWARD_CALLS[method](reservoir)
+        assert snapshot(reservoir) == before
+
+
 class TestTrace:
     def test_line_format(self):
         reservoir = filled_reservoir()
