@@ -491,6 +491,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"mean {result.mean:.1f} ± {result.stderr:.1f} ({result.trials} trials)")
         return 0
     if args.kind == "monotonicity":
+        if args.sweep < 1:
+            raise ValueError("sweep must be >= 1")
         config = MonotonicityConfig(
             providers=_parse_providers(args.providers),
             steps=args.steps,

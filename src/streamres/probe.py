@@ -94,7 +94,9 @@ class SimTransport:
     Each (candidate, attempt) pair draws from its own substream, keyed by a
     CRC of the candidate id and a per-candidate attempt counter, so verdicts
     do not depend on list order or thread scheduling.  Latency is lognormal
-    around median_latency_ms; failure probability may be global or per-id.
+    around median_latency_ms; failure probability may be global or per-id
+    (a mapping is copied at construction, and every value must lie in
+    [0, 1]).
     """
 
     def __init__(
@@ -106,6 +108,13 @@ class SimTransport:
     ) -> None:
         if median_latency_ms <= 0.0 or sigma < 0.0:
             raise ValueError("median latency must be positive and sigma non-negative")
+        if isinstance(failure_prob, Mapping):
+            failure_prob = dict(failure_prob)
+            probs = failure_prob.values()
+        else:
+            probs = [failure_prob]
+        if not all(0.0 <= prob <= 1.0 for prob in probs):
+            raise ValueError("failure probability must lie in [0, 1]")
         self._rng = rng
         self._failure_prob = failure_prob
         self._median = median_latency_ms
@@ -114,13 +123,9 @@ class SimTransport:
         self._lock = threading.Lock()
 
     def _fail_prob(self, candidate_id: str) -> float:
-        if isinstance(self._failure_prob, Mapping):
-            prob = self._failure_prob.get(candidate_id, 0.0)
-        else:
-            prob = self._failure_prob
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError("failure probability must lie in [0, 1]")
-        return prob
+        if isinstance(self._failure_prob, dict):
+            return self._failure_prob.get(candidate_id, 0.0)
+        return self._failure_prob
 
     def probe(self, candidate: StreamCandidate, timeout_ms: float) -> ProbeResult:
         with self._lock:

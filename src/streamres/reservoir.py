@@ -228,18 +228,26 @@ class Reservoir:
     def run_health_cycle(self, checker: Callable[[Slot], bool], now: float) -> int:
         """Check every standby once; credit the active implicitly.
 
+        The checker sees every standby, in standby order, before any verdict
+        is applied, so a checker that raises leaves the reservoir as it was.
         Returns the number of standbys that failed (each one is an open
         refill request).
         """
         self._require(ReservoirState.MAINTAIN)
         self._check_clock(now)
+        verdicts = [(slot, bool(checker(slot))) for slot in self._slots[1:]]
+        kept = self._slots[:1]
         failures = 0
-        for slot_id in [slot.candidate.id for slot in self._slots[1:]]:
-            index = self._index_of(slot_id)
-            if index is None:
-                continue
-            if self.on_health_result(index, checker(self._slots[index]), now):
+        for slot, viable in verdicts:
+            if viable:
+                slot.verified_count += 1
+                slot.last_verified = now
+                kept.append(slot)
+                self._log("health_pass", slot.candidate.id, now)
+            else:
                 failures += 1
+                self._log("health_fail", slot.candidate.id, now)
+        self._slots = kept
         active = self.active
         active.verified_count = min(ACTIVE_VERIFIED_CAP, active.verified_count + 1)
         active.last_verified = now
@@ -258,8 +266,9 @@ class Reservoir:
         fresh = [r for r in fresh_results if r.viable]
         fresh.sort(key=lambda r: (-r.candidate.quality, r.latency_ms))
         admitted = 0
+        held = self.slot_ids()
         for result in fresh:
-            if result.candidate.id in self.slot_ids():
+            if result.candidate.id in held:
                 continue
             if len(self._slots) < self.capacity:
                 slot = self._admit(result, now)
@@ -278,9 +287,11 @@ class Reservoir:
                 if score <= 0.0:
                     continue
                 self._slots.pop()
+                held.discard(worst.candidate.id)
                 slot = self._admit(result, now)
                 self._log("refill", slot.candidate.id, now, score=score)
                 admitted += 1
+            held.add(slot.candidate.id)
             self._sort_standbys()
         return admitted
 
@@ -397,12 +408,6 @@ class Reservoir:
     def _sort_standbys(self) -> None:
         tail = sorted(self._slots[1:], key=_slot_order)
         self._slots[1:] = tail
-
-    def _index_of(self, slot_id: str) -> int | None:
-        for index, slot in enumerate(self._slots):
-            if slot.candidate.id == slot_id:
-                return index
-        return None
 
 
 def _slot_order(slot: Slot) -> tuple[int, int, int]:

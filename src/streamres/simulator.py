@@ -6,14 +6,17 @@ unequal availability, and switch-thrash counting under persistent standbys.
 Depletion and monotonicity trials draw from their own (seed, trial)
 substream, the speedup estimate from one substream per block of trials, and
 aggregation is block-ordered, so results are bit-identical however trials
-are scheduled.
+are scheduled.  Depletion seeds a block's per-trial substreams together
+(Rng.substreams) and reduces the block's draws in one vectorised step;
+monotonicity draws its uniforms in chunks and consumes them in order.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +25,13 @@ from .prospect import DEFAULT_PARAMS, ProspectParams
 from .reservoir import Reservoir
 from .analytics import SpeedupScenario
 from .viability import TRIAL_BLOCK, Rng
+
+# Most bytes one depletion block draws into at once, so a long horizon
+# shortens the block instead of growing the array.
+_DRAW_BYTES = 1 << 20
+
+# Uniforms a monotonicity trial draws per generator call.
+_UNIFORM_CHUNK = 1024
 
 __all__ = [
     "DepletionConfig",
@@ -116,53 +126,56 @@ class DepletionResult:
 
 
 def _trial_values(
-    trials: int, trial_fn: Callable[[int], float], workers: int = 1
+    trials: int,
+    block_fn: Callable[[int, int], np.ndarray],
+    block: int,
+    workers: int = 1,
 ) -> np.ndarray:
-    """Evaluate trial_fn over all trial indices, optionally across threads.
+    """Evaluate block_fn(lo, hi) over consecutive trial spans of size block.
 
-    Trials are grouped into fixed blocks and blocks are reduced in index
+    Spans run serially or across threads and are concatenated in index
     order, so the output array (and anything derived from it) is identical
     for any worker count.
     """
+    spans = [(lo, min(lo + block, trials)) for lo in range(0, trials, block)]
     if workers <= 1:
-        return np.array([trial_fn(i) for i in range(trials)], dtype=float)
-    spans = [
-        (lo, min(lo + TRIAL_BLOCK, trials)) for lo in range(0, trials, TRIAL_BLOCK)
-    ]
-
-    def run_span(span: tuple[int, int]) -> list[float]:
-        return [trial_fn(i) for i in range(span[0], span[1])]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run_span, spans))
-    return np.array([v for part in parts for v in part], dtype=float)
+        parts = [block_fn(lo, hi) for lo, hi in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda span: block_fn(*span), spans))
+    return np.concatenate(parts)
 
 
 def run_depletion(
     config: DepletionConfig, rng: Rng, workers: int = 1
 ) -> DepletionResult:
-    """Mean depletion time (with standard error) over seeded trials."""
+    """Mean depletion time (with standard error) over seeded trials.
+
+    Trial i draws from substream(i).  A block of trials draws into the rows
+    of one array, at most _DRAW_BYTES of it, and one vectorised reduction
+    per block turns the rows into depletion times.
+    """
     rates = np.array(config.failure_rates)
     horizon = config.horizon
+    # One row holds a trial's draws: a Bernoulli coin per slot per step, or
+    # one lifetime per slot.
+    row_shape = (horizon, config.slot_count) if config.refill else (config.slot_count,)
+    row_bytes = 8 * int(np.prod(row_shape))
+    block = max(1, min(TRIAL_BLOCK, _DRAW_BYTES // row_bytes))
 
-    if config.refill:
+    def depletion_times(lo: int, hi: int) -> np.ndarray:
+        draws = np.empty((hi - lo, *row_shape))
+        for gen, row in zip(rng.substreams(lo, hi), draws):
+            if config.refill:
+                gen.random(out=row)
+            else:
+                gen.standard_exponential(out=row)
+        if config.refill:
+            all_fail = (draws < rates).all(axis=2)
+            return np.where(all_fail.any(axis=1), all_fail.argmax(axis=1) + 1.0, horizon)
+        return np.minimum((draws * (1.0 / rates)).max(axis=1), horizon)
 
-        def trial(index: int) -> float:
-            gen = rng.substream(index)
-            draws = gen.random((horizon, config.slot_count))
-            all_fail = (draws < rates).all(axis=1)
-            hits = np.flatnonzero(all_fail)
-            return float(hits[0] + 1) if hits.size else float(horizon)
-
-    else:
-        scale = 1.0 / rates
-
-        def trial(index: int) -> float:
-            gen = rng.substream(index)
-            lifetimes = gen.exponential(scale)
-            return float(min(lifetimes.max(), horizon))
-
-    times = _trial_values(config.trials, trial, workers)
+    times = _trial_values(config.trials, depletion_times, block, workers)
     stderr = float(times.std(ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
     return DepletionResult(mean=float(times.mean()), stderr=stderr, trials=config.trials)
 
@@ -177,6 +190,16 @@ def _provider_candidates(config: MonotonicityConfig) -> list[StreamCandidate]:
         )
         for index, (quality, _) in enumerate(config.providers)
     ]
+
+
+def _uniform_stream(gen: np.random.Generator) -> Iterator[float]:
+    """gen's uniforms one at a time, drawn _UNIFORM_CHUNK per call.
+
+    random() spends one 64-bit output per double, so the values are those
+    of one random(n) call per use, in the same order.
+    """
+    while True:
+        yield from gen.random(_UNIFORM_CHUNK).tolist()
 
 
 def run_monotonicity(
@@ -194,10 +217,11 @@ def run_monotonicity(
     exactly the claim under test: the trajectory never steps down, and it
     ends at the best quality whose availability clears tau.
     """
-    gen = rng.substream(trial)
+    uniforms = _uniform_stream(rng.substream(trial))
     candidates = _provider_candidates(config)
+    count = len(candidates)
     provider_index = {c.provider_id: i for i, c in enumerate(candidates)}
-    availabilities = np.array([a for _, a in config.providers])
+    availabilities = [a for _, a in config.providers]
     eligible = [
         i for i, (_, availability) in enumerate(config.providers)
         if availability >= config.tau
@@ -206,39 +230,39 @@ def run_monotonicity(
     reservoir: Reservoir | None = None
     history: list[int] = []
 
-    def probe_round(up: np.ndarray, indices: Sequence[int]) -> list[ProbeResult]:
-        latencies = gen.random(len(candidates)) * 1000.0
+    def probe_round(up: list[bool], indices: Sequence[int]) -> list[ProbeResult]:
+        latencies = list(islice(uniforms, count))
         return [
             ProbeResult(
                 candidate=candidates[i],
-                viable=bool(up[i]),
-                latency_ms=float(latencies[i]),
+                viable=up[i],
+                latency_ms=latencies[i] * 1000.0,
             )
             for i in indices
         ]
 
     for step in range(config.steps + 1):
-        up = gen.random(len(candidates)) < availabilities
+        now = float(step)
+        up = [u < a for u, a in zip(islice(uniforms, count), availabilities)]
         if reservoir is None:
             # Initial acquisition probes every provider; repeat until some
             # candidate is viable.
             attempt = Reservoir.sprint_fill(
-                probe_round(up, range(len(candidates))),
+                probe_round(up, range(count)),
                 capacity=config.slot_count,
                 params=params,
-                now=float(step),
+                now=now,
             )
             if attempt is not None:
                 reservoir = attempt
                 history.append(reservoir.active.quality)
             continue
         failures = reservoir.run_health_cycle(
-            lambda slot: bool(up[provider_index[slot.candidate.provider_id]]),
-            now=float(step),
+            lambda slot: up[provider_index[slot.candidate.provider_id]], now=now
         )
         if failures > 0 or len(reservoir.slots) < config.slot_count:
-            reservoir.refill(probe_round(up, eligible), now=float(step))
-        reservoir.evaluate_upgrade(now=float(step))
+            reservoir.refill(probe_round(up, eligible), now=now)
+        reservoir.evaluate_upgrade(now=now)
         history.append(reservoir.active.quality)
 
     if trace_sink is not None and reservoir is not None:

@@ -274,6 +274,13 @@ class TestSimulate:
         assert "violations 0" in out
         assert "min-final-quality 2160" in out
 
+    @pytest.mark.parametrize("sweep", ["0", "-1"])
+    def test_empty_monotonicity_sweep_is_usage_error(self, capsys, sweep):
+        code, out, err = run_cli(["simulate", "monotonicity", "--sweep", sweep], capsys)
+        assert code == 2
+        assert out == ""
+        assert "sweep must be >= 1" in err
+
 
 class TestCurves:
     def test_uptime_matches_plotted_points(self, capsys):

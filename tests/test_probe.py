@@ -82,6 +82,20 @@ class TestSimTransport:
         with pytest.raises(ValueError):
             probe_all(make_candidates(1), SimTransport(Rng(1), failure_prob=1.5))
 
+    @pytest.mark.parametrize(
+        "failure_prob",
+        [-0.1, 1.5, float("nan"), {"c0": 0.5, "c1": 1.5}, {"c0": -0.01}],
+    )
+    def test_constructor_rejects_bad_failure_prob(self, failure_prob):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SimTransport(Rng(1), failure_prob=failure_prob)
+
+    def test_failure_map_is_copied(self):
+        failure_prob = {"c0": 0.0}
+        transport = SimTransport(Rng(1), failure_prob=failure_prob)
+        failure_prob["c0"] = 1.0
+        assert transport.probe(make_candidates(1)[0], 1000.0).viable
+
 
 class TestProbeAll:
     def test_preserves_input_order(self):

@@ -435,6 +435,40 @@ class TestBackwardClock:
         assert snapshot(reservoir) == before
 
 
+class TestHealthCycleGuarantee:
+    def test_checker_sees_every_standby_before_any_verdict(self):
+        reservoir = filled_reservoir()
+        seen = []
+
+        def checker(slot):
+            seen.append((slot.candidate.id, len(reservoir.slots), len(reservoir.events)))
+            return slot.candidate.id != "mid"
+
+        assert reservoir.run_health_cycle(checker, now=1.0) == 1
+        assert seen == [("mid", 3, 1), ("lo", 3, 1)]
+        assert [e.kind for e in reservoir.events] == ["filled", "health_fail", "health_pass"]
+
+    def test_checker_that_raises_changes_nothing(self):
+        # Standbys b, c: the checker fails b, then raises on c.
+        reservoir = Reservoir.sprint_fill(
+            [result("a", 1080, 10.0), result("b", 720, 20.0), result("c", 480, 30.0)],
+            capacity=3,
+        )
+        assert reservoir is not None
+        before = snapshot(reservoir)
+        last_verified = [slot.last_verified for slot in reservoir.slots]
+
+        def checker(slot):
+            if slot.candidate.id == "c":
+                raise RuntimeError("probe crashed")
+            return False
+
+        with pytest.raises(RuntimeError):
+            reservoir.run_health_cycle(checker, now=1.0)
+        assert snapshot(reservoir) == before
+        assert [slot.last_verified for slot in reservoir.slots] == last_verified
+
+
 class TestTrace:
     def test_line_format(self):
         reservoir = filled_reservoir()

@@ -1,17 +1,21 @@
 """Monte Carlo experiment harness: conventions, determinism, known limits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from streamres import simulator
 from streamres.analytics import expected_max_exponential, harmonic_number
 from streamres.simulator import (
     DepletionConfig,
+    DepletionResult,
     MonotonicityConfig,
     run_depletion,
     run_monotonicity,
     run_thrash,
 )
-from streamres.viability import Rng
+from streamres.viability import TRIAL_BLOCK, Rng
 
 PROVIDERS = ((360, 0.3), (720, 0.5), (1080, 0.7), (2160, 0.9))
 
@@ -76,6 +80,66 @@ class TestRunDepletion:
         assert run_depletion(config, Rng(6)) == run_depletion(config, Rng(6))
 
 
+def reference_depletion(config, rng):
+    """run_depletion one trial at a time, each from its own substream(i)."""
+    rates = np.array(config.failure_rates)
+    times = []
+    for index in range(config.trials):
+        gen = rng.substream(index)
+        if config.refill:
+            draws = gen.random((config.horizon, config.slot_count))
+            hits = np.flatnonzero((draws < rates).all(axis=1))
+            times.append(float(hits[0] + 1) if hits.size else float(config.horizon))
+        else:
+            lifetimes = gen.exponential(1.0 / rates)
+            times.append(float(min(lifetimes.max(), config.horizon)))
+    values = np.array(times)
+    return DepletionResult(
+        mean=float(values.mean()),
+        stderr=float(values.std(ddof=1) / np.sqrt(config.trials)),
+        trials=config.trials,
+    )
+
+
+class TestDepletionKeys:
+    # 2000 steps x 2 slots fill 32 kB a trial: the draw budget splits each
+    # block of TRIAL_BLOCK trials.  The drained run crosses a block edge.
+    CONFIGS = {
+        "refill": DepletionConfig(2, (0.05, 0.08), horizon=2000, trials=300),
+        "drained": DepletionConfig(
+            3, (0.10, 0.12, 0.15), horizon=30, trials=TRIAL_BLOCK + 44, refill=False
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", list(CONFIGS))
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_equals_per_trial_reference(self, monkeypatch, mode, workers):
+        config = self.CONFIGS[mode]
+        rng = Rng(13).split(2)
+        expected = reference_depletion(config, rng)
+        spans = []
+        substreams = Rng.substreams
+
+        def recording(self, lo, hi):
+            spans.append((lo, hi))
+            return substreams(self, lo, hi)
+
+        def forbidden(self, *path):
+            raise AssertionError("run_depletion must not seed trials one at a time")
+
+        monkeypatch.setattr(Rng, "substreams", recording)
+        monkeypatch.setattr(Rng, "substream", forbidden)
+        assert run_depletion(config, rng, workers=workers) == expected
+        # The blocks tile the trials, each inside the draw budget.
+        spans.sort()
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == config.trials
+        row_floats = config.horizon * config.slot_count if config.refill else config.slot_count
+        assert max(hi - lo for lo, hi in spans) * 8 * row_floats <= simulator._DRAW_BYTES
+        if config.refill:
+            assert len(spans) > -(-config.trials // TRIAL_BLOCK)
+
+
 class TestMonotonicityConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -125,6 +189,44 @@ class TestRunMonotonicity:
         run_monotonicity(config, Rng(3), 0, trace_sink=trace)
         assert trace
         assert trace[0].split("\t")[1] == "filled"
+
+
+# Summaries and trace digests of 5000-step runs (Rng(9), trial 4), pinned
+# from the one-random-call-per-use implementation; each run crosses many
+# uniform chunks.
+PINNED_RUNS = [
+    (
+        PROVIDERS, 0.3, 3,
+        (0, 2160, 0, 0), 10037,
+        "9bafc79d0b4ab382ab6631b912daf478e9d249484b17fe760a733ab5ab3b8cb4",
+    ),
+    (
+        ((360, 0.95), (480, 0.9), (720, 0.6), (2160, 0.31)), 0.3, 2,
+        (0, 2160, 29, 1), 5556,
+        "c82d5f99ec11be84f43469c475bc3b3f75660965cc2018641e51153667c1a41e",
+    ),
+    (
+        ((360, 0.95), (480, 0.9), (720, 0.6), (2160, 0.1)), 0.05, 3,
+        (0, 2160, 139, 1), 10803,
+        "18b93cfc2d4d3dc0a4d829608208ac060a7f90e7696758e276eff82ec6973b6a",
+    ),
+]
+
+
+class TestMonotonicityPinned:
+    @pytest.mark.parametrize("providers, tau, slots, summary, lines, digest", PINNED_RUNS)
+    def test_long_run_matches_pinned_draws(self, providers, tau, slots, summary, lines, digest):
+        config = MonotonicityConfig(providers, steps=5000, tau=tau, slot_count=slots)
+        trace: list[str] = []
+        result = run_monotonicity(config, Rng(9), 4, trace_sink=trace)
+        assert (
+            result.monotone_violations,
+            result.final_quality,
+            result.convergence_step,
+            result.switch_count,
+        ) == summary
+        assert len(trace) == lines
+        assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == digest
 
 
 class TestRunThrash:
