@@ -184,6 +184,6 @@ def no_thrash_bound(
 
 def utility_estimate(slot_count: int, mean_failure_rate: float) -> float:
     """Expected useful lifetime of a k-slot reservoir: H_k / mean rate."""
-    if mean_failure_rate <= 0.0:
-        raise ValueError("mean failure rate must be positive")
+    if not 0.0 < mean_failure_rate < math.inf:
+        raise ValueError("mean failure rate must be positive and finite")
     return harmonic_number(slot_count) / mean_failure_rate

@@ -576,14 +576,25 @@ def _cmd_curves(args: argparse.Namespace) -> int:
             print(f"{p:.6g}\t{weight(p):.6g}")
         return 0
     # uptime: expected useful lifetime against slot count
+    if args.slots < 1:
+        raise ValueError("slots must be >= 1")
     for k in range(1, args.slots + 1):
         print(f"{k}\t{analytics.utility_estimate(k, args.failure_rate):.6g}")
     return 0
 
 
+def _read_lines(path: str) -> list[str]:
+    """Lines of a file named on the command line; unreadable is a usage error."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    return text.splitlines()
+
+
 def _read_url_file(path: str) -> list[StreamCandidate]:
     candidates = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -764,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -785,6 +796,8 @@ def _resolve_common(args: argparse.Namespace) -> None:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if getattr(args, "seed", None) is None:
         args.seed = int(config.get("seed", DEFAULT_SEED))
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     if getattr(args, "trials", None) is None:
         args.trials = int(config.get("trials", DEFAULT_TRIALS))
     if getattr(args, "format", None) is None:

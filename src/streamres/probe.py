@@ -3,13 +3,14 @@
 A probe round issues up to max_in_flight checks at once and always waits for
 every verdict; there is no early exit, because the reservoir wants the full
 ranking, not just the first success.  SimTransport draws deterministic
-verdicts from per-candidate substreams; HttpTransport sends real HEAD
-probes on the standard library, each bounded by one deadline, and never
-raises.
+verdicts from one substream per candidate, its attempts in sequence;
+HttpTransport sends real HEAD probes on the standard library, each bounded
+by one deadline, and never raises.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import socket
 import threading
@@ -91,12 +92,12 @@ class Transport(Protocol):
 class SimTransport:
     """Deterministic fake transport.
 
-    Each (candidate, attempt) pair draws from its own substream, keyed by a
-    CRC of the candidate id and a per-candidate attempt counter, so verdicts
-    do not depend on list order or thread scheduling.  Latency is lognormal
-    around median_latency_ms; failure probability may be global or per-id
-    (a mapping is copied at construction, and every value must lie in
-    [0, 1]).
+    Each candidate draws from one substream of its own, keyed by a CRC of
+    its id and built on its first probe; its attempts take that stream's
+    next draws in sequence, so a candidate's n-th verdict does not depend on
+    list order or thread scheduling.  Latency is lognormal around
+    median_latency_ms; failure probability may be global or per-id (a
+    mapping is copied at construction, and every value must lie in [0, 1]).
     """
 
     def __init__(
@@ -119,7 +120,7 @@ class SimTransport:
         self._failure_prob = failure_prob
         self._median = median_latency_ms
         self._sigma = sigma
-        self._attempts: dict[str, int] = {}
+        self._streams: dict[str, np.random.Generator] = {}
         self._lock = threading.Lock()
 
     def _fail_prob(self, candidate_id: str) -> float:
@@ -128,13 +129,17 @@ class SimTransport:
         return self._failure_prob
 
     def probe(self, candidate: StreamCandidate, timeout_ms: float) -> ProbeResult:
+        # Draw under the lock: one probe takes a candidate's next two draws
+        # at once, and no two threads use one Generator together.
         with self._lock:
-            attempt = self._attempts.get(candidate.id, 0)
-            self._attempts[candidate.id] = attempt + 1
-        gen = self._rng.substream(zlib.crc32(candidate.id.encode()), attempt)
-        # Fixed draw order: failure verdict first, then latency.
-        failed = gen.random() < self._fail_prob(candidate.id)
-        latency = self._median * float(np.exp(self._sigma * gen.standard_normal()))
+            gen = self._streams.get(candidate.id)
+            if gen is None:
+                gen = self._rng.substream(zlib.crc32(candidate.id.encode()))
+                self._streams[candidate.id] = gen
+            # Fixed draw order: failure verdict first, then latency.
+            failed = gen.random() < self._fail_prob(candidate.id)
+            normal = gen.standard_normal()
+        latency = self._median * math.exp(self._sigma * normal)
         return ProbeResult(candidate=candidate, viable=not failed, latency_ms=latency)
 
 

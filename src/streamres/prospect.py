@@ -9,7 +9,7 @@ Scores above zero justify a switch; everything else holds the current stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ProspectParams",
@@ -41,6 +41,9 @@ class ProspectParams:
     confidence_base: float = 0.3
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         if not 0.0 < self.alpha <= 1.0 or not 0.0 < self.beta <= 1.0:
             raise ValueError("alpha and beta must lie in (0, 1]")
         if self.loss_aversion < 1.0:

@@ -137,6 +137,7 @@ class Reservoir:
         if not probe_results:
             raise ValueError("probe_results must be non-empty")
         reservoir = cls(capacity=capacity, params=params)
+        reservoir._check_clock(now)
         if not reservoir._fill(probe_results, now):
             return None
         return reservoir
@@ -170,7 +171,13 @@ class Reservoir:
             arrival=self._arrival_seq,
         )
         self._arrival_seq += 1
-        self._slots.append(slot)
+        # A fresh slot has the fewest verifications and the latest arrival,
+        # so its merit-order place among the standbys is after every one of
+        # its quality or better.
+        index = len(self._slots)
+        while index > 1 and self._slots[index - 1].quality < slot.quality:
+            index -= 1
+        self._slots.insert(index, slot)
         return slot
 
     # -- views -------------------------------------------------------------
@@ -219,6 +226,8 @@ class Reservoir:
         if viable:
             slot.verified_count += 1
             slot.last_verified = now
+            # One more verification can lift it past equal-quality standbys.
+            self._sort_standbys()
             self._log("health_pass", slot.candidate.id, now)
             return False
         del self._slots[slot_index]
@@ -278,6 +287,11 @@ class Reservoir:
                 if len(self._slots) < 2:
                     break  # only the active slot; nothing replaceable
                 worst = self._slots[-1]
+                if result.candidate.quality <= worst.quality:
+                    # Scores at most -switch_cost; fresh is quality-descending
+                    # and a displacement never lowers the worst quality, so
+                    # no later result can win either.
+                    break
                 score = switch_score(
                     worst.quality,
                     result.candidate.quality,
@@ -292,7 +306,6 @@ class Reservoir:
                 self._log("refill", slot.candidate.id, now, score=score)
                 admitted += 1
             held.add(slot.candidate.id)
-            self._sort_standbys()
         return admitted
 
     def evaluate_upgrade(self, now: float) -> tuple[int, float] | None:
@@ -306,9 +319,14 @@ class Reservoir:
         self._check_clock(now)
         best_index = None
         best_score = 0.0
+        active_quality = self._slots[0].quality
         for index, slot in enumerate(self._slots[1:], start=1):
+            if slot.quality <= active_quality:
+                # Scores at most -switch_cost, and so does every standby
+                # after it: standbys are quality-descending.
+                break
             score = switch_score(
-                self.active.quality, slot.quality, slot.verified_count, self.params
+                active_quality, slot.quality, slot.verified_count, self.params
             )
             if score > 0.0 and (best_index is None or score > best_score):
                 best_index = index
@@ -361,10 +379,10 @@ class Reservoir:
         re-acquisition request, and returns False.
         """
         self._require(ReservoirState.DEPLETED)
+        self._check_clock(now)
         if not probe_results or not any(r.viable for r in probe_results):
             self._log("reacquire", None, now)
             return False
-        self._check_clock(now)
         self._transition(ReservoirState.SPRINT)
         return self._fill(probe_results, now)
 
@@ -393,7 +411,6 @@ class Reservoir:
     def _log(
         self, kind: str, slot_id: str | None, now: float, score: float | None = None
     ) -> None:
-        self._check_clock(now)
         self._clock = now
         self._events.append(
             ReservoirEvent(kind=kind, slot_id=slot_id, timestamp=now, score=score)
@@ -401,7 +418,8 @@ class Reservoir:
 
     def _check_clock(self, now: float) -> None:
         # Each public operation calls this before its first change, so a
-        # backward clock raises with the reservoir exactly as it was.
+        # backward clock raises with the reservoir exactly as it was; _log
+        # relies on it.
         if now < self._clock:
             raise ValueError("event timestamps must be non-decreasing")
 

@@ -221,3 +221,8 @@ class TestBounds:
         assert utility_estimate(3, 0.1) == pytest.approx(18.333333, abs=1e-5)
         with pytest.raises(ValueError):
             utility_estimate(3, 0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_utility_estimate_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            utility_estimate(3, rate)

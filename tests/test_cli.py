@@ -120,6 +120,27 @@ class TestVerify:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["speedup", "12", "3", "0.4", "--empirical", "--seed", "-3"],
+            ["verify", "--trials", "100", "--seed", "-1"],
+            ["curves", "uptime", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_fails_before_output(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0" in err
+
+    def test_negative_config_seed_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "streamres.conf"
+        config.write_text("seed = -5\n")
+        code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert "seed must be >= 0" in err
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as info:
             main(["explode"])
@@ -163,6 +184,19 @@ class TestConfigFile:
         assert code == 2
         assert "volume" in err
 
+    @pytest.mark.parametrize("command, flag", [("verify", "--config"), ("probe", "--urls")])
+    @pytest.mark.parametrize(
+        "name, reason", [("nope.txt", "No such file or directory"), ("", "Is a directory")]
+    )
+    def test_unreadable_file_is_usage_error(
+        self, capsys, tmp_path, command, flag, name, reason
+    ):
+        path = tmp_path / name if name else tmp_path
+        code, out, err = run_cli([command, flag, str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {reason}\n"
+
     def test_malformed_line_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("just some words\n")
@@ -189,6 +223,20 @@ class TestScore:
         value, verdict = out.split()
         assert verdict == "SWITCH"
         assert float(value) > 0.0
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--loss-aversion", "nan"),
+            ("--switch-cost", "inf"),
+            ("--quality-ceiling", "inf"),
+        ],
+    )
+    def test_non_finite_param_is_usage_error(self, capsys, flag, text):
+        code, out, err = run_cli(["score", "1080", "720", flag, text], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
 
     def test_bad_quality_is_usage_error(self, capsys):
         code, _, err = run_cli(["score", "0", "1080"], capsys)
@@ -306,6 +354,21 @@ class TestCurves:
         p, w = rows[50]
         assert float(p) == 0.5
         assert float(w) == pytest.approx(0.4206, abs=5e-4)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--slots", "0"], "slots must be >= 1"),
+            (["--slots", "-2"], "slots must be >= 1"),
+            (["--failure-rate", "nan"], "mean failure rate"),
+            (["--failure-rate", "inf"], "mean failure rate"),
+        ],
+    )
+    def test_bad_uptime_input_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(["curves", "uptime", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("curve", ["value", "weight"])
     @pytest.mark.parametrize("samples", ["1", "0"])

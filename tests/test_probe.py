@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,71 @@ class TestSimTransport:
         first = transport.probe(candidate, 10_000.0)
         second = transport.probe(candidate, 10_000.0)
         assert first.latency_ms != second.latency_ms
+
+    def test_one_substream_per_candidate(self, monkeypatch):
+        paths = []
+        substream = Rng.substream
+
+        def counting(rng, *path):
+            paths.append(path)
+            return substream(rng, *path)
+
+        monkeypatch.setattr(Rng, "substream", counting)
+        candidates = make_candidates(5)
+        transport = SimTransport(Rng(42), failure_prob=0.2)
+        for _ in range(40):
+            probe_all(candidates + candidates[:2], transport)
+        assert sorted(paths) == sorted(
+            (zlib.crc32(c.id.encode()),) for c in candidates
+        )
+
+    def test_verdicts_ignore_interleaving(self):
+        a, b = make_candidates(2)
+        alone = SimTransport(Rng(7), failure_prob=0.5)
+        mixed = SimTransport(Rng(7), failure_prob=0.5)
+        solo = [alone.probe(a, 1e9) for _ in range(30)]
+        interleaved = []
+        for i in range(30):
+            for _ in range(i % 3):
+                mixed.probe(b, 1e9)
+            interleaved.append(mixed.probe(a, 1e9))
+        assert interleaved == solo
+
+    def test_first_probe_matches_hand_computation(self):
+        candidate = make_candidates(1)[0]
+        transport = SimTransport(
+            Rng(42), failure_prob=0.3, median_latency_ms=250.0, sigma=0.5
+        )
+        gen = Rng(42).substream(zlib.crc32(b"c0"))
+        viable = not gen.random() < 0.3
+        latency = 250.0 * math.exp(0.5 * gen.standard_normal())
+        assert transport.probe(candidate, 1e9) == ProbeResult(
+            candidate=candidate, viable=viable, latency_ms=latency
+        )
+
+    def test_repeated_id_draws_same_results_at_any_fan_out(self):
+        # Threads share a candidate's generator under the lock; a lost or
+        # doubled draw would change the multiset of that id's results.
+        candidates = make_candidates(6)
+        lines = candidates + candidates[:2] + candidates[:1]
+
+        def per_id(max_in_flight):
+            transport = SimTransport(Rng(11), failure_prob=0.4)
+            seen = {}
+            for _ in range(20):
+                for r in probe_all(lines, transport, 1e9, max_in_flight):
+                    seen.setdefault(r.candidate.id, []).append(
+                        (r.viable, r.latency_ms)
+                    )
+            return {key: sorted(values) for key, values in seen.items()}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            wide = per_id(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wide == per_id(1)
 
     def test_failure_extremes(self):
         candidates = make_candidates(10)

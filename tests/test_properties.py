@@ -18,7 +18,39 @@ from streamres.simulator import run_thrash
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+valid_params = st.builds(
+    ProspectParams,
+    alpha=st.floats(min_value=0.01, max_value=1.0),
+    beta=st.floats(min_value=0.01, max_value=1.0),
+    loss_aversion=st.floats(min_value=1.0, max_value=10.0),
+    gamma=st.floats(min_value=0.01, max_value=1.0),
+    switch_cost=st.floats(min_value=0.0, max_value=2.0),
+    quality_ceiling=st.floats(min_value=1.0, max_value=10_000.0),
+    confidence_base=st.floats(min_value=0.01, max_value=0.99),
+)
+qualities = st.floats(min_value=1.0, max_value=8640.0)
+
+
 class TestScoringShapes:
+    # The reservoir's early exits rest on these two: a candidate no better
+    # than the stream it would replace never scores above zero, and the
+    # score never falls as candidate quality rises.
+    @given(valid_params, qualities, qualities, st.integers(min_value=0, max_value=200))
+    def test_no_gain_never_scores_positive(self, params, a, b, n):
+        active, candidate = max(a, b), min(a, b)
+        assert switch_score(active, candidate, n, params) <= 0.0
+
+    @given(
+        valid_params,
+        qualities,
+        qualities,
+        qualities,
+        st.integers(min_value=0, max_value=200),
+    )
+    def test_score_is_monotone_in_candidate_quality(self, params, active, a, b, n):
+        lo, hi = sorted((a, b))
+        assert switch_score(active, lo, n, params) <= switch_score(active, hi, n, params)
+
     @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0))
     def test_value_is_monotone(self, a, b):
         lo, hi = sorted((a, b))

@@ -178,6 +178,23 @@ class TestParams:
         with pytest.raises(ValueError):
             ProspectParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "alpha",
+            "beta",
+            "loss_aversion",
+            "gamma",
+            "switch_cost",
+            "quality_ceiling",
+            "confidence_base",
+        ],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ProspectParams(**{field: value})
+
     def test_immutable(self):
         with pytest.raises(Exception):
             DEFAULT_PARAMS.alpha = 0.5  # type: ignore[misc]

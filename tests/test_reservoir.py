@@ -2,6 +2,7 @@
 
 import pytest
 
+from streamres import reservoir as reservoir_module
 from streamres.probe import ProbeResult, StreamCandidate
 from streamres.prospect import ProspectParams
 from streamres.reservoir import (
@@ -114,6 +115,18 @@ class TestHealth:
         assert reservoir.slots[1].verified_count == before + 1
         assert reservoir.slots[1].last_verified == 1.0
 
+    def test_pass_keeps_merit_order(self):
+        # Two 720p standbys: the later arrival overtakes the earlier one
+        # once it holds more verifications.
+        reservoir = Reservoir.sprint_fill(
+            [result("hi", 1080), result("a", 720), result("b", 720, latency=200.0)],
+            capacity=3,
+        )
+        assert [slot.candidate.id for slot in reservoir.standbys] == ["a", "b"]
+        reservoir.on_health_result(2, True, now=1.0)
+        assert [slot.candidate.id for slot in reservoir.standbys] == ["b", "a"]
+        assert reservoir.on_active_failure(now=2.0).candidate.id == "b"
+
     def test_fail_drops_slot_and_requests_refill(self):
         reservoir = filled_reservoir()
         needs_refill = reservoir.on_health_result(1, False, now=1.0)
@@ -204,6 +217,28 @@ class TestRefill:
         qualities = [slot.quality for slot in reservoir.standbys]
         assert qualities == sorted(qualities, reverse=True)
 
+    def test_admission_goes_after_equal_quality_standbys(self):
+        reservoir = Reservoir.sprint_fill(
+            [result("hi", 1080), result("a", 720), result("lo", 480)], capacity=5
+        )
+        reservoir.refill([result("b", 720), result("c", 1080)], now=1.0)
+        ids = [slot.candidate.id for slot in reservoir.standbys]
+        assert ids == ["c", "a", "b", "lo"]
+
+    def test_full_reservoir_scores_only_results_above_worst(self, monkeypatch):
+        scored = []
+
+        def score(active, candidate, n, params):
+            scored.append(candidate)
+            return 1.0
+
+        monkeypatch.setattr(reservoir_module, "switch_score", score)
+        reservoir = filled_reservoir()
+        fresh = [result("x", 720), result("y", 1440), result("z", 480)]
+        assert reservoir.refill(fresh, now=1.0) == 1
+        assert scored == [1440]
+        assert reservoir.slot_ids() == {"hi", "mid", "y"}
+
     def test_single_slot_reservoir_never_replaces_active(self):
         reservoir = Reservoir.sprint_fill([result("only", 480)], capacity=1)
         assert reservoir is not None
@@ -239,6 +274,22 @@ class TestUpgrade:
         )
         assert demoted.prefetched
         assert not reservoir.active.prefetched
+
+    def test_scores_only_standbys_above_active(self, monkeypatch):
+        scored = []
+
+        def score(active, candidate, n, params):
+            scored.append(candidate)
+            return -1.0
+
+        monkeypatch.setattr(reservoir_module, "switch_score", score)
+        reservoir = Reservoir.sprint_fill(
+            [result("mid", 720), result("lo", 480), result("lower", 360)],
+            capacity=3,
+        )
+        reservoir.refill([result("uhd", 2160)], now=1.0)
+        assert reservoir.evaluate_upgrade(now=2.0) is None
+        assert scored == [2160]
 
     def test_dead_zone_holds(self):
         reservoir = filled_reservoir()  # active 1080, standbys 720/480
