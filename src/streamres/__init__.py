@@ -10,7 +10,6 @@ a CLI verification registry.
 from typing import TYPE_CHECKING
 
 from .analytics import (
-    MarkovRates,
     SpeedupScenario,
     batched_speedup,
     censored_depletion_mean,
@@ -20,7 +19,6 @@ from .analytics import (
     harmonic_number,
     interruption_probability,
     no_thrash_bound,
-    stationary_availability,
     utility_estimate,
 )
 from .probe import (
@@ -83,7 +81,6 @@ __all__ = [
     "DepletionResult",
     "HttpTransport",
     "LEGAL_TRANSITIONS",
-    "MarkovRates",
     "MonotonicityConfig",
     "ProbeResult",
     "ProspectParams",
@@ -115,7 +112,6 @@ __all__ = [
     "run_verify",
     "simulated_makespan",
     "sort_results",
-    "stationary_availability",
     "switch_score",
     "utility_estimate",
     "value",

@@ -1,10 +1,10 @@
 """Closed-form reliability results for a k-slot standby reservoir.
 
-Everything here is exact arithmetic: availability of a two-state provider,
-interruption probability with warm standbys, expected depletion horizons,
-batched-vs-concurrent acquisition speedup, and the switch-rate bound.  The
-Monte Carlo counterparts live in streamres.simulator; these functions are
-the oracles they are checked against.
+Everything here is exact arithmetic: interruption probability with warm
+standbys, expected depletion horizons, batched-vs-concurrent acquisition
+speedup, and the switch-rate bound.  The Monte Carlo counterparts live in
+streamres.simulator; these functions are the oracles they are checked
+against.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from itertools import combinations
 from typing import Sequence
 
 __all__ = [
-    "MarkovRates",
     "SpeedupScenario",
-    "stationary_availability",
     "interruption_probability",
     "harmonic_number",
     "expected_max_exponential",
@@ -32,20 +30,6 @@ __all__ = [
 # Inclusion-exclusion enumerates all non-empty rate subsets; 2**20 terms is
 # the largest fleet that stays comfortably sub-second.
 MAX_EXACT_SLOTS = 20
-
-
-@dataclass(frozen=True, slots=True)
-class MarkovRates:
-    """Failure/recovery rate pair of a two-state provider chain."""
-
-    failure_rate: float
-    recovery_rate: float
-
-    def __post_init__(self) -> None:
-        if self.failure_rate < 0.0 or self.recovery_rate < 0.0:
-            raise ValueError("rates must be non-negative")
-        if self.failure_rate + self.recovery_rate <= 0.0:
-            raise ValueError("at least one rate must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,11 +51,6 @@ class SpeedupScenario:
             raise ValueError("batch_size must lie in [1, n_candidates]")
         if not 0.0 <= self.failure_prob < 1.0:
             raise ValueError("failure_prob must lie in [0, 1)")
-
-
-def stationary_availability(rates: MarkovRates) -> float:
-    """Long-run up-fraction of a two-state provider: mu / (mu + lambda)."""
-    return rates.recovery_rate / (rates.recovery_rate + rates.failure_rate)
 
 
 def interruption_probability(failure_rates: Sequence[float], horizon: float) -> float:
@@ -140,8 +119,9 @@ def expected_time_batched(scenario: SpeedupScenario) -> float:
 def batched_speedup(scenario: SpeedupScenario) -> float:
     """How much slower batched scanning is than concurrent: E[T_bat] / E[T_con].
 
-    Equals (n/b) * (1 - F**n) / (1 - F**b), strictly above 1 whenever
-    F < 0.5 and the batch is smaller than the fleet.
+    Equals (n/b) * (1 - F**n) / (1 - F**b): strictly above 1 for every F in
+    [0, 1) once the batch is smaller than the fleet (n/b > 1 and
+    F**n <= F**b), and exactly 1 when it is the whole fleet.
     """
     return expected_time_batched(scenario) / expected_time_concurrent(scenario)
 

@@ -169,26 +169,20 @@ class VerifyReport:
 # -- the registry ------------------------------------------------------------
 
 
-def _depletion_checks(
-    rng: Rng, trials: int, workers: int, scale: float
-) -> list[CheckResult]:
+def _depletion_checks(rng: Rng, trials: int, scale: float) -> list[CheckResult]:
     # Same namespace as `simulate depletion`, so the registry numbers can be
-    # reproduced manually with the matching flags.  The three configs draw
-    # different shapes, so sharing it is safe.
+    # reproduced manually with the matching flags.  Each config's shape keys
+    # its substreams, so the three runs never share draws.
     single = run_depletion(
-        DepletionConfig(1, (0.10,), horizon=100, trials=trials, refill=True),
-        rng,
-        workers,
+        DepletionConfig(1, (0.10,), horizon=100, trials=trials, refill=True), rng
     )
     refilled = run_depletion(
         DepletionConfig(3, DEPLETION_RATES, horizon=100, trials=trials, refill=True),
         rng,
-        workers,
     )
     drained = run_depletion(
         DepletionConfig(3, DEPLETION_RATES, horizon=100, trials=trials, refill=False),
         rng,
-        workers,
     )
     ratio = refilled.mean / single.mean
     max_lifetime = analytics.expected_max_exponential(DEPLETION_RATES)
@@ -422,7 +416,11 @@ def _prospect_checks() -> list[CheckResult]:
 def run_verify(
     seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS, workers: int = 1
 ) -> VerifyReport:
-    """Run the full 24-check registry and return the report."""
+    """Run the full 24-check registry and return the report.
+
+    workers must be >= 1 and has no effect: every experiment draws from
+    fixed substreams in a fixed order.
+    """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     if workers < 1:
@@ -431,7 +429,7 @@ def run_verify(
     rng = Rng(seed)
     scale = math.sqrt(BASELINE_TRIALS / trials) if trials < BASELINE_TRIALS else 1.0
     checks = [
-        *_depletion_checks(rng, trials, workers, scale),
+        *_depletion_checks(rng, trials, scale),
         *_speedup_checks(rng, trials, scale),
         *_monotonicity_checks(rng),
         *_prospect_checks(),
@@ -487,7 +485,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             trials=args.trials,
             refill=args.refill,
         )
-        result = run_depletion(config, rng, workers=args.workers)
+        result = run_depletion(config, rng)
         print(f"mean {result.mean:.1f} ± {result.stderr:.1f} ({result.trials} trials)")
         return 0
     if args.kind == "monotonicity":
@@ -660,7 +658,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker threads for Monte Carlo trials (default 1)",
+        help="has no effect; kept for compatibility (default 1)",
     )
     parser.add_argument(
         "--config",

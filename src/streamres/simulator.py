@@ -3,20 +3,19 @@
 Three experiment families: depletion horizons under slot failure (with and
 without refill), quality convergence under lazy refill from providers of
 unequal availability, and switch-thrash counting under persistent standbys.
-Depletion and monotonicity trials draw from their own (seed, trial)
-substream, the speedup estimate from one substream per block of trials, and
-aggregation is block-ordered, so results are bit-identical however trials
-are scheduled.  Depletion seeds a block's per-trial substreams together
-(Rng.substreams) and reduces the block's draws in one vectorised step;
-monotonicity draws its uniforms in chunks and consumes them in order.
+Depletion and the speedup estimate draw one substream per block of
+TRIAL_BLOCK trials, monotonicity one per trial, so results never depend on
+how trials are scheduled.  Depletion samples each trial from the exact law
+of its depletion time, in antithetic pairs; monotonicity draws its uniforms
+in chunks and consumes them in order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,10 +24,6 @@ from .prospect import DEFAULT_PARAMS, ProspectParams
 from .reservoir import Reservoir
 from .analytics import SpeedupScenario
 from .viability import TRIAL_BLOCK, Rng
-
-# Most bytes one depletion block draws into at once, so a long horizon
-# shortens the block instead of growing the array.
-_DRAW_BYTES = 1 << 20
 
 # Uniforms a monotonicity trial draws per generator call.
 _UNIFORM_CHUNK = 1024
@@ -67,6 +62,8 @@ class DepletionConfig:
             raise ValueError("slot_count must be >= 1")
         if len(self.failure_rates) != self.slot_count:
             raise ValueError("need one failure rate per slot")
+        if not all(math.isfinite(rate) for rate in self.failure_rates):
+            raise ValueError("failure rates must be finite")
         if any(rate <= 0.0 for rate in self.failure_rates):
             raise ValueError("failure rates must be positive")
         if self.refill and any(rate > 1.0 for rate in self.failure_rates):
@@ -125,59 +122,67 @@ class DepletionResult:
     trials: int
 
 
-def _trial_values(
-    trials: int,
-    block_fn: Callable[[int, int], np.ndarray],
-    block: int,
-    workers: int = 1,
-) -> np.ndarray:
-    """Evaluate block_fn(lo, hi) over consecutive trial spans of size block.
-
-    Spans run serially or across threads and are concatenated in index
-    order, so the output array (and anything derived from it) is identical
-    for any worker count.
-    """
-    spans = [(lo, min(lo + block, trials)) for lo in range(0, trials, block)]
-    if workers <= 1:
-        parts = [block_fn(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda span: block_fn(*span), spans))
-    return np.concatenate(parts)
-
-
 def run_depletion(
     config: DepletionConfig, rng: Rng, workers: int = 1
 ) -> DepletionResult:
     """Mean depletion time (with standard error) over seeded trials.
 
-    Trial i draws from substream(i).  A block of trials draws into the rows
-    of one array, at most _DRAW_BYTES of it, and one vectorised reduction
-    per block turns the rows into depletion times.
+    Each trial is drawn from the exact law of its depletion time by
+    inversion: refilled, min(Geometric(q), horizon) with q = prod(rates),
+    the first step at which every slot fails; drained, the longest of the
+    slots' exponential lifetimes, censored at the horizon.  Block b of
+    TRIAL_BLOCK trials draws from substream(refill, slot_count, b), so
+    configs of another shape never share draws.  Trials 2j and 2j+1 form an
+    antithetic pair: they invert the uniforms u and 1 - u, and every map is
+    monotone in u, so a pair's two times are negatively correlated.
+
+    stderr is the standard error of the mean over independent units, the
+    pairs and, for an odd trial count, the lone last trial; it is 0.0 below
+    two pairs.  workers is accepted for compatibility and has no effect.
     """
+    times = _depletion_times(config, rng)
+    return DepletionResult(
+        mean=float(times.mean()), stderr=_pair_stderr(times), trials=config.trials
+    )
+
+
+def _depletion_times(config: DepletionConfig, rng: Rng) -> np.ndarray:
+    """The depletion time of every trial, in trial order."""
     rates = np.array(config.failure_rates)
-    horizon = config.horizon
-    # One row holds a trial's draws: a Bernoulli coin per slot per step, or
-    # one lifetime per slot.
-    row_shape = (horizon, config.slot_count) if config.refill else (config.slot_count,)
-    row_bytes = 8 * int(np.prod(row_shape))
-    block = max(1, min(TRIAL_BLOCK, _DRAW_BYTES // row_bytes))
-
-    def depletion_times(lo: int, hi: int) -> np.ndarray:
-        draws = np.empty((hi - lo, *row_shape))
-        for gen, row in zip(rng.substreams(lo, hi), draws):
-            if config.refill:
-                gen.random(out=row)
+    q = math.prod(config.failure_rates)
+    width = 1 if config.refill else config.slot_count
+    times = np.empty(config.trials)
+    for block, lo in enumerate(range(0, config.trials, TRIAL_BLOCK)):
+        hi = min(lo + TRIAL_BLOCK, config.trials)
+        gen = rng.substream(int(config.refill), config.slot_count, block)
+        half = gen.random(((hi - lo + 1) // 2, width))
+        uniforms = np.stack([half, 1.0 - half], axis=1).reshape(-1, width)[: hi - lo]
+        # u == 1 (the partner of u == 0) gives an infinite exponential, which
+        # the horizon censors.
+        with np.errstate(divide="ignore", over="ignore"):
+            exponentials = -np.log1p(-uniforms)
+            if not config.refill:
+                times[lo:hi] = (exponentials / rates).max(axis=1)
+            elif q < 1.0:
+                times[lo:hi] = np.floor(exponentials[:, 0] / -math.log1p(-q)) + 1.0
             else:
-                gen.standard_exponential(out=row)
-        if config.refill:
-            all_fail = (draws < rates).all(axis=2)
-            return np.where(all_fail.any(axis=1), all_fail.argmax(axis=1) + 1.0, horizon)
-        return np.minimum((draws * (1.0 / rates)).max(axis=1), horizon)
+                times[lo:hi] = 1.0  # every slot fails at the first step
+    return np.minimum(times, config.horizon, out=times)
 
-    times = _trial_values(config.trials, depletion_times, block, workers)
-    stderr = float(times.std(ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
-    return DepletionResult(mean=float(times.mean()), stderr=stderr, trials=config.trials)
+
+def _pair_stderr(times: np.ndarray) -> float:
+    """Standard error of times.mean() over antithetic pairs and a lone tail."""
+    count = len(times)
+    pairs = count // 2
+    if pairs < 2:
+        return 0.0
+    pair_sums = times[: 2 * pairs].reshape(pairs, 2).sum(axis=1)
+    variance = pairs * pair_sums.var(ddof=1)
+    if count % 2:
+        # The lone trial is one more independent unit with a single trial's
+        # variance.
+        variance += times.var(ddof=1)
+    return float(math.sqrt(variance) / count)
 
 
 def _provider_candidates(config: MonotonicityConfig) -> list[StreamCandidate]:

@@ -11,7 +11,6 @@ import pytest
 from scipy import integrate
 
 from streamres.analytics import (
-    MarkovRates,
     SpeedupScenario,
     batched_speedup,
     censored_depletion_mean,
@@ -21,7 +20,6 @@ from streamres.analytics import (
     harmonic_number,
     interruption_probability,
     no_thrash_bound,
-    stationary_availability,
     utility_estimate,
 )
 
@@ -45,23 +43,6 @@ def summed_censored_mean(p, horizon):
     """E[min(G, T)] by direct summation over the geometric pmf."""
     total = sum(t * p * (1.0 - p) ** (t - 1) for t in range(1, horizon + 1))
     return total + horizon * (1.0 - p) ** horizon
-
-
-class TestStationaryAvailability:
-    def test_value(self):
-        assert stationary_availability(MarkovRates(0.1, 0.9)) == pytest.approx(0.9)
-
-    def test_bounds(self):
-        for lam, mu in ((0.5, 0.5), (2.0, 1.0), (0.01, 10.0)):
-            a = stationary_availability(MarkovRates(lam, mu))
-            assert 0.0 <= a <= 1.0
-            assert a == pytest.approx(mu / (mu + lam), abs=1e-15)
-
-    def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError):
-            MarkovRates(-0.1, 0.9)
-        with pytest.raises(ValueError):
-            MarkovRates(0.0, 0.0)
 
 
 class TestInterruptionProbability:
@@ -149,6 +130,10 @@ class TestSpeedup:
     def test_whole_fleet_batch_is_no_slower(self):
         scenario = SpeedupScenario(10, 10, 0.3)
         assert batched_speedup(scenario) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("failure_prob", [0.0, 0.5, 0.9, 0.999])
+    def test_smaller_batch_is_slower_at_any_failure_prob(self, failure_prob):
+        assert batched_speedup(SpeedupScenario(12, 11, failure_prob)) > 1.0
 
     def test_zero_failure(self):
         scenario = SpeedupScenario(9, 3, 0.0)

@@ -11,18 +11,21 @@ from pathlib import Path
 import pytest
 
 import streamres
+from streamres import cli as cli_module
 from streamres.cli import CheckResult, build_parser, main, run_verify
+from streamres.simulator import run_depletion
+from streamres.viability import Rng
 
 
-# `verify --format records` at the defaults.  Only T2.4's actual moved when
-# the speedup estimate went from one substream per trial to one per block of
-# trials; the depletion and monotonicity lines pin their per-trial draws.
+# `verify --format records` at the defaults.  The Monte Carlo actuals pin the
+# sampling schemes: exact-law antithetic pairs for depletion (T1.1-T1.5), one
+# substream per block for the speedup estimate (T2.4).
 DEFAULT_RECORDS = (
-    "T1.1\t10\t9.981\t0.3\tpass\n"
-    "T1.2\t91.4\t91.2296\t1.5\tpass\n"
-    "T1.3\t9.15\t9.140326621\t0.2\tpass\n"
-    "T1.4\t1.833333333\t9.140326621\t0\tpass\n"
-    "T1.5\t15.45354445\t15.48673994\t0.5\tpass\n"
+    "T1.1\t10\t10.0704\t0.3\tpass\n"
+    "T1.2\t91.4\t91.723\t1.5\tpass\n"
+    "T1.3\t9.15\t9.108178424\t0.2\tpass\n"
+    "T1.4\t1.833333333\t9.108178424\t0\tpass\n"
+    "T1.5\t15.45354445\t15.63028138\t0.5\tpass\n"
     "T2.1\t4.27\t4.273432576\t0.01\tpass\n"
     "T2.2\t4.01\t4.009743677\t0.01\tpass\n"
     "T2.3\t5.31\t5.3125\t0.01\tpass\n"
@@ -157,6 +160,16 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "rate, refill",
+        [("nan", "--refill"), ("nan", "--no-refill"), ("inf", "--no-refill")],
+    )
+    def test_non_finite_rate_is_usage_error(self, capsys, rate, refill):
+        argv = ["simulate", "depletion", "--k", "1", "--lambdas", rate, refill]
+        code, out, err = run_cli([*argv, "--trials", "100"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: failure rates must be finite\n"
 
 
 class TestConfigFile:
@@ -300,6 +313,41 @@ class TestSimulate:
         report = run_verify(seed=42, trials=5000)
         t12 = next(check for check in report.checks if check.id == "T1.2")
         assert mean == pytest.approx(t12.actual, abs=0.05)
+
+    def test_depletion_reproduces_t12_record(self, capsys):
+        # README "Determinism": the default depletion run is T1.2's run.
+        _, records, _ = run_cli(["verify", "--format", "records"], capsys)
+        t12 = next(line for line in records.splitlines() if line.startswith("T1.2\t"))
+        code, out, _ = run_cli(
+            ["simulate", "depletion", "--k", "3", "--lambdas", "0.10,0.12,0.15"], capsys
+        )
+        assert code == 0
+        assert out.split()[1] == f"{float(t12.split()[2]):.1f}"
+
+    def test_registry_depletion_runs_never_share_a_substream(self, monkeypatch):
+        # One substream per block per run: 300 trials are two blocks.
+        runs = []
+        substream = Rng.substream
+
+        def recorded(config, rng, workers=1):
+            paths = []
+            runs.append(paths)
+
+            def recording(self, *path):
+                paths.append(self.path + path)
+                return substream(self, *path)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Rng, "substream", recording)
+                return run_depletion(config, rng, workers)
+
+        monkeypatch.setattr(cli_module, "run_depletion", recorded)
+        run_verify(seed=42, trials=300)
+        assert runs == [
+            [(1, 1, 0), (1, 1, 1)],
+            [(1, 3, 0), (1, 3, 1)],
+            [(0, 3, 0), (0, 3, 1)],
+        ]
 
     def test_thrash_defaults(self, capsys):
         code, out, _ = run_cli(["simulate", "thrash"], capsys)

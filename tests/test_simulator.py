@@ -1,12 +1,18 @@
 """Monte Carlo experiment harness: conventions, determinism, known limits."""
 
 import hashlib
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from streamres import simulator
-from streamres.analytics import expected_max_exponential, harmonic_number
+from streamres.analytics import (
+    expected_max_exponential,
+    harmonic_number,
+    interruption_probability,
+)
 from streamres.simulator import (
     DepletionConfig,
     DepletionResult,
@@ -33,6 +39,12 @@ class TestDepletionConfig:
     def test_positive_rates(self):
         with pytest.raises(ValueError):
             DepletionConfig(1, (0.0,))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    @pytest.mark.parametrize("refill", [True, False])
+    def test_finite_rates(self, rate, refill):
+        with pytest.raises(ValueError, match="finite"):
+            DepletionConfig(2, (0.1, rate), refill=refill)
 
 
 class TestRunDepletion:
@@ -79,65 +91,141 @@ class TestRunDepletion:
         config = DepletionConfig(2, (0.2, 0.3), horizon=50, trials=500)
         assert run_depletion(config, Rng(6)) == run_depletion(config, Rng(6))
 
+    def test_tiny_joint_failure_censors_at_horizon(self):
+        config = DepletionConfig(3, (1e-3,) * 3, horizon=40, trials=600, refill=True)
+        assert run_depletion(config, Rng(3)) == DepletionResult(40.0, 0.0, 600)
 
-def reference_depletion(config, rng):
-    """run_depletion one trial at a time, each from its own substream(i)."""
-    rates = np.array(config.failure_rates)
+
+class ZeroUniforms:
+    """A generator stub whose uniforms are all 0.0, so every partner is 1.0."""
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+
+class TestAntitheticEdges:
+    @pytest.fixture(autouse=True)
+    def zero_uniforms(self, monkeypatch):
+        monkeypatch.setattr(Rng, "substream", lambda self, *path: ZeroUniforms())
+
+    @pytest.mark.parametrize(
+        "config, pair",
+        [
+            # u = 0 depletes at once; its partner u = 1 survives every step.
+            (DepletionConfig(2, (0.3, 0.4), horizon=30, trials=8), (1.0, 30.0)),
+            (DepletionConfig(1, (1.0,), horizon=30, trials=8), (1.0, 1.0)),
+            # Lifetimes 0 and infinity, the latter censored.
+            (
+                DepletionConfig(3, (0.1, 0.2, 0.3), horizon=30, trials=8, refill=False),
+                (0.0, 30.0),
+            ),
+        ],
+    )
+    def test_zero_uniform_is_finite_and_silent(self, config, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times = simulator._depletion_times(config, Rng(0))
+            result = run_depletion(config, Rng(0))
+        assert times.tolist() == list(pair) * 4
+        # Every pair sums alike, so the pairs carry no spread.
+        assert result == DepletionResult(sum(pair) / 2, 0.0, 8)
+
+    @pytest.mark.parametrize("trials", [5, TRIAL_BLOCK + 3])
+    def test_odd_trial_count_adds_one_lone_unit(self, trials):
+        config = DepletionConfig(1, (0.5,), horizon=9, trials=trials)
+        result = run_depletion(config, Rng(0))
+        times = np.array([1.0, 9.0] * (trials // 2) + [1.0])
+        assert result.trials == trials
+        assert result.mean == pytest.approx(times.mean(), rel=1e-15)
+        # Identical pair sums leave only the lone trial's own variance.
+        assert result.stderr == pytest.approx(
+            np.sqrt(times.var(ddof=1)) / trials, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("trials", [1, 2, 3])
+    def test_fewer_than_two_pairs_have_no_stderr(self, trials):
+        config = DepletionConfig(1, (0.5,), horizon=9, trials=trials)
+        assert run_depletion(config, Rng(0)).stderr == 0.0
+
+
+def block_reference(config, rng):
+    """Depletion times trial by trial from the documented keys and inversions."""
+    q = math.prod(config.failure_rates)
     times = []
     for index in range(config.trials):
-        gen = rng.substream(index)
+        block, offset = divmod(index, TRIAL_BLOCK)
+        size = min(TRIAL_BLOCK, config.trials - block * TRIAL_BLOCK)
+        width = 1 if config.refill else config.slot_count
+        gen = rng.substream(int(config.refill), config.slot_count, block)
+        row = gen.random(((size + 1) // 2, width))[offset // 2]
+        uniforms = row if offset % 2 == 0 else 1.0 - row
         if config.refill:
-            draws = gen.random((config.horizon, config.slot_count))
-            hits = np.flatnonzero((draws < rates).all(axis=1))
-            times.append(float(hits[0] + 1) if hits.size else float(config.horizon))
+            depleted = math.floor(math.log1p(-uniforms[0]) / math.log1p(-q)) + 1
         else:
-            lifetimes = gen.exponential(1.0 / rates)
-            times.append(float(min(lifetimes.max(), config.horizon)))
-    values = np.array(times)
-    return DepletionResult(
-        mean=float(values.mean()),
-        stderr=float(values.std(ddof=1) / np.sqrt(config.trials)),
-        trials=config.trials,
-    )
+            depleted = max(
+                -math.log1p(-u) / rate for u, rate in zip(uniforms, config.failure_rates)
+            )
+        times.append(min(depleted, config.horizon))
+    return np.array(times, dtype=float)
 
 
 class TestDepletionKeys:
-    # 2000 steps x 2 slots fill 32 kB a trial: the draw budget splits each
-    # block of TRIAL_BLOCK trials.  The drained run crosses a block edge.
+    # Two full blocks and an odd tail of 45 trials.
+    TRIALS = 2 * TRIAL_BLOCK + 45
     CONFIGS = {
-        "refill": DepletionConfig(2, (0.05, 0.08), horizon=2000, trials=300),
+        "refill": DepletionConfig(2, (0.3, 0.4), horizon=40, trials=TRIALS),
         "drained": DepletionConfig(
-            3, (0.10, 0.12, 0.15), horizon=30, trials=TRIAL_BLOCK + 44, refill=False
+            3, (0.10, 0.12, 0.15), horizon=30, trials=TRIALS, refill=False
         ),
     }
 
     @pytest.mark.parametrize("mode", list(CONFIGS))
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_equals_per_trial_reference(self, monkeypatch, mode, workers):
+    def test_equals_block_reference(self, monkeypatch, mode, workers):
         config = self.CONFIGS[mode]
         rng = Rng(13).split(2)
-        expected = reference_depletion(config, rng)
-        spans = []
-        substreams = Rng.substreams
+        expected = block_reference(config, rng)
+        paths = []
+        substream = Rng.substream
 
-        def recording(self, lo, hi):
-            spans.append((lo, hi))
-            return substreams(self, lo, hi)
+        def recording(self, *path):
+            paths.append(self.path + path)
+            return substream(self, *path)
 
-        def forbidden(self, *path):
-            raise AssertionError("run_depletion must not seed trials one at a time")
+        monkeypatch.setattr(Rng, "substream", recording)
+        result = run_depletion(config, rng, workers=workers)
+        # One substream per block, keyed by (refill, slot count, block).
+        assert paths == [(2, int(config.refill), config.slot_count, b) for b in range(3)]
+        # numpy and math logarithms may differ in the last unit.
+        times = simulator._depletion_times(config, rng)
+        assert np.allclose(times, expected, rtol=1e-12, atol=0)
+        assert result.mean == pytest.approx(expected.mean(), rel=1e-12)
+        assert result.trials == config.trials
 
-        monkeypatch.setattr(Rng, "substreams", recording)
-        monkeypatch.setattr(Rng, "substream", forbidden)
-        assert run_depletion(config, rng, workers=workers) == expected
-        # The blocks tile the trials, each inside the draw budget.
-        spans.sort()
-        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
-        assert spans[-1][1] == config.trials
-        row_floats = config.horizon * config.slot_count if config.refill else config.slot_count
-        assert max(hi - lo for lo, hi in spans) * 8 * row_floats <= simulator._DRAW_BYTES
-        if config.refill:
-            assert len(spans) > -(-config.trials // TRIAL_BLOCK)
+
+class TestDepletionLaw:
+    TRIALS = 20_000
+
+    def binomial_error(self, prob):
+        return math.sqrt(prob * (1.0 - prob) / self.TRIALS)
+
+    def test_refilled_pmf_is_geometric(self):
+        rates = (0.5, 0.6)
+        q = math.prod(rates)
+        config = DepletionConfig(2, rates, horizon=50, trials=self.TRIALS)
+        times = simulator._depletion_times(config, Rng(21))
+        for t in range(1, 6):
+            exact = q * (1.0 - q) ** (t - 1)
+            # Binomial error; antithetic pairs only shrink it.
+            assert abs(np.mean(times == t) - exact) <= 4 * self.binomial_error(exact)
+
+    def test_drained_cdf_is_interruption_probability(self):
+        rates = (0.10, 0.12, 0.15)
+        config = DepletionConfig(3, rates, horizon=100, trials=self.TRIALS, refill=False)
+        times = simulator._depletion_times(config, Rng(22))
+        for t in (2.0, 5.0, 10.0, 20.0, 40.0):
+            exact = interruption_probability(rates, t)
+            assert abs(np.mean(times <= t) - exact) <= 4 * self.binomial_error(exact)
 
 
 class TestMonotonicityConfig:
