@@ -181,7 +181,7 @@ class TestDepletionKeys:
 
     @pytest.mark.parametrize("mode", list(CONFIGS))
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_equals_block_reference(self, monkeypatch, mode, workers):
+    def test_equals_per_trial_reference(self, monkeypatch, mode, workers):
         config = self.CONFIGS[mode]
         rng = Rng(13).split(2)
         expected = block_reference(config, rng)

@@ -1,9 +1,12 @@
 """Random substreams: reproducible, path-addressed, seed-dependent."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from streamres.viability import Rng
+from streamres.simulator import DepletionConfig, _depletion_times, run_depletion
+from streamres.viability import TRIAL_BLOCK, Rng
 
 
 class TestRng:
@@ -34,6 +37,34 @@ class TestRng:
         b = Rng(42).split(34).substream(5).random(8)
         assert not np.array_equal(a, b)
 
-    def test_bad_seed_raises(self):
+
+class TestSubstreams:
+    """The block-keyed substreams depletion draws, one per TRIAL_BLOCK trials."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 + 5, 2**128 + 7])
+    @pytest.mark.parametrize("path", [(), (31,), (2**32 + 1, 3)])
+    def test_equal_scalar_substreams_across_a_block_edge(self, seed, path):
+        rng = Rng(seed, path)
+        lo, hi = TRIAL_BLOCK - 3, TRIAL_BLOCK + 3
+        rates = np.array([0.3, 0.4])
+        config = DepletionConfig(2, tuple(rates), horizon=1000, trials=hi, refill=False)
+        times = _depletion_times(config, rng)
+        # Trial i inverts row i // 2 of its block's scalar substream, or the
+        # antithetic partner of that row for odd i.
+        first = rng.substream(0, 2, 0).random((TRIAL_BLOCK // 2, 2))
+        second = rng.substream(0, 2, 1).random((2, 2))
+        for index in range(lo, hi):
+            block, offset = divmod(index, TRIAL_BLOCK)
+            row = (first, second)[block][offset // 2]
+            uniforms = row if offset % 2 == 0 else 1.0 - row
+            expected = min((-np.log1p(-uniforms) / rates).max(), config.horizon)
+            assert times[index] == pytest.approx(expected, rel=1e-12, abs=0)
+        # A shorter run draws a prefix of the same substreams.
+        shorter = _depletion_times(replace(config, trials=lo), rng)
+        assert np.array_equal(shorter, times[:lo])
+
+    def test_bad_seed_raises_like_substream(self):
         with pytest.raises(ValueError):
             Rng(-1).substream(0)
+        with pytest.raises(ValueError):
+            run_depletion(DepletionConfig(1, (0.5,), trials=10), Rng(-1))
