@@ -58,21 +58,28 @@ from .simulator import (
 from .viability import Rng
 
 if TYPE_CHECKING:
-    from .cli import CheckResult, VerifyReport, main, run_verify
+    from .cli import main
+    from .registry import CheckResult, VerifyReport, run_verify
 
 __version__ = "0.1.0"
 
-# Loaded on first access (PEP 562), so `python -m streamres.cli` does not find
-# the CLI module already imported by its own package.
-_CLI_NAMES = frozenset({"CheckResult", "VerifyReport", "main", "run_verify"})
+# Loaded on first access (PEP 562), so `import streamres` loads neither the
+# registry nor the CLI, and `python -m streamres.cli` does not find the CLI
+# module already imported by its own package.
+_REGISTRY_NAMES = frozenset({"CheckResult", "VerifyReport", "run_verify"})
 
 
 def __getattr__(name: str) -> object:
-    if name in _CLI_NAMES:
+    if name in _REGISTRY_NAMES:
+        from . import registry
+
+        return getattr(registry, name)
+    if name == "main":
         from . import cli
 
-        return getattr(cli, name)
+        return cli.main
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CheckResult",

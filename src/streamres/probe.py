@@ -221,7 +221,9 @@ def _remaining(deadline: float) -> float:
     left = deadline - time.perf_counter()
     if left <= 0.0:
         raise TimeoutError("probe deadline passed")
-    return left
+    # A socket timeout above TIMEOUT_MAX overflows; waiting that long is no
+    # different from waiting for the deadline.
+    return min(left, threading.TIMEOUT_MAX)
 
 
 @cache
@@ -244,6 +246,8 @@ def probe_all(
     than the timeout is recorded as timed out and non-viable with latency
     clamped to the timeout.
     """
+    if not math.isfinite(timeout_ms):
+        raise ValueError("timeout must be finite")
     if timeout_ms <= 0.0:
         raise ValueError("timeout must be positive")
     if max_in_flight is None:

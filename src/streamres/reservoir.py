@@ -80,7 +80,6 @@ class Slot:
     candidate: StreamCandidate
     verified_count: int = 1
     last_verified: float = 0.0
-    prefetched: bool = False
     arrival: int = 0
 
     @property
@@ -157,7 +156,6 @@ class Reservoir:
         # Highest quality leads; admission (latency) order breaks ties via
         # arrival, keeping equal-quality picks deterministic.
         self._slots.sort(key=_slot_order)
-        self._slots[0].prefetched = False
         self._transition(ReservoirState.MAINTAIN)
         self._log("filled", self.active.candidate.id, now)
         return True
@@ -167,7 +165,6 @@ class Reservoir:
             candidate=result.candidate,
             verified_count=FRESH_VERIFICATIONS,
             last_verified=now,
-            prefetched=True,
             arrival=self._arrival_seq,
         )
         self._arrival_seq += 1
@@ -337,8 +334,6 @@ class Reservoir:
         old_active = self._slots[0]
         promoted = self._slots[best_index]
         self._slots[0], self._slots[best_index] = promoted, old_active
-        promoted.prefetched = False
-        old_active.prefetched = True
         self.switch_count += 1
         self._sort_standbys()
         self._log("upgrade", promoted.candidate.id, now, score=best_score)
@@ -363,7 +358,6 @@ class Reservoir:
         if self._slots:
             # Standbys are sorted, so the best one is already in front.
             promoted = self._slots[0]
-            promoted.prefetched = False
             self._transition(ReservoirState.MAINTAIN)
             return promoted
         self._transition(ReservoirState.DEPLETED)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,9 +122,7 @@ class DepletionResult:
     trials: int
 
 
-def run_depletion(
-    config: DepletionConfig, rng: Rng, workers: int = 1
-) -> DepletionResult:
+def run_depletion(config: DepletionConfig, rng: Rng) -> DepletionResult:
     """Mean depletion time (with standard error) over seeded trials.
 
     Each trial is drawn from the exact law of its depletion time by
@@ -138,7 +136,7 @@ def run_depletion(
 
     stderr is the standard error of the mean over independent units, the
     pairs and, for an odd trial count, the lone last trial; it is 0.0 below
-    two pairs.  workers is accepted for compatibility and has no effect.
+    two pairs.
     """
     times = _depletion_times(config, rng)
     return DepletionResult(
@@ -185,16 +183,30 @@ def _pair_stderr(times: np.ndarray) -> float:
     return float(math.sqrt(variance) / count)
 
 
-def _provider_candidates(config: MonotonicityConfig) -> list[StreamCandidate]:
+def _candidates(prefix: str, qualities: Iterable[int]) -> list[StreamCandidate]:
+    """One simulated stream per quality, the i-th from provider prefix + i."""
     return [
         StreamCandidate(
-            id=f"p{index}-{quality}p",
-            provider_id=f"p{index}",
+            id=f"{prefix}{index}-{quality}p",
+            provider_id=f"{prefix}{index}",
             quality=quality,
-            locator=f"sim://p{index}/{quality}",
+            locator=f"sim://{prefix}{index}/{quality}",
         )
-        for index, (quality, _) in enumerate(config.providers)
+        for index, quality in enumerate(qualities)
     ]
+
+
+def _summary(history: list[int], offset: int, switch_count: int) -> TrialSummary:
+    """Statistics of the active quality per step, history[0] at step offset."""
+    final = history[-1]
+    return TrialSummary(
+        monotone_violations=sum(
+            1 for prev, cur in zip(history, history[1:]) if cur < prev
+        ),
+        final_quality=final,
+        convergence_step=history.index(final) + offset,
+        switch_count=switch_count,
+    )
 
 
 def _uniform_stream(gen: np.random.Generator) -> Iterator[float]:
@@ -223,7 +235,7 @@ def run_monotonicity(
     ends at the best quality whose availability clears tau.
     """
     uniforms = _uniform_stream(rng.substream(trial))
-    candidates = _provider_candidates(config)
+    candidates = _candidates("p", (quality for quality, _ in config.providers))
     count = len(candidates)
     provider_index = {c.provider_id: i for i, c in enumerate(candidates)}
     availabilities = [a for _, a in config.providers]
@@ -272,25 +284,15 @@ def run_monotonicity(
 
     if trace_sink is not None and reservoir is not None:
         trace_sink.extend(reservoir.trace_lines())
-    if not history:
+    if reservoir is None:
         return TrialSummary(
             monotone_violations=0,
             final_quality=0,
             convergence_step=config.steps,
             switch_count=0,
         )
-    violations = sum(
-        1 for prev, cur in zip(history, history[1:]) if cur < prev
-    )
-    final = history[-1]
-    first_at_final = next(i for i, q in enumerate(history) if q == final)
-    offset = config.steps + 1 - len(history)  # steps spent before acquisition
-    return TrialSummary(
-        monotone_violations=violations,
-        final_quality=final,
-        convergence_step=first_at_final + offset,
-        switch_count=reservoir.switch_count if reservoir is not None else 0,
-    )
+    # Steps spent before acquisition come first in the convergence step.
+    return _summary(history, config.steps + 1 - len(history), reservoir.switch_count)
 
 
 def run_thrash(
@@ -311,15 +313,7 @@ def run_thrash(
         raise ValueError("at least one quality level is required")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    candidates = [
-        StreamCandidate(
-            id=f"s{index}-{quality}p",
-            provider_id=f"s{index}",
-            quality=quality,
-            locator=f"sim://s{index}/{quality}",
-        )
-        for index, quality in enumerate(qualities)
-    ]
+    candidates = _candidates("s", qualities)
     worst = min(candidates, key=lambda c: c.quality)
     rest = [c for c in candidates if c.id != worst.id]
     reservoir = Reservoir.sprint_fill(
@@ -342,14 +336,7 @@ def run_thrash(
 
     if trace_sink is not None:
         trace_sink.extend(reservoir.trace_lines())
-    violations = sum(1 for prev, cur in zip(history, history[1:]) if cur < prev)
-    final = history[-1]
-    return TrialSummary(
-        monotone_violations=violations,
-        final_quality=final,
-        convergence_step=next(i for i, q in enumerate(history) if q == final),
-        switch_count=reservoir.switch_count,
-    )
+    return _summary(history, 0, reservoir.switch_count)
 
 
 def run_speedup_empirical(

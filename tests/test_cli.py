@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output formats, config file, determinism."""
 
+import argparse
 import http.server
 import os
 import socketserver
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import streamres
-from streamres import cli as cli_module
+from streamres import registry
 from streamres.cli import CheckResult, build_parser, main, run_verify
 from streamres.simulator import run_depletion
 from streamres.viability import Rng
@@ -128,7 +129,6 @@ class TestUsageErrors:
         [
             ["speedup", "12", "3", "0.4", "--empirical", "--seed", "-3"],
             ["verify", "--trials", "100", "--seed", "-1"],
-            ["curves", "uptime", "--seed", "-1"],
         ],
     )
     def test_negative_seed_fails_before_output(self, capsys, argv):
@@ -196,6 +196,13 @@ class TestConfigFile:
         code, _, err = run_cli(["verify", "--config", str(config)], capsys)
         assert code == 2
         assert "volume" in err
+
+    def test_workers_is_not_a_key(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("workers=4\n")
+        code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: unknown config keys: workers\n"
 
     @pytest.mark.parametrize("command, flag", [("verify", "--config"), ("probe", "--urls")])
     @pytest.mark.parametrize(
@@ -329,7 +336,7 @@ class TestSimulate:
         runs = []
         substream = Rng.substream
 
-        def recorded(config, rng, workers=1):
+        def recorded(config, rng):
             paths = []
             runs.append(paths)
 
@@ -339,9 +346,9 @@ class TestSimulate:
 
             with monkeypatch.context() as patch:
                 patch.setattr(Rng, "substream", recording)
-                return run_depletion(config, rng, workers)
+                return run_depletion(config, rng)
 
-        monkeypatch.setattr(cli_module, "run_depletion", recorded)
+        monkeypatch.setattr(registry, "run_depletion", recorded)
         run_verify(seed=42, trials=300)
         assert runs == [
             [(1, 1, 0), (1, 1, 1)],
@@ -491,6 +498,28 @@ class TestProbe:
         code, _, err = run_cli(["probe", "--urls", str(urls)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "-inf"])
+    def test_non_finite_timeout_is_usage_error(
+        self, capsys, tmp_path, local_server, timeout
+    ):
+        urls = tmp_path / "urls.txt"
+        urls.write_text(f"{local_server}/a 1080\n")
+        code, out, err = run_cli(
+            ["probe", "--urls", str(urls), f"--timeout-ms={timeout}"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: timeout must be finite\n"
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_capacity_below_one_fails_before_probing(
+        self, capsys, tmp_path, local_server, k
+    ):
+        urls = tmp_path / "urls.txt"
+        urls.write_text(f"{local_server}/a 1080\n")
+        code, out, err = run_cli(["probe", "--urls", str(urls), f"--k={k}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: k must be >= 1\n"
+
 
 class TestCheckResult:
     def test_comparison_modes(self):
@@ -504,6 +533,39 @@ class TestCheckResult:
             assert name in text
 
 
+def subcommand_options(parser, command=()):
+    """(command, option strings) of every leaf subcommand under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from subcommand_options(child, (*command, name))
+            return
+    options = {o for a in parser._actions for o in a.option_strings}
+    yield " ".join(command), options - {"-h", "--help"}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    prospect = {
+        "--alpha", "--beta", "--loss-aversion", "--gamma", "--switch-cost",
+        "--quality-ceiling", "--confidence-base",
+    }
+    assert dict(subcommand_options(build_parser())) == {
+        "verify": {"--seed", "--trials", "--format", "--config"},
+        "simulate depletion": {
+            "--seed", "--trials", "--k", "--lambdas", "--horizon", "--refill",
+            "--no-refill",
+        },
+        "simulate monotonicity": {
+            "--seed", "--providers", "--steps", "--tau", "--k", "--sweep", "--trace",
+        },
+        "simulate thrash": {"--levels", "--steps", "--trace"},
+        "score": {"--n", *prospect},
+        "speedup": {"--seed", "--trials", "--empirical"},
+        "probe": {"--urls", "--timeout-ms", "--k", "--max-in-flight"},
+        "curves": {"--samples", "--slots", "--failure-rate"},
+    }
+
+
 class TestPackageEntry:
     @staticmethod
     def python(*args):
@@ -515,6 +577,13 @@ class TestPackageEntry:
 
     def test_import_leaves_cli_out(self):
         code = "import sys, streamres; sys.exit('streamres.cli' in sys.modules)"
+        assert self.python("-c", code).returncode == 0
+
+    def test_registry_needs_no_argument_parsing(self):
+        code = (
+            "import sys, streamres.registry; "
+            "sys.exit('streamres.cli' in sys.modules or 'argparse' in sys.modules)"
+        )
         assert self.python("-c", code).returncode == 0
 
     def test_cli_names_resolve_lazily(self):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import streamres
-from streamres import cli as cli_module
+from streamres import registry
 from streamres import probe as probe_module
 from streamres.analytics import SpeedupScenario, batched_speedup
 from streamres.probe import (
@@ -192,6 +192,9 @@ class TestProbeAll:
     def test_validation(self):
         with pytest.raises(ValueError):
             probe_all(make_candidates(1), SimTransport(Rng(1)), timeout_ms=0.0)
+        for timeout_ms in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                probe_all(make_candidates(1), SimTransport(Rng(1)), timeout_ms=timeout_ms)
         with pytest.raises(ValueError):
             probe_all(make_candidates(1), SimTransport(Rng(1)), max_in_flight=0)
 
@@ -335,8 +338,8 @@ class TestEmpiricalFirstSuccess:
             recorders.append(CountingRng(rng))
             return run_speedup_empirical(scenario, trials, recorders[-1])
 
-        monkeypatch.setattr(cli_module, "run_speedup_empirical", recorded)
-        cli_module.run_verify(seed=42, trials=5000)
+        monkeypatch.setattr(registry, "run_speedup_empirical", recorded)
+        registry.run_verify(seed=42, trials=5000)
         assert [len(recorder.paths) for recorder in recorders] == [391]
 
     def test_validation(self):
@@ -391,6 +394,14 @@ class TestHttpTransport:
         result = HttpTransport().probe(candidate, 2000.0)
         assert not result.viable
         assert result.status == 404
+
+    @pytest.mark.parametrize("timeout_ms", [1e300, math.inf])
+    def test_huge_timeout_gives_a_verdict(self, local_server, timeout_ms):
+        # Socket timeouts are capped at threading.TIMEOUT_MAX.
+        candidate = StreamCandidate("a", "p", 1080, f"{local_server}/ok")
+        result = HttpTransport().probe(candidate, timeout_ms)
+        assert result.viable
+        assert result.status == 200
 
     def test_connection_error_never_raises(self):
         candidate = StreamCandidate("d", "p", 720, "http://127.0.0.1:1/dead")

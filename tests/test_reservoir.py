@@ -96,9 +96,10 @@ class TestSprintFill:
             Reservoir.sprint_fill([result("a", 720)], capacity=0)
 
     def test_active_is_live_standbys_prefetched(self):
+        # Prefetched means standby: every slot after the active one.
         reservoir = filled_reservoir()
-        assert not reservoir.active.prefetched
-        assert all(slot.prefetched for slot in reservoir.standbys)
+        assert reservoir.active.candidate.id == "hi"
+        assert [slot.candidate.id for slot in reservoir.standbys] == ["mid", "lo"]
 
     def test_logs_filled_event(self):
         reservoir = filled_reservoir()
@@ -269,11 +270,8 @@ class TestUpgrade:
         assert reservoir is not None
         reservoir.refill([result("uhd", 2160)], now=1.0)
         reservoir.evaluate_upgrade(now=2.0)
-        demoted = next(
-            slot for slot in reservoir.standbys if slot.candidate.id == "low"
-        )
-        assert demoted.prefetched
-        assert not reservoir.active.prefetched
+        assert [slot.candidate.id for slot in reservoir.slots] == ["uhd", "low"]
+        assert [slot.candidate.id for slot in reservoir.standbys] == ["low"]
 
     def test_scores_only_standbys_above_active(self, monkeypatch):
         scored = []
@@ -355,8 +353,7 @@ class TestFailover:
         assert promoted is not None
         assert promoted.candidate.id == "mid"
         assert reservoir.active.candidate.id == "mid"
-        assert not reservoir.active.prefetched
-        assert len(reservoir.slots) == 2
+        assert [slot.candidate.id for slot in reservoir.slots] == ["mid", "lo"]
         assert reservoir.state is ReservoirState.MAINTAIN
 
     def test_last_slot_depletes(self):

@@ -1,5 +1,6 @@
 """Monte Carlo experiment harness: conventions, determinism, known limits."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -80,12 +81,6 @@ class TestRunDepletion:
         assert result.mean == pytest.approx(
             expected_max_exponential(rates), abs=4 * result.stderr
         )
-
-    def test_workers_do_not_change_results(self):
-        config = DepletionConfig(3, (0.1, 0.2, 0.3), horizon=60, trials=1000)
-        serial = run_depletion(config, Rng(5), workers=1)
-        threaded = run_depletion(config, Rng(5), workers=4)
-        assert serial == threaded
 
     def test_same_rng_same_result(self):
         config = DepletionConfig(2, (0.2, 0.3), horizon=50, trials=500)
@@ -170,19 +165,17 @@ def block_reference(config, rng):
 
 
 class TestDepletionKeys:
-    # Two full blocks and an odd tail of 45 trials.
-    TRIALS = 2 * TRIAL_BLOCK + 45
     CONFIGS = {
-        "refill": DepletionConfig(2, (0.3, 0.4), horizon=40, trials=TRIALS),
-        "drained": DepletionConfig(
-            3, (0.10, 0.12, 0.15), horizon=30, trials=TRIALS, refill=False
-        ),
+        "refill": DepletionConfig(2, (0.3, 0.4), horizon=40),
+        "drained": DepletionConfig(3, (0.10, 0.12, 0.15), horizon=30, refill=False),
     }
 
     @pytest.mark.parametrize("mode", list(CONFIGS))
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_equals_per_trial_reference(self, monkeypatch, mode, workers):
-        config = self.CONFIGS[mode]
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_equals_per_trial_reference(self, monkeypatch, mode, blocks):
+        # Full blocks and then an odd tail of 45 trials.
+        trials = (blocks - 1) * TRIAL_BLOCK + 45
+        config = dataclasses.replace(self.CONFIGS[mode], trials=trials)
         rng = Rng(13).split(2)
         expected = block_reference(config, rng)
         paths = []
@@ -193,9 +186,11 @@ class TestDepletionKeys:
             return substream(self, *path)
 
         monkeypatch.setattr(Rng, "substream", recording)
-        result = run_depletion(config, rng, workers=workers)
+        result = run_depletion(config, rng)
         # One substream per block, keyed by (refill, slot count, block).
-        assert paths == [(2, int(config.refill), config.slot_count, b) for b in range(3)]
+        assert paths == [
+            (2, int(config.refill), config.slot_count, b) for b in range(blocks)
+        ]
         # numpy and math logarithms may differ in the last unit.
         times = simulator._depletion_times(config, rng)
         assert np.allclose(times, expected, rtol=1e-12, atol=0)
