@@ -2,10 +2,9 @@
 
 verify runs the check registry (streamres.registry) and prints its report;
 the other subcommands run one simulator, closed form, score, curve or probe
-round.  Each subcommand takes only the options its handler reads, and only
-verify reads a --config file.  Exit codes: 0 success (for verify, every hard
-check passed), 1 a hard check failed or nothing viable was probed, 2 usage
-error.
+round.  Each subcommand takes only the options its handler reads.  Exit
+codes: 0 success (for verify, every hard check passed), 1 a hard check
+failed or nothing viable was probed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -158,16 +157,20 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
     scenario = SpeedupScenario(args.n, args.b, args.f)
     concurrent = analytics.expected_time_concurrent(scenario)
     batched = analytics.expected_time_batched(scenario)
-    print(f"concurrent {concurrent:.6g}")
-    print(f"batched {batched:.6g}")
-    print(f"speedup {analytics.batched_speedup(scenario):.2f}x")
+    lines = [
+        f"concurrent {concurrent:.6g}",
+        f"batched {batched:.6g}",
+        f"speedup {analytics.batched_speedup(scenario):.2f}x",
+    ]
+    # Printed only once every line exists, so a usage error leaves no output.
     if args.empirical:
         emp_batched, emp_concurrent = run_speedup_empirical(
             scenario, args.trials, Rng(args.seed)
         )
-        print(
+        lines.append(
             f"empirical {emp_batched / emp_concurrent:.4f} ({args.trials} trials)"
         )
+    print("\n".join(lines))
     return 0
 
 
@@ -254,17 +257,17 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_seed(parser: argparse.ArgumentParser, default: int | None) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--seed", type=int, default=default, help=f"RNG seed (default {DEFAULT_SEED})"
+        "--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})"
     )
 
 
-def _add_trials(parser: argparse.ArgumentParser, default: int | None) -> None:
+def _add_trials(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trials",
         type=int,
-        default=default,
+        default=DEFAULT_TRIALS,
         help=f"Monte Carlo trials, min {MIN_TRIALS} (default {DEFAULT_TRIALS})",
     )
 
@@ -288,19 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the 24-check registry")
-    # No defaults here: a --config file fills what the flags leave unset.
-    _add_seed(p_verify, None)
-    _add_trials(p_verify, None)
+    _add_seed(p_verify)
+    _add_trials(p_verify)
     p_verify.add_argument(
         "--format",
         choices=("text", "records"),
-        default=None,
+        default="text",
         help="report format (default text)",
-    )
-    p_verify.add_argument(
-        "--config",
-        default=None,
-        help="key=value file of defaults for seed/trials/format",
     )
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -308,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_sub = p_sim.add_subparsers(dest="kind", required=True)
 
     p_dep = sim_sub.add_parser("depletion", help="depletion horizon experiment")
-    _add_seed(p_dep, DEFAULT_SEED)
-    _add_trials(p_dep, DEFAULT_TRIALS)
+    _add_seed(p_dep)
+    _add_trials(p_dep)
     p_dep.add_argument("--k", type=int, default=3, help="slot count")
     p_dep.add_argument(
         "--lambdas",
@@ -324,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dep.set_defaults(handler=_cmd_depletion)
 
     p_mono = sim_sub.add_parser("monotonicity", help="lazy-refill quality trajectory")
-    _add_seed(p_mono, DEFAULT_SEED)
+    _add_seed(p_mono)
     p_mono.add_argument(
         "--providers",
         default=",".join(f"{q}:{a}" for q, a in REFERENCE_PROVIDERS),
@@ -355,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.set_defaults(handler=_cmd_score)
 
     p_speed = sub.add_parser("speedup", help="batched vs concurrent scan cost")
-    _add_seed(p_speed, DEFAULT_SEED)
-    _add_trials(p_speed, DEFAULT_TRIALS)
+    _add_seed(p_speed)
+    _add_trials(p_speed)
     p_speed.add_argument("n", type=int, help="candidate count")
     p_speed.add_argument("b", type=int, help="batch size")
     p_speed.add_argument("f", type=float, help="per-probe failure probability")
@@ -384,40 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for raw in _read_lines(path):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (want key=value): {raw!r}")
-        key, val = line.split("=", 1)
-        mapping[key.strip()] = val.strip()
-    return mapping
-
-
-def _resolve_verify(args: argparse.Namespace) -> None:
-    """Fold config-file values under explicit flags, then apply defaults."""
-    config = _load_config(args.config) if args.config else {}
-    unknown = set(config) - {"seed", "trials", "format"}
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if args.seed is None:
-        args.seed = int(config.get("seed", DEFAULT_SEED))
-    if args.trials is None:
-        args.trials = int(config.get("trials", DEFAULT_TRIALS))
-    if args.format is None:
-        args.format = config.get("format", "text")
-    if args.format not in ("text", "records"):
-        raise ValueError(f"format must be text or records, got {args.format!r}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            _resolve_verify(args)
         # Checked before any handler prints.
         if getattr(args, "seed", 0) < 0:
             raise ValueError("seed must be >= 0")

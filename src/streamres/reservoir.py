@@ -8,13 +8,16 @@ re-acquired.  Upgrades to better standbys go through the loss-averse switch
 score, so a standby can outrank the active stream without instantly stealing
 the session; it must first earn enough verification confidence.
 
-Standbys are always kept quality-descending (ties: more verifications, then
-earlier arrival).  The active slot may temporarily trail its standbys
-between an admission and the upgrade decision that resolves it.
+Standbys always stay in merit order (``_slot_order``: quality descending,
+then more verifications, then earlier arrival), the single placement rule:
+every slot takes its place by ``bisect.insort`` on it, and a health cycle
+credits all surviving standbys equally.  The active slot may trail its
+standbys between an admission and the upgrade decision that resolves it.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -79,7 +82,6 @@ class Slot:
 
     candidate: StreamCandidate
     verified_count: int = 1
-    last_verified: float = 0.0
     arrival: int = 0
 
     @property
@@ -93,10 +95,6 @@ class ReservoirEvent:
     slot_id: str | None
     timestamp: float
     score: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
 
 
 class Reservoir:
@@ -151,30 +149,23 @@ class Reservoir:
             picked.setdefault(result.candidate.id, result)
         if not picked:
             return False
-        for result in picked.values():
-            self._admit(result, now)
         # Highest quality leads; admission (latency) order breaks ties via
         # arrival, keeping equal-quality picks deterministic.
-        self._slots.sort(key=_slot_order)
+        for result in picked.values():
+            self._admit(result, lo=0)
         self._transition(ReservoirState.MAINTAIN)
         self._log("filled", self.active.candidate.id, now)
         return True
 
-    def _admit(self, result: ProbeResult, now: float) -> Slot:
+    def _admit(self, result: ProbeResult, lo: int) -> Slot:
+        # lo=1 places the slot among the standbys, leaving the active alone.
         slot = Slot(
             candidate=result.candidate,
             verified_count=FRESH_VERIFICATIONS,
-            last_verified=now,
             arrival=self._arrival_seq,
         )
         self._arrival_seq += 1
-        # A fresh slot has the fewest verifications and the latest arrival,
-        # so its merit-order place among the standbys is after every one of
-        # its quality or better.
-        index = len(self._slots)
-        while index > 1 and self._slots[index - 1].quality < slot.quality:
-            index -= 1
-        self._slots.insert(index, slot)
+        bisect.insort(self._slots, slot, lo=lo, key=_slot_order)
         return slot
 
     # -- views -------------------------------------------------------------
@@ -206,31 +197,6 @@ class Reservoir:
 
     # -- maintain loop -----------------------------------------------------
 
-    def on_health_result(self, slot_index: int, viable: bool, now: float) -> bool:
-        """Apply one standby health verdict.  Returns True if refill is needed.
-
-        The active slot (index 0) is never health-checked; passing it here is
-        a caller bug.  A failed standby is dropped on the spot and the caller
-        is asked to refill.
-        """
-        self._require(ReservoirState.MAINTAIN)
-        self._check_clock(now)
-        if slot_index == 0:
-            raise ValueError("the active slot is implicitly verified, not checked")
-        if not 1 <= slot_index < len(self._slots):
-            raise ValueError(f"no standby at index {slot_index}")
-        slot = self._slots[slot_index]
-        if viable:
-            slot.verified_count += 1
-            slot.last_verified = now
-            # One more verification can lift it past equal-quality standbys.
-            self._sort_standbys()
-            self._log("health_pass", slot.candidate.id, now)
-            return False
-        del self._slots[slot_index]
-        self._log("health_fail", slot.candidate.id, now)
-        return True
-
     def run_health_cycle(self, checker: Callable[[Slot], bool], now: float) -> int:
         """Check every standby once; credit the active implicitly.
 
@@ -247,7 +213,6 @@ class Reservoir:
         for slot, viable in verdicts:
             if viable:
                 slot.verified_count += 1
-                slot.last_verified = now
                 kept.append(slot)
                 self._log("health_pass", slot.candidate.id, now)
             else:
@@ -256,7 +221,6 @@ class Reservoir:
         self._slots = kept
         active = self.active
         active.verified_count = min(ACTIVE_VERIFIED_CAP, active.verified_count + 1)
-        active.last_verified = now
         return failures
 
     def refill(self, fresh_results: Sequence[ProbeResult], now: float) -> int:
@@ -277,7 +241,7 @@ class Reservoir:
             if result.candidate.id in held:
                 continue
             if len(self._slots) < self.capacity:
-                slot = self._admit(result, now)
+                slot = self._admit(result, lo=1)
                 self._log("refill", slot.candidate.id, now)
                 admitted += 1
             else:
@@ -299,7 +263,7 @@ class Reservoir:
                     continue
                 self._slots.pop()
                 held.discard(worst.candidate.id)
-                slot = self._admit(result, now)
+                slot = self._admit(result, lo=1)
                 self._log("refill", slot.candidate.id, now, score=score)
                 admitted += 1
             held.add(slot.candidate.id)
@@ -331,11 +295,11 @@ class Reservoir:
         if best_index is None:
             return None
         self._transition(ReservoirState.TRANSITION)
-        old_active = self._slots[0]
-        promoted = self._slots[best_index]
-        self._slots[0], self._slots[best_index] = promoted, old_active
+        promoted = self._slots.pop(best_index)
+        demoted = self._slots[0]
+        self._slots[0] = promoted
+        bisect.insort(self._slots, demoted, lo=1, key=_slot_order)
         self.switch_count += 1
-        self._sort_standbys()
         self._log("upgrade", promoted.candidate.id, now, score=best_score)
         self._transition(ReservoirState.MAINTAIN)
         return best_index, best_score
@@ -416,10 +380,6 @@ class Reservoir:
         # relies on it.
         if now < self._clock:
             raise ValueError("event timestamps must be non-decreasing")
-
-    def _sort_standbys(self) -> None:
-        tail = sorted(self._slots[1:], key=_slot_order)
-        self._slots[1:] = tail
 
 
 def _slot_order(slot: Slot) -> tuple[int, int, int]:

@@ -1,4 +1,4 @@
-"""CLI contract: exit codes, output formats, config file, determinism."""
+"""CLI contract: exit codes, output formats, input files, determinism."""
 
 import argparse
 import http.server
@@ -137,13 +137,6 @@ class TestUsageErrors:
         assert out == ""
         assert "seed must be >= 0" in err
 
-    def test_negative_config_seed_is_usage_error(self, capsys, tmp_path):
-        config = tmp_path / "streamres.conf"
-        config.write_text("seed = -5\n")
-        code, out, err = run_cli(["verify", "--config", str(config)], capsys)
-        assert (code, out) == (2, "")
-        assert "seed must be >= 0" in err
-
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as info:
             main(["explode"])
@@ -173,38 +166,7 @@ class TestUsageErrors:
 
 
 class TestConfigFile:
-    def test_overrides_defaults(self, capsys, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("seed=7\ntrials=150\n# comment line\n")
-        code, out, _ = run_cli(["verify", "--config", str(config)], capsys)
-        assert code == 0
-        assert "seed 7, 150 trials" in out
-
-    def test_flags_beat_config(self, capsys, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("seed=7\n")
-        code, out, _ = run_cli(
-            ["verify", "--config", str(config), "--seed", "11", "--trials", "100"],
-            capsys,
-        )
-        assert code == 0
-        assert "seed 11" in out
-
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("volume=11\n")
-        code, _, err = run_cli(["verify", "--config", str(config)], capsys)
-        assert code == 2
-        assert "volume" in err
-
-    def test_workers_is_not_a_key(self, capsys, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("workers=4\n")
-        code, out, err = run_cli(["verify", "--config", str(config)], capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: unknown config keys: workers\n"
-
-    @pytest.mark.parametrize("command, flag", [("verify", "--config"), ("probe", "--urls")])
+    @pytest.mark.parametrize("command, flag", [("probe", "--urls")])
     @pytest.mark.parametrize(
         "name, reason", [("nope.txt", "No such file or directory"), ("", "Is a directory")]
     )
@@ -216,12 +178,6 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: {reason}\n"
-
-    def test_malformed_line_rejected(self, capsys, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("just some words\n")
-        code, _, err = run_cli(["verify", "--config", str(config)], capsys)
-        assert code == 2
 
 
 class TestScore:
@@ -287,6 +243,11 @@ class TestSpeedup:
     def test_invalid_scenario(self, capsys):
         code, _, err = run_cli(["speedup", "3", "5", "0.4"], capsys)
         assert code == 2
+
+    def test_empirical_usage_error_prints_nothing(self, capsys):
+        code, out, err = run_cli(["speedup", "12", "3", "0.9995", "--empirical"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: failure_prob must lie in [0, 0.999)\n"
 
 
 class TestSimulate:
@@ -550,7 +511,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "--quality-ceiling", "--confidence-base",
     }
     assert dict(subcommand_options(build_parser())) == {
-        "verify": {"--seed", "--trials", "--format", "--config"},
+        "verify": {"--seed", "--trials", "--format"},
         "simulate depletion": {
             "--seed", "--trials", "--k", "--lambdas", "--horizon", "--refill",
             "--no-refill",

@@ -10,7 +10,6 @@ from streamres.reservoir import (
     EVENT_KINDS,
     LEGAL_TRANSITIONS,
     Reservoir,
-    ReservoirEvent,
     ReservoirState,
 )
 
@@ -38,6 +37,11 @@ def filled_reservoir(capacity=3):
     )
     assert reservoir is not None
     return reservoir
+
+
+def drop(reservoir, *ids, now=1.0):
+    """A health cycle that fails exactly the named standbys."""
+    return reservoir.run_health_cycle(lambda slot: slot.candidate.id not in ids, now)
 
 
 class TestSprintFill:
@@ -111,39 +115,34 @@ class TestHealth:
     def test_pass_increments_verification(self):
         reservoir = filled_reservoir()
         before = reservoir.slots[1].verified_count
-        needs_refill = reservoir.on_health_result(1, True, now=1.0)
-        assert not needs_refill
+        assert drop(reservoir, "lo") == 1
         assert reservoir.slots[1].verified_count == before + 1
-        assert reservoir.slots[1].last_verified == 1.0
 
     def test_pass_keeps_merit_order(self):
-        # Two 720p standbys: the later arrival overtakes the earlier one
-        # once it holds more verifications.
+        # Two 720p slots: the active "a" stops gaining at the cap while the
+        # later standby "b" keeps passing, so when an upgrade demotes "a" it
+        # goes behind "b".
         reservoir = Reservoir.sprint_fill(
-            [result("hi", 1080), result("a", 720), result("b", 720, latency=200.0)],
-            capacity=3,
+            [result("a", 720, 10.0), result("b", 720, 20.0)], capacity=3
         )
-        assert [slot.candidate.id for slot in reservoir.standbys] == ["a", "b"]
-        reservoir.on_health_result(2, True, now=1.0)
-        assert [slot.candidate.id for slot in reservoir.standbys] == ["b", "a"]
-        assert reservoir.on_active_failure(now=2.0).candidate.id == "b"
+        for step in range(1, 15):
+            reservoir.run_health_cycle(lambda slot: True, now=float(step))
+        reservoir.refill([result("uhd", 2160)], now=15.0)
+        assert reservoir.evaluate_upgrade(now=15.0) == (1, pytest.approx(0.254, abs=1e-3))
+        assert [slot.candidate.id for slot in reservoir.slots] == ["uhd", "b", "a"]
+        assert reservoir.on_active_failure(now=16.0).candidate.id == "b"
 
     def test_fail_drops_slot_and_requests_refill(self):
         reservoir = filled_reservoir()
-        needs_refill = reservoir.on_health_result(1, False, now=1.0)
-        assert needs_refill
-        assert reservoir.slot_ids() == {"hi", "lo"}
+        assert drop(reservoir, "lo") == 1
+        assert reservoir.slot_ids() == {"hi", "mid"}
         assert reservoir.events[-1].kind == "health_fail"
 
     def test_active_slot_is_off_limits(self):
         reservoir = filled_reservoir()
-        with pytest.raises(ValueError):
-            reservoir.on_health_result(0, True, now=1.0)
-
-    def test_out_of_range_index(self):
-        reservoir = filled_reservoir()
-        with pytest.raises(ValueError):
-            reservoir.on_health_result(5, True, now=1.0)
+        checked = []
+        reservoir.run_health_cycle(lambda slot: checked.append(slot) or True, now=1.0)
+        assert reservoir.active not in checked
 
     def test_cycle_counts_failures(self):
         reservoir = filled_reservoir()
@@ -168,7 +167,7 @@ class TestHealth:
 class TestRefill:
     def test_vacancy_takes_best_quality_first(self):
         reservoir = filled_reservoir()
-        reservoir.on_health_result(1, False, now=1.0)  # drop mid
+        drop(reservoir, "mid")
         admitted = reservoir.refill(
             [result("a", 360, latency=5.0), result("b", 720, latency=50.0)],
             now=2.0,
@@ -178,7 +177,7 @@ class TestRefill:
 
     def test_latency_breaks_quality_ties(self):
         reservoir = filled_reservoir()
-        reservoir.on_health_result(1, False, now=1.0)
+        drop(reservoir, "mid")
         reservoir.refill(
             [result("slow", 720, latency=400.0), result("fast", 720, latency=30.0)],
             now=2.0,
@@ -201,19 +200,18 @@ class TestRefill:
 
     def test_never_admits_present_candidate_twice(self):
         reservoir = filled_reservoir()
-        reservoir.on_health_result(1, False, now=1.0)
+        drop(reservoir, "mid")
         admitted = reservoir.refill([result("hi", 1080), result("hi", 1080)], now=2.0)
         assert admitted == 0
 
     def test_dead_results_ignored(self):
         reservoir = filled_reservoir()
-        reservoir.on_health_result(1, False, now=1.0)
+        drop(reservoir, "mid")
         assert reservoir.refill([result("x", 2160, viable=False)], now=2.0) == 0
 
     def test_standbys_stay_sorted(self):
         reservoir = filled_reservoir()
-        reservoir.on_health_result(2, False, now=1.0)  # drop lo
-        reservoir.on_health_result(1, False, now=1.0)  # drop mid
+        drop(reservoir, "mid", "lo")
         reservoir.refill([result("a", 600), result("b", 900)], now=2.0)
         qualities = [slot.quality for slot in reservoir.standbys]
         assert qualities == sorted(qualities, reverse=True)
@@ -439,10 +437,6 @@ class TestStateGuards:
         with pytest.raises(RuntimeError):
             reservoir.run_health_cycle(lambda slot: True, now=2.0)
 
-    def test_event_kinds_are_validated(self):
-        with pytest.raises(ValueError):
-            ReservoirEvent(kind="exploded", slot_id=None, timestamp=0.0)
-
     def test_clock_never_rewinds(self):
         reservoir = filled_reservoir()
         reservoir.run_health_cycle(lambda slot: True, now=5.0)
@@ -460,10 +454,9 @@ def snapshot(reservoir):
 
 
 # Each call would change the reservoir below if the clock were not checked
-# first: drop or credit the standby, admit "new", promote "uhd", or pop the
-# active slot.
+# first: credit the slots, admit "new", promote "uhd", or pop the active
+# slot.
 BACKWARD_CALLS = {
-    "on_health_result": lambda r: r.on_health_result(1, False, now=1.0),
     "run_health_cycle": lambda r: r.run_health_cycle(lambda slot: True, now=1.0),
     "refill": lambda r: r.refill([result("new", 720)], now=1.0),
     "evaluate_upgrade": lambda r: r.evaluate_upgrade(now=1.0),
@@ -504,7 +497,6 @@ class TestHealthCycleGuarantee:
         )
         assert reservoir is not None
         before = snapshot(reservoir)
-        last_verified = [slot.last_verified for slot in reservoir.slots]
 
         def checker(slot):
             if slot.candidate.id == "c":
@@ -514,7 +506,6 @@ class TestHealthCycleGuarantee:
         with pytest.raises(RuntimeError):
             reservoir.run_health_cycle(checker, now=1.0)
         assert snapshot(reservoir) == before
-        assert [slot.last_verified for slot in reservoir.slots] == last_verified
 
 
 class TestTrace:

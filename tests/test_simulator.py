@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fuzzutil import run_fuzz_sequence
 from streamres import simulator
 from streamres.analytics import (
     expected_max_exponential,
@@ -308,6 +309,23 @@ class TestMonotonicityPinned:
             result.convergence_step,
             result.switch_count,
         ) == summary
+        assert len(trace) == lines
+        assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == digest
+
+
+# Event logs of 200-op fuzz sequences.  Each one refills, upgrades, drains
+# and reacquires, so the digest pins every path that places a slot.
+PINNED_FUZZ_RUNS = [
+    (0, 169, "076d4c91be732ac07b4d5d648f87b38ca7b76d55dbec6392b3a8fdf656cf1c01"),
+    (3, 234, "304554b56c22ce68a62fde3e63d783e6920c5da0ed280988a3705178fe01af5c"),
+    (7, 183, "ad4ae5416dbee896fa4507941bbe1b1f5e8ac854429e429a280bbffe1f2ffa56"),
+]
+
+
+class TestReservoirTracePinned:
+    @pytest.mark.parametrize("seed, lines, digest", PINNED_FUZZ_RUNS)
+    def test_fuzz_sequence_matches_pinned_events(self, seed, lines, digest):
+        trace = list(run_fuzz_sequence(seed, ops=200).trace_lines())
         assert len(trace) == lines
         assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == digest
 
