@@ -13,6 +13,10 @@ then more verifications, then earlier arrival), the single placement rule:
 every slot takes its place by ``bisect.insort`` on it, and a health cycle
 credits all surviving standbys equally.  The active slot may trail its
 standbys between an admission and the upgrade decision that resolves it.
+
+Every event is logged as a ``ReservoirEvent``, a named tuple, in an
+append-only list.  A health cycle credits the standbys that pass in place
+and rebuilds the slot list only when some standby failed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .probe import ProbeResult, StreamCandidate, sort_results
 from .prospect import DEFAULT_PARAMS, ProspectParams, switch_score
@@ -89,8 +93,9 @@ class Slot:
         return self.candidate.quality
 
 
-@dataclass(frozen=True, slots=True)
-class ReservoirEvent:
+class ReservoirEvent(NamedTuple):
+    """One logged event; a tuple, so building and storing it stay cheap."""
+
     kind: str
     slot_id: str | None
     timestamp: float
@@ -207,19 +212,23 @@ class Reservoir:
         """
         self._require(ReservoirState.MAINTAIN)
         self._check_clock(now)
-        verdicts = [(slot, bool(checker(slot))) for slot in self._slots[1:]]
-        kept = self._slots[:1]
-        failures = 0
-        for slot, viable in verdicts:
+        standbys = self._slots[1:]
+        verdicts = [bool(checker(slot)) for slot in standbys]
+        log = self._events.append
+        for slot, viable in zip(standbys, verdicts):
             if viable:
                 slot.verified_count += 1
-                kept.append(slot)
-                self._log("health_pass", slot.candidate.id, now)
+                log(ReservoirEvent("health_pass", slot.candidate.id, now))
             else:
-                failures += 1
-                self._log("health_fail", slot.candidate.id, now)
-        self._slots = kept
-        active = self.active
+                log(ReservoirEvent("health_fail", slot.candidate.id, now))
+        if standbys:
+            self._clock = now  # as _log does: the time of the last event
+        failures = verdicts.count(False)
+        if failures:
+            self._slots[1:] = [
+                slot for slot, viable in zip(standbys, verdicts) if viable
+            ]
+        active = self._slots[0]
         active.verified_count = min(ACTIVE_VERIFIED_CAP, active.verified_count + 1)
         return failures
 
@@ -348,10 +357,10 @@ class Reservoir:
 
     def trace_lines(self) -> Iterator[str]:
         """One event per line: timestamp, kind, slot id, score (tab-separated)."""
-        for event in self._events:
-            slot_id = event.slot_id if event.slot_id is not None else "-"
-            score = f"{event.score:.6f}" if event.score is not None else "-"
-            yield f"{event.timestamp:g}\t{event.kind}\t{slot_id}\t{score}"
+        for kind, slot_id, timestamp, score in self._events:
+            shown_id = "-" if slot_id is None else slot_id
+            shown_score = "-" if score is None else f"{score:.6f}"
+            yield f"{timestamp:g}\t{kind}\t{shown_id}\t{shown_score}"
 
     # -- internals ---------------------------------------------------------
 
@@ -370,9 +379,7 @@ class Reservoir:
         self, kind: str, slot_id: str | None, now: float, score: float | None = None
     ) -> None:
         self._clock = now
-        self._events.append(
-            ReservoirEvent(kind=kind, slot_id=slot_id, timestamp=now, score=score)
-        )
+        self._events.append(ReservoirEvent(kind, slot_id, now, score))
 
     def _check_clock(self, now: float) -> None:
         # Each public operation calls this before its first change, so a

@@ -7,7 +7,10 @@ Depletion and the speedup estimate draw one substream per block of
 TRIAL_BLOCK trials, monotonicity one per trial, so results never depend on
 how trials are scheduled.  Depletion samples each trial from the exact law
 of its depletion time, in antithetic pairs; monotonicity draws its uniforms
-in chunks and consumes them in order.
+in chunks and consumes them in order.  A monotonicity step draws one up/down
+uniform per provider and, when it probes, one latency uniform per provider;
+its refill round passes only the eligible providers that are up, since
+refill drops every non-viable result, and the draws stay the same.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .probe import ProbeResult, StreamCandidate, empirical_first_success_rounds
 from .prospect import DEFAULT_PARAMS, ProspectParams
-from .reservoir import Reservoir
+from .reservoir import Reservoir, Slot
 from .analytics import SpeedupScenario
 from .viability import TRIAL_BLOCK, Rng
 
@@ -247,7 +250,9 @@ def run_monotonicity(
     reservoir: Reservoir | None = None
     history: list[int] = []
 
-    def probe_round(up: list[bool], indices: Sequence[int]) -> list[ProbeResult]:
+    def probe_round(indices: Sequence[int]) -> list[ProbeResult]:
+        # Draws a latency for every provider, probed or not, so the stream
+        # does not depend on which ones are.
         latencies = list(islice(uniforms, count))
         return [
             ProbeResult(
@@ -258,6 +263,10 @@ def run_monotonicity(
             for i in indices
         ]
 
+    def healthy(slot: Slot) -> bool:
+        # Reads the current step's up list.
+        return up[provider_index[slot.candidate.provider_id]]
+
     for step in range(config.steps + 1):
         now = float(step)
         up = [u < a for u, a in zip(islice(uniforms, count), availabilities)]
@@ -265,7 +274,7 @@ def run_monotonicity(
             # Initial acquisition probes every provider; repeat until some
             # candidate is viable.
             attempt = Reservoir.sprint_fill(
-                probe_round(up, range(count)),
+                probe_round(range(count)),
                 capacity=config.slot_count,
                 params=params,
                 now=now,
@@ -274,11 +283,11 @@ def run_monotonicity(
                 reservoir = attempt
                 history.append(reservoir.active.quality)
             continue
-        failures = reservoir.run_health_cycle(
-            lambda slot: up[provider_index[slot.candidate.provider_id]], now=now
-        )
+        failures = reservoir.run_health_cycle(healthy, now=now)
         if failures > 0 or len(reservoir.slots) < config.slot_count:
-            reservoir.refill(probe_round(up, eligible), now=now)
+            # refill drops non-viable results first, so only eligible
+            # providers that are up take part.
+            reservoir.refill(probe_round([i for i in eligible if up[i]]), now=now)
         reservoir.evaluate_upgrade(now=now)
         history.append(reservoir.active.quality)
 

@@ -1,5 +1,7 @@
 """Reservoir lifecycle: sprint, maintain, failover, upgrade, reacquire."""
 
+import dataclasses
+
 import pytest
 
 from streamres import reservoir as reservoir_module
@@ -10,6 +12,7 @@ from streamres.reservoir import (
     EVENT_KINDS,
     LEGAL_TRANSITIONS,
     Reservoir,
+    ReservoirEvent,
     ReservoirState,
 )
 
@@ -506,6 +509,79 @@ class TestHealthCycleGuarantee:
         with pytest.raises(RuntimeError):
             reservoir.run_health_cycle(checker, now=1.0)
         assert snapshot(reservoir) == before
+        # The clock did not move to 1.0: an earlier time is still accepted.
+        assert reservoir.run_health_cycle(lambda slot: True, now=0.5) == 0
+
+
+class TestHealthCycleBranches:
+    def four_slots(self):
+        reservoir = Reservoir.sprint_fill(
+            [
+                result("a", 2160, 10.0),
+                result("b", 1080, 20.0),
+                result("c", 720, 30.0),
+                result("d", 480, 40.0),
+            ],
+            capacity=4,
+        )
+        assert reservoir is not None
+        return reservoir
+
+    def test_pass_fail_pass(self):
+        reservoir = self.four_slots()
+        a, b, c, d = reservoir.slots
+        assert drop(reservoir, "c") == 1
+        survivors = reservoir.slots
+        assert [slot.candidate.id for slot in survivors] == ["a", "b", "d"]
+        assert all(kept is slot for kept, slot in zip(survivors, (a, b, d)))
+        assert [slot.verified_count for slot in (a, b, c, d)] == [2, 2, 1, 2]
+        assert [(e.kind, e.slot_id) for e in reservoir.events[1:]] == [
+            ("health_pass", "b"),
+            ("health_fail", "c"),
+            ("health_pass", "d"),
+        ]
+
+    def test_all_pass_drops_nothing(self):
+        reservoir = self.four_slots()
+        before = reservoir.slots
+        assert reservoir.run_health_cycle(lambda slot: True, now=1.0) == 0
+        assert all(kept is slot for kept, slot in zip(reservoir.slots, before))
+        assert len(reservoir.slots) == 4
+        standbys = list(reservoir.standbys)
+        assert standbys == sorted(standbys, key=reservoir_module._slot_order)
+        assert [e.kind for e in reservoir.events[1:]] == ["health_pass"] * 3
+
+
+class TestEvents:
+    def test_record_shape(self):
+        assert ReservoirEvent._fields == ("kind", "slot_id", "timestamp", "score")
+        event = ReservoirEvent("refill", "x", 1.0)
+        assert event.score is None
+        assert event == ("refill", "x", 1.0, None)
+        assert not dataclasses.is_dataclass(event)
+        with pytest.raises(AttributeError):
+            event.kind = "upgrade"
+
+    def test_events_are_stable_and_match_trace(self):
+        reservoir = Reservoir.sprint_fill([result("base", 360)], capacity=2)
+        assert reservoir is not None
+        reservoir.refill([result("uhd", 2160)], now=1.0)
+        reservoir.evaluate_upgrade(now=2.0)
+        drop(reservoir, "base", now=3.0)
+        events = reservoir.events
+        assert events == reservoir.events
+        assert [e.kind for e in events] == ["filled", "refill", "upgrade", "health_fail"]
+        lines = list(reservoir.trace_lines())
+        assert len(lines) == len(events)
+        for line, event in zip(lines, events):
+            timestamp, kind, slot_id, score = line.split("\t")
+            assert float(timestamp) == event.timestamp
+            assert kind == event.kind
+            assert slot_id == (event.slot_id or "-")
+            if event.score is None:
+                assert score == "-"
+            else:
+                assert float(score) == pytest.approx(event.score, abs=1e-6)
 
 
 class TestTrace:

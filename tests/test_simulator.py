@@ -277,7 +277,10 @@ class TestRunMonotonicity:
 
 # Summaries and trace digests of 5000-step runs (Rng(9), trial 4), pinned
 # from the one-random-call-per-use implementation; each run crosses many
-# uniform chunks.
+# uniform chunks.  The last run interleaves repeated qualities, so refill's
+# latency order decides which of two equal-quality providers takes a
+# vacancy, and the latencies of providers that are down shift that order if
+# a refill round mispairs them.
 PINNED_RUNS = [
     (
         PROVIDERS, 0.3, 3,
@@ -293,6 +296,11 @@ PINNED_RUNS = [
         ((360, 0.95), (480, 0.9), (720, 0.6), (2160, 0.1)), 0.05, 3,
         (0, 2160, 139, 1), 10803,
         "18b93cfc2d4d3dc0a4d829608208ac060a7f90e7696758e276eff82ec6973b6a",
+    ),
+    (
+        ((1080, 0.5), (720, 0.6), (1080, 0.7), (720, 0.8)), 0.3, 2,
+        (0, 1080, 0, 0), 6332,
+        "cfe536ffab9065b4a441f8396d37caa07b27657084e6bb02793dc703d3728ec5",
     ),
 ]
 
