@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlparse
@@ -24,7 +25,7 @@ from .probe import (
     probe_all,
     sort_results,
 )
-from .prospect import DEFAULT_PARAMS, ProspectParams, switch_score, value, weight
+from .prospect import ProspectParams, switch_score, value, weight
 from .registry import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -133,20 +134,10 @@ def _cmd_thrash(args: argparse.Namespace) -> int:
     return 0
 
 
-def _params_from_args(args: argparse.Namespace) -> ProspectParams:
-    return ProspectParams(
-        alpha=args.alpha,
-        beta=args.beta,
-        loss_aversion=args.loss_aversion,
-        gamma=args.gamma,
-        switch_cost=args.switch_cost,
-        quality_ceiling=args.quality_ceiling,
-        confidence_base=args.confidence_base,
-    )
-
-
 def _cmd_score(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    params = ProspectParams(
+        **{field.name: getattr(args, field.name) for field in fields(ProspectParams)}
+    )
     score = switch_score(args.quality_active, args.quality_candidate, args.n, params)
     verdict = "SWITCH" if score > 0.0 else "HOLD"
     print(f"{score:.3f} {verdict}")
@@ -174,21 +165,18 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_curves(args: argparse.Namespace) -> int:
-    if args.curve in ("value", "weight") and args.samples < 2:
+def _cmd_curve(args: argparse.Namespace) -> int:
+    # Evenly spaced samples of args.fn over [args.lo, args.lo + args.width].
+    if args.samples < 2:
         raise ValueError("samples must be >= 2")
-    if args.curve == "value":
-        span = 1000.0
-        for i in range(args.samples):
-            x = -span + 2.0 * span * i / (args.samples - 1)
-            print(f"{x:.6g}\t{value(x):.6g}")
-        return 0
-    if args.curve == "weight":
-        for i in range(args.samples):
-            p = i / (args.samples - 1)
-            print(f"{p:.6g}\t{weight(p):.6g}")
-        return 0
-    # uptime: expected useful lifetime against slot count
+    for i in range(args.samples):
+        x = args.lo + args.width * i / (args.samples - 1)
+        print(f"{x:.6g}\t{args.fn(x):.6g}")
+    return 0
+
+
+def _cmd_uptime(args: argparse.Namespace) -> int:
+    # Expected useful lifetime against slot count.
     if args.slots < 1:
         raise ValueError("slots must be >= 1")
     for k in range(1, args.slots + 1):
@@ -273,14 +261,10 @@ def _add_trials(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_prospect_overrides(parser: argparse.ArgumentParser) -> None:
-    d = DEFAULT_PARAMS
-    parser.add_argument("--alpha", type=float, default=d.alpha)
-    parser.add_argument("--beta", type=float, default=d.beta)
-    parser.add_argument("--loss-aversion", type=float, default=d.loss_aversion)
-    parser.add_argument("--gamma", type=float, default=d.gamma)
-    parser.add_argument("--switch-cost", type=float, default=d.switch_cost)
-    parser.add_argument("--quality-ceiling", type=float, default=d.quality_ceiling)
-    parser.add_argument("--confidence-base", type=float, default=d.confidence_base)
+    # One flag per ProspectParams field, defaulting to the field's default.
+    for field in fields(ProspectParams):
+        flag = "--" + field.name.replace("_", "-")
+        parser.add_argument(flag, type=float, default=field.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,13 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.set_defaults(handler=_cmd_probe)
 
     p_curves = sub.add_parser("curves", help="emit (x, y) pairs for the named curve")
-    p_curves.add_argument("curve", choices=("value", "weight", "uptime"))
-    p_curves.add_argument("--samples", type=int, default=101)
-    p_curves.add_argument("--slots", type=int, default=8, help="max slot count (uptime)")
-    p_curves.add_argument(
-        "--failure-rate", type=float, default=0.1, help="mean failure rate (uptime)"
+    curves_sub = p_curves.add_subparsers(dest="curve", required=True)
+    for name, fn, lo, width in (
+        ("value", value, -1000.0, 2000.0),
+        ("weight", weight, 0.0, 1.0),
+    ):
+        p_curve = curves_sub.add_parser(name, help=f"prospect {name} curve")
+        p_curve.add_argument("--samples", type=int, default=101)
+        p_curve.set_defaults(handler=_cmd_curve, fn=fn, lo=lo, width=width)
+    p_uptime = curves_sub.add_parser("uptime", help="expected lifetime per slot count")
+    p_uptime.add_argument("--slots", type=int, default=8, help="max slot count")
+    p_uptime.add_argument(
+        "--failure-rate", type=float, default=0.1, help="mean failure rate"
     )
-    p_curves.set_defaults(handler=_cmd_curves)
+    p_uptime.set_defaults(handler=_cmd_uptime)
 
     return parser
 

@@ -107,7 +107,7 @@ class SimTransport:
         median_latency_ms: float = 300.0,
         sigma: float = 0.6,
     ) -> None:
-        if median_latency_ms <= 0.0 or sigma < 0.0:
+        if not (median_latency_ms > 0.0 and sigma >= 0.0):  # NaN fails too
             raise ValueError("median latency must be positive and sigma non-negative")
         if isinstance(failure_prob, Mapping):
             failure_prob = dict(failure_prob)

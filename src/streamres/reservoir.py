@@ -14,6 +14,13 @@ every slot takes its place by ``bisect.insort`` on it, and a health cycle
 credits all surviving standbys equally.  The active slot may trail its
 standbys between an admission and the upgrade decision that resolves it.
 
+Every public operation opens with one guard, ``_enter``: the reservoir must
+be in the state the operation needs and ``now`` must not be behind the clock
+(a NaN ``now`` is refused too).  Either failure raises before any change.
+Every accepted call moves the clock to ``now``, even a call that changes
+nothing, so no later call can log behind it; a health cycle commits its
+clock only once its checker has returned.
+
 Every event is logged as a ``ReservoirEvent``, a named tuple, in an
 append-only list.  A health cycle credits the standbys that pass in place
 and rebuilds the slot list only when some standby failed.
@@ -139,14 +146,15 @@ class Reservoir:
         if not probe_results:
             raise ValueError("probe_results must be non-empty")
         reservoir = cls(capacity=capacity, params=params)
-        reservoir._check_clock(now)
+        reservoir._enter(ReservoirState.SPRINT, now)
         if not reservoir._fill(probe_results, now):
             return None
         return reservoir
 
     def _fill(self, probe_results: Sequence[ProbeResult], now: float) -> bool:
         # Like refill, never admit an id twice: each id keeps its fastest
-        # verdict, up to capacity.
+        # verdict, up to capacity.  A depleted reservoir re-enters the
+        # sprint only when something was picked.
         picked: dict[str, ProbeResult] = {}
         for result in sort_results(probe_results):
             if not result.viable or len(picked) == self.capacity:
@@ -154,6 +162,8 @@ class Reservoir:
             picked.setdefault(result.candidate.id, result)
         if not picked:
             return False
+        if self.state is ReservoirState.DEPLETED:
+            self._transition(ReservoirState.SPRINT)
         # Highest quality leads; admission (latency) order breaks ties via
         # arrival, keeping equal-quality picks deterministic.
         for result in picked.values():
@@ -162,7 +172,7 @@ class Reservoir:
         self._log("filled", self.active.candidate.id, now)
         return True
 
-    def _admit(self, result: ProbeResult, lo: int) -> Slot:
+    def _admit(self, result: ProbeResult, lo: int) -> None:
         # lo=1 places the slot among the standbys, leaving the active alone.
         slot = Slot(
             candidate=result.candidate,
@@ -171,7 +181,6 @@ class Reservoir:
         )
         self._arrival_seq += 1
         bisect.insort(self._slots, slot, lo=lo, key=_slot_order)
-        return slot
 
     # -- views -------------------------------------------------------------
 
@@ -210,10 +219,10 @@ class Reservoir:
         Returns the number of standbys that failed (each one is an open
         refill request).
         """
-        self._require(ReservoirState.MAINTAIN)
-        self._check_clock(now)
+        self._enter(ReservoirState.MAINTAIN, now, commit=False)
         standbys = self._slots[1:]
         verdicts = [bool(checker(slot)) for slot in standbys]
+        self._clock = now  # the checker returned: commit the call
         log = self._events.append
         for slot, viable in zip(standbys, verdicts):
             if viable:
@@ -221,8 +230,6 @@ class Reservoir:
                 log(ReservoirEvent("health_pass", slot.candidate.id, now))
             else:
                 log(ReservoirEvent("health_fail", slot.candidate.id, now))
-        if standbys:
-            self._clock = now  # as _log does: the time of the last event
         failures = verdicts.count(False)
         if failures:
             self._slots[1:] = [
@@ -240,8 +247,7 @@ class Reservoir:
         switch score at fresh-candidate confidence; the displaced standby is
         dropped.  A candidate already holding a slot is never admitted twice.
         """
-        self._require(ReservoirState.MAINTAIN)
-        self._check_clock(now)
+        self._enter(ReservoirState.MAINTAIN, now)
         fresh = [r for r in fresh_results if r.viable]
         fresh.sort(key=lambda r: (-r.candidate.quality, r.latency_ms))
         admitted = 0
@@ -249,11 +255,8 @@ class Reservoir:
         for result in fresh:
             if result.candidate.id in held:
                 continue
-            if len(self._slots) < self.capacity:
-                slot = self._admit(result, lo=1)
-                self._log("refill", slot.candidate.id, now)
-                admitted += 1
-            else:
+            score = None  # a vacancy admits outright
+            if len(self._slots) == self.capacity:
                 if len(self._slots) < 2:
                     break  # only the active slot; nothing replaceable
                 worst = self._slots[-1]
@@ -272,10 +275,10 @@ class Reservoir:
                     continue
                 self._slots.pop()
                 held.discard(worst.candidate.id)
-                slot = self._admit(result, lo=1)
-                self._log("refill", slot.candidate.id, now, score=score)
-                admitted += 1
-            held.add(slot.candidate.id)
+            self._admit(result, lo=1)
+            self._log("refill", result.candidate.id, now, score=score)
+            admitted += 1
+            held.add(result.candidate.id)
         return admitted
 
     def evaluate_upgrade(self, now: float) -> tuple[int, float] | None:
@@ -285,8 +288,7 @@ class Reservoir:
         positive score wins (ties go to the lower slot index).  Returns the
         pre-swap standby index and its score, or None for no switch.
         """
-        self._require(ReservoirState.MAINTAIN)
-        self._check_clock(now)
+        self._enter(ReservoirState.MAINTAIN, now)
         best_index = None
         best_score = 0.0
         active_quality = self._slots[0].quality
@@ -323,8 +325,7 @@ class Reservoir:
         reservoir is depleted and asks for re-acquisition instead.
         Returns the new active slot, or None when depleted.
         """
-        self._require(ReservoirState.MAINTAIN)
-        self._check_clock(now)
+        self._enter(ReservoirState.MAINTAIN, now)
         self._transition(ReservoirState.TRANSITION)
         failed = self._slots.pop(0)
         self._log("failover", failed.candidate.id, now)
@@ -345,13 +346,11 @@ class Reservoir:
         returns True; on a fruitless round it stays depleted, logs another
         re-acquisition request, and returns False.
         """
-        self._require(ReservoirState.DEPLETED)
-        self._check_clock(now)
-        if not probe_results or not any(r.viable for r in probe_results):
-            self._log("reacquire", None, now)
-            return False
-        self._transition(ReservoirState.SPRINT)
-        return self._fill(probe_results, now)
+        self._enter(ReservoirState.DEPLETED, now)
+        if self._fill(probe_results, now):
+            return True
+        self._log("reacquire", None, now)
+        return False
 
     # -- trace -------------------------------------------------------------
 
@@ -364,9 +363,17 @@ class Reservoir:
 
     # -- internals ---------------------------------------------------------
 
-    def _require(self, state: ReservoirState) -> None:
+    def _enter(self, state: ReservoirState, now: float, commit: bool = True) -> None:
+        # Every public operation calls this before its first change, so a
+        # wrong state or a backward (or NaN) clock raises with the reservoir
+        # exactly as it was.  commit=False leaves moving the clock to the
+        # caller.
         if self.state is not state:
             raise RuntimeError(f"operation requires {state.value}, got {self.state.value}")
+        if not now >= self._clock:
+            raise ValueError("event timestamps must be non-decreasing")
+        if commit:
+            self._clock = now
 
     def _transition(self, to: ReservoirState) -> None:
         edge = (self.state, to)
@@ -378,15 +385,7 @@ class Reservoir:
     def _log(
         self, kind: str, slot_id: str | None, now: float, score: float | None = None
     ) -> None:
-        self._clock = now
         self._events.append(ReservoirEvent(kind, slot_id, now, score))
-
-    def _check_clock(self, now: float) -> None:
-        # Each public operation calls this before its first change, so a
-        # backward clock raises with the reservoir exactly as it was; _log
-        # relies on it.
-        if now < self._clock:
-            raise ValueError("event timestamps must be non-decreasing")
 
 
 def _slot_order(slot: Slot) -> tuple[int, int, int]:

@@ -283,10 +283,11 @@ def run_monotonicity(
                 reservoir = attempt
                 history.append(reservoir.active.quality)
             continue
-        failures = reservoir.run_health_cycle(healthy, now=now)
-        if failures > 0 or len(reservoir.slots) < config.slot_count:
-            # refill drops non-viable results first, so only eligible
-            # providers that are up take part.
+        reservoir.run_health_cycle(healthy, now=now)
+        if len(reservoir.slots) < config.slot_count:
+            # A failed standby always leaves a vacancy.  refill drops
+            # non-viable results first, so only eligible providers that are
+            # up take part.
             reservoir.refill(probe_round([i for i in eligible if up[i]]), now=now)
         reservoir.evaluate_upgrade(now=now)
         history.append(reservoir.active.quality)

@@ -394,6 +394,19 @@ class TestCurves:
         assert "samples" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curves", "value", "--slots", "3"],
+            ["curves", "value", "--failure-rate", "-5"],
+            ["curves", "uptime", "--samples", "3"],
+        ],
+    )
+    def test_option_of_another_curve_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
 
 class _Handler(http.server.BaseHTTPRequestHandler):
     def do_HEAD(self):
@@ -523,7 +536,9 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "score": {"--n", *prospect},
         "speedup": {"--seed", "--trials", "--empirical"},
         "probe": {"--urls", "--timeout-ms", "--k", "--max-in-flight"},
-        "curves": {"--samples", "--slots", "--failure-rate"},
+        "curves value": {"--samples"},
+        "curves weight": {"--samples"},
+        "curves uptime": {"--slots", "--failure-rate"},
     }
 
 

@@ -146,6 +146,10 @@ class TestSimTransport:
         with pytest.raises(ValueError):
             SimTransport(Rng(1), median_latency_ms=0.0)
         with pytest.raises(ValueError):
+            SimTransport(Rng(1), median_latency_ms=float("nan"))
+        with pytest.raises(ValueError):
+            SimTransport(Rng(1), sigma=float("nan"))
+        with pytest.raises(ValueError):
             probe_all(make_candidates(1), SimTransport(Rng(1), failure_prob=1.5))
 
     @pytest.mark.parametrize(

@@ -467,6 +467,61 @@ BACKWARD_CALLS = {
 }
 
 
+NAN = float("nan")
+
+
+def full_snapshot(reservoir):
+    return (*snapshot(reservoir), reservoir.transitions, reservoir._clock)
+
+
+def maintaining_at_5():
+    reservoir = Reservoir.sprint_fill([result("base", 360)], capacity=3, now=5.0)
+    assert reservoir is not None
+    reservoir.refill([result("uhd", 2160)], now=5.0)
+    return reservoir
+
+
+def depleted_at_5():
+    reservoir = Reservoir.sprint_fill([result("only", 720)], capacity=3, now=5.0)
+    assert reservoir is not None
+    reservoir.on_active_failure(now=5.0)
+    return reservoir
+
+
+def quiet_upgrade_at_5():
+    # No standby beats the active stream: nothing is logged.
+    reservoir = filled_reservoir(capacity=4)
+    assert reservoir.evaluate_upgrade(now=5.0) is None
+    return reservoir
+
+
+def quiet_health_cycle_at_9():
+    # No standby to check: nothing is logged.
+    reservoir = Reservoir.sprint_fill([result("only", 720)], capacity=3)
+    assert reservoir is not None
+    assert reservoir.run_health_cycle(lambda slot: True, now=9.0) == 0
+    return reservoir
+
+
+# (setup, call): each call is refused by the clock, whether it is NaN or
+# behind an earlier call that logged nothing.
+REFUSED_CLOCKS = {
+    "nan-run_health_cycle": (
+        maintaining_at_5, lambda r: r.run_health_cycle(lambda slot: True, now=NAN)
+    ),
+    "nan-refill": (maintaining_at_5, lambda r: r.refill([result("new", 720)], now=NAN)),
+    "nan-evaluate_upgrade": (maintaining_at_5, lambda r: r.evaluate_upgrade(now=NAN)),
+    "nan-on_active_failure": (maintaining_at_5, lambda r: r.on_active_failure(now=NAN)),
+    "nan-reacquire": (depleted_at_5, lambda r: r.reacquire([result("a", 720)], now=NAN)),
+    "refill-after-quiet-upgrade": (
+        quiet_upgrade_at_5, lambda r: r.refill([result("new", 720)], now=3.0)
+    ),
+    "upgrade-after-quiet-health-cycle": (
+        quiet_health_cycle_at_9, lambda r: r.evaluate_upgrade(now=2.0)
+    ),
+}
+
+
 class TestBackwardClock:
     @pytest.mark.parametrize("method", list(BACKWARD_CALLS))
     def test_raise_changes_nothing(self, method):
@@ -477,6 +532,19 @@ class TestBackwardClock:
         with pytest.raises(ValueError):
             BACKWARD_CALLS[method](reservoir)
         assert snapshot(reservoir) == before
+
+    @pytest.mark.parametrize("case", list(REFUSED_CLOCKS))
+    def test_refused_clock_changes_nothing(self, case):
+        setup, call = REFUSED_CLOCKS[case]
+        reservoir = setup()
+        before = full_snapshot(reservoir)
+        with pytest.raises(ValueError):
+            call(reservoir)
+        assert full_snapshot(reservoir) == before
+
+    def test_nan_sprint_fill_raises(self):
+        with pytest.raises(ValueError):
+            Reservoir.sprint_fill([result("a", 720)], capacity=3, now=NAN)
 
 
 class TestHealthCycleGuarantee:
