@@ -39,7 +39,6 @@ from .prospect import (
     weight,
 )
 from .reservoir import (
-    LEGAL_TRANSITIONS,
     Reservoir,
     ReservoirEvent,
     ReservoirState,
@@ -87,7 +86,6 @@ __all__ = [
     "DepletionConfig",
     "DepletionResult",
     "HttpTransport",
-    "LEGAL_TRANSITIONS",
     "MonotonicityConfig",
     "ProbeResult",
     "ProspectParams",

@@ -4,7 +4,8 @@ verify runs the check registry (streamres.registry) and prints its report;
 the other subcommands run one simulator, closed form, score, curve or probe
 round.  Each subcommand takes only the options its handler reads.  Exit
 codes: 0 success (for verify, every hard check passed), 1 a hard check
-failed or nothing viable was probed, 2 usage error.
+failed or nothing viable was probed, 2 usage error (including a --trials too
+large to allocate).
 """
 
 from __future__ import annotations
@@ -381,7 +382,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "trials", MIN_TRIALS) < MIN_TRIALS:
             raise ValueError(f"trials must be >= {MIN_TRIALS}")
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # MemoryError: a --trials too large to allocate is a usage error too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,10 +17,10 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from heapq import heappush, heapreplace
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Sequence
 from urllib.parse import quote, urlsplit
 
 import numpy as np
@@ -74,9 +74,12 @@ class StreamCandidate:
             raise ValueError("quality must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeResult:
-    """Verdict for one candidate: viability, time to verdict, optional status."""
+class ProbeResult(NamedTuple):
+    """Verdict for one candidate: viability, time to verdict, optional status.
+
+    A tuple, so building one stays cheap: a registry run builds tens of
+    thousands.
+    """
 
     candidate: StreamCandidate
     viable: bool
@@ -260,7 +263,7 @@ def probe_all(
     def run(candidate: StreamCandidate) -> ProbeResult:
         result = transport.probe(candidate, timeout_ms)
         if result.latency_ms > timeout_ms:
-            return replace(result, viable=False, timed_out=True, latency_ms=timeout_ms)
+            return result._replace(viable=False, timed_out=True, latency_ms=timeout_ms)
         return result
 
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:

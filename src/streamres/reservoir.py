@@ -1,11 +1,13 @@
 """k-slot reservoir of verified streams.
 
-One slot is active (being consumed); the rest are warm standbys.  The
-lifecycle is a four-state machine: a sprint fills the reservoir from probe
-results, a maintain loop health-checks standbys and lazily refills losses,
-failures promote the best standby, and a drained reservoir asks to be
-re-acquired.  Upgrades to better standbys go through the loss-averse switch
-score, so a standby can outrank the active stream without instantly stealing
+One slot is active (being consumed); the rest are warm standbys.  A
+reservoir has two states: MAINTAIN while it holds streams, DEPLETED while it
+is empty, which is how a new one starts.  A fill from one probe round
+(``reacquire``; ``sprint_fill`` is that on a new reservoir) enters MAINTAIN.
+The maintain loop health-checks standbys and lazily refills losses, failures
+promote the best standby, and losing the last stream enters DEPLETED, which
+asks to be re-acquired.  Upgrades to better standbys go through the
+loss-averse switch score, so a standby can outrank the active stream without instantly stealing
 the session; it must first earn enough verification confidence.
 
 Standbys always stay in merit order (``_slot_order``: quality descending,
@@ -22,7 +24,8 @@ nothing, so no later call can log behind it; a health cycle commits its
 clock only once its checker has returned.
 
 Every event is logged as a ``ReservoirEvent``, a named tuple, in an
-append-only list.  A health cycle credits the standbys that pass in place
+append-only list; ``transitions`` reads the state changes off it, one per
+``filled`` or ``depleted`` event.  A health cycle credits the standbys that pass in place
 and rebuilds the slot list only when some standby failed.
 """
 
@@ -38,7 +41,6 @@ from .prospect import DEFAULT_PARAMS, ProspectParams, switch_score
 
 __all__ = [
     "ReservoirState",
-    "LEGAL_TRANSITIONS",
     "EVENT_KINDS",
     "Slot",
     "ReservoirEvent",
@@ -56,22 +58,9 @@ FRESH_VERIFICATIONS = 1
 
 
 class ReservoirState(Enum):
-    SPRINT = "sprint"
     MAINTAIN = "maintain"
-    TRANSITION = "transition"
     DEPLETED = "depleted"
 
-
-LEGAL_TRANSITIONS: frozenset[tuple[ReservoirState, ReservoirState]] = frozenset(
-    {
-        (ReservoirState.SPRINT, ReservoirState.MAINTAIN),
-        (ReservoirState.MAINTAIN, ReservoirState.TRANSITION),
-        (ReservoirState.TRANSITION, ReservoirState.MAINTAIN),
-        (ReservoirState.TRANSITION, ReservoirState.DEPLETED),
-        (ReservoirState.MAINTAIN, ReservoirState.DEPLETED),
-        (ReservoirState.DEPLETED, ReservoirState.SPRINT),
-    }
-)
 
 EVENT_KINDS = frozenset(
     {
@@ -85,6 +74,12 @@ EVENT_KINDS = frozenset(
         "reacquire",
     }
 )
+
+# The events that mark a change of state, and the change each one marks.
+_EDGES = {
+    "filled": (ReservoirState.DEPLETED, ReservoirState.MAINTAIN),
+    "depleted": (ReservoirState.MAINTAIN, ReservoirState.DEPLETED),
+}
 
 
 @dataclass(slots=True)
@@ -110,7 +105,11 @@ class ReservoirEvent(NamedTuple):
 
 
 class Reservoir:
-    """Mutable reservoir state machine.  Build one with sprint_fill()."""
+    """Mutable two-state reservoir: MAINTAIN holds slots, DEPLETED is empty.
+
+    A new reservoir is empty and DEPLETED; sprint_fill() builds one and
+    fills it from a first probe round.
+    """
 
     def __init__(
         self, capacity: int, params: ProspectParams = DEFAULT_PARAMS
@@ -119,11 +118,10 @@ class Reservoir:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.params = params
-        self.state = ReservoirState.SPRINT
+        self.state = ReservoirState.DEPLETED
         self.switch_count = 0
         self._slots: list[Slot] = []
         self._events: list[ReservoirEvent] = []
-        self._transitions: list[tuple[ReservoirState, ReservoirState]] = []
         self._arrival_seq = 0
         self._clock = 0.0
 
@@ -137,40 +135,15 @@ class Reservoir:
         params: ProspectParams = DEFAULT_PARAMS,
         now: float = 0.0,
     ) -> "Reservoir | None":
-        """Build a reservoir from one concurrent probe round.
+        """Build a reservoir and reacquire() it from one concurrent probe round.
 
-        Admits the up-to-capacity fastest viable candidates, makes the
-        highest-quality one active, and prefetches the rest.  Returns None
-        when nothing viable came back: acquisition failed, probe again.
+        Returns None when nothing viable came back: acquisition failed,
+        probe again.
         """
         if not probe_results:
             raise ValueError("probe_results must be non-empty")
         reservoir = cls(capacity=capacity, params=params)
-        reservoir._enter(ReservoirState.SPRINT, now)
-        if not reservoir._fill(probe_results, now):
-            return None
-        return reservoir
-
-    def _fill(self, probe_results: Sequence[ProbeResult], now: float) -> bool:
-        # Like refill, never admit an id twice: each id keeps its fastest
-        # verdict, up to capacity.  A depleted reservoir re-enters the
-        # sprint only when something was picked.
-        picked: dict[str, ProbeResult] = {}
-        for result in sort_results(probe_results):
-            if not result.viable or len(picked) == self.capacity:
-                break
-            picked.setdefault(result.candidate.id, result)
-        if not picked:
-            return False
-        if self.state is ReservoirState.DEPLETED:
-            self._transition(ReservoirState.SPRINT)
-        # Highest quality leads; admission (latency) order breaks ties via
-        # arrival, keeping equal-quality picks deterministic.
-        for result in picked.values():
-            self._admit(result, lo=0)
-        self._transition(ReservoirState.MAINTAIN)
-        self._log("filled", self.active.candidate.id, now)
-        return True
+        return reservoir if reservoir.reacquire(probe_results, now) else None
 
     def _admit(self, result: ProbeResult, lo: int) -> None:
         # lo=1 places the slot among the standbys, leaving the active alone.
@@ -204,7 +177,10 @@ class Reservoir:
 
     @property
     def transitions(self) -> tuple[tuple[ReservoirState, ReservoirState], ...]:
-        return tuple(self._transitions)
+        """The state changes so far, read off the event log."""
+        return tuple(
+            _EDGES[event.kind] for event in self._events if event.kind in _EDGES
+        )
 
     def slot_ids(self) -> set[str]:
         return {slot.candidate.id for slot in self._slots}
@@ -305,14 +281,12 @@ class Reservoir:
                 best_score = score
         if best_index is None:
             return None
-        self._transition(ReservoirState.TRANSITION)
         promoted = self._slots.pop(best_index)
         demoted = self._slots[0]
         self._slots[0] = promoted
         bisect.insort(self._slots, demoted, lo=1, key=_slot_order)
         self.switch_count += 1
         self._log("upgrade", promoted.candidate.id, now, score=best_score)
-        self._transition(ReservoirState.MAINTAIN)
         return best_index, best_score
 
     # -- failover ----------------------------------------------------------
@@ -326,31 +300,40 @@ class Reservoir:
         Returns the new active slot, or None when depleted.
         """
         self._enter(ReservoirState.MAINTAIN, now)
-        self._transition(ReservoirState.TRANSITION)
         failed = self._slots.pop(0)
         self._log("failover", failed.candidate.id, now)
         if self._slots:
             # Standbys are sorted, so the best one is already in front.
-            promoted = self._slots[0]
-            self._transition(ReservoirState.MAINTAIN)
-            return promoted
-        self._transition(ReservoirState.DEPLETED)
+            return self._slots[0]
+        self.state = ReservoirState.DEPLETED
         self._log("depleted", None, now)
         self._log("reacquire", None, now)
         return None
 
     def reacquire(self, probe_results: Sequence[ProbeResult], now: float) -> bool:
-        """Attempt to restart a depleted reservoir from a fresh probe round.
+        """Fill an empty (depleted or new) reservoir from one probe round.
 
-        On success the machine passes back through the sprint phase and
-        returns True; on a fruitless round it stays depleted, logs another
-        re-acquisition request, and returns False.
+        Admits the up-to-capacity fastest viable candidates, each id once
+        with its fastest verdict, makes the highest-quality one active,
+        enters MAINTAIN and returns True.  On a fruitless round it stays
+        depleted, logs another re-acquisition request, and returns False.
         """
         self._enter(ReservoirState.DEPLETED, now)
-        if self._fill(probe_results, now):
-            return True
-        self._log("reacquire", None, now)
-        return False
+        picked: dict[str, ProbeResult] = {}
+        for result in sort_results(probe_results):
+            if not result.viable or len(picked) == self.capacity:
+                break
+            picked.setdefault(result.candidate.id, result)
+        if not picked:
+            self._log("reacquire", None, now)
+            return False
+        # Highest quality leads; admission (latency) order breaks ties via
+        # arrival, keeping equal-quality picks deterministic.
+        for result in picked.values():
+            self._admit(result, lo=0)
+        self.state = ReservoirState.MAINTAIN
+        self._log("filled", self._slots[0].candidate.id, now)
+        return True
 
     # -- trace -------------------------------------------------------------
 
@@ -374,13 +357,6 @@ class Reservoir:
             raise ValueError("event timestamps must be non-decreasing")
         if commit:
             self._clock = now
-
-    def _transition(self, to: ReservoirState) -> None:
-        edge = (self.state, to)
-        if edge not in LEGAL_TRANSITIONS:
-            raise RuntimeError(f"illegal transition {edge[0].value} -> {edge[1].value}")
-        self._transitions.append(edge)
-        self.state = to
 
     def _log(
         self, kind: str, slot_id: str | None, now: float, score: float | None = None

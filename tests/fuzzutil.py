@@ -1,20 +1,19 @@
 """Seeded operation fuzzer for the reservoir state machine.
 
 Drives a reservoir through random operation sequences and asserts the
-structural invariants after every step: legal transitions only, standbys in
-merit order, unique slot ids, capacity respected, event log well-formed.
+structural invariants after every step: fills and depletions alternate,
+empty exactly when depleted, standbys in merit order, unique slot ids,
+capacity respected, event log well-formed.
 Shared by the property suite and the acceptance suite.
 """
 
 import numpy as np
 
 from streamres.probe import ProbeResult, StreamCandidate
-from streamres.reservoir import (
-    EVENT_KINDS,
-    LEGAL_TRANSITIONS,
-    Reservoir,
-    ReservoirState,
-)
+from streamres.reservoir import EVENT_KINDS, Reservoir, ReservoirState
+
+FILL = (ReservoirState.DEPLETED, ReservoirState.MAINTAIN)
+DEPLETE = (ReservoirState.MAINTAIN, ReservoirState.DEPLETED)
 
 QUALITY_LEVELS = (360, 480, 720, 1080, 1440, 2160)
 POOL_SIZE = 8
@@ -31,7 +30,7 @@ def check_invariants(reservoir: Reservoir) -> None:
     assert len(ids) == len(set(ids)), "duplicate slot ids"
     standbys = list(reservoir.standbys)
     assert standbys == sorted(standbys, key=slot_order_key), "standbys out of order"
-    assert set(reservoir.transitions) <= LEGAL_TRANSITIONS, "illegal transition"
+    check_transitions(reservoir)
     if reservoir.state is ReservoirState.DEPLETED:
         assert not slots, "depleted reservoir still holds slots"
     if reservoir.state is ReservoirState.MAINTAIN:
@@ -39,6 +38,19 @@ def check_invariants(reservoir: Reservoir) -> None:
     timestamps = [event.timestamp for event in reservoir.events]
     assert timestamps == sorted(timestamps), "event log out of order"
     assert all(event.kind in EVENT_KINDS for event in reservoir.events)
+
+
+def check_transitions(reservoir: Reservoir) -> None:
+    """Fills and depletions alternate from a fill, one edge per such event."""
+    transitions = reservoir.transitions
+    assert transitions == tuple(
+        (FILL, DEPLETE)[i % 2] for i in range(len(transitions))
+    ), "transitions do not alternate"
+    marks = [e.kind for e in reservoir.events if e.kind in ("filled", "depleted")]
+    assert len(transitions) == len(marks), "an edge per filled or depleted event"
+    # A new reservoir starts empty and depleted, before any edge.
+    last = transitions[-1][1] if transitions else ReservoirState.DEPLETED
+    assert last is reservoir.state, "state is not where the last edge ends"
 
 
 def run_fuzz_sequence(seed: int, ops: int = 20) -> Reservoir:

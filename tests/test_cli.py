@@ -164,6 +164,21 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == "error: failure rates must be finite\n"
 
+    # 10**15 float64 draws are 8 PB, beyond any user address space, so the
+    # allocation fails at once without touching memory.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["simulate", "depletion"],
+            ["speedup", "12", "3", "0.4", "--empirical"],
+        ],
+    )
+    def test_trials_too_large_to_allocate_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli([*argv, "--trials", str(10**15)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("command, flag", [("probe", "--urls")])

@@ -44,7 +44,7 @@ class Model:
 
     def __init__(self, capacity, params):
         self.capacity, self.params = capacity, params
-        self.state, self.clock, self.switches = S.SPRINT, 0.0, 0
+        self.state, self.clock, self.switches = S.DEPLETED, 0.0, 0
         self.slots, self.events, self.transitions, self.arrivals = [], [], [], 0
 
     def enter(self, state, now):
@@ -67,7 +67,7 @@ class Model:
     def sprint_fill(self, results, now):
         if not results:
             raise ValueError("empty round")
-        self.enter(S.SPRINT, now)
+        self.enter(S.DEPLETED, now)
         self.clock = now
         return self.fill(results, now)
 
@@ -78,8 +78,6 @@ class Model:
                 picked[r.candidate.id] = r
         if not picked:
             return False
-        if self.state is S.DEPLETED:
-            self.go(S.SPRINT)
         for r in picked.values():
             self.admit(r)
         self.slots.sort(key=merit)
@@ -132,22 +130,18 @@ class Model:
         best, minus_index = max(scores, default=(0.0, 0))
         if best <= 0.0:
             return None
-        self.go(S.TRANSITION)
         promoted = self.slots.pop(-minus_index)
         self.slots.insert(0, promoted)
         self.sort_standbys()
         self.switches += 1
         self.events.append(("upgrade", promoted[0].id, now, best))
-        self.go(S.MAINTAIN)
         return -minus_index, best
 
     def on_active_failure(self, now):
         self.enter(S.MAINTAIN, now)
         self.clock = now
-        self.go(S.TRANSITION)
         self.events.append(("failover", self.slots.pop(0)[0].id, now, None))
         if self.slots:
-            self.go(S.MAINTAIN)
             return self.slots[0][0].id
         self.go(S.DEPLETED)
         self.events += [("depleted", None, now, None), ("reacquire", None, now, None)]

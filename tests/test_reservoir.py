@@ -10,7 +10,6 @@ from streamres.prospect import ProspectParams
 from streamres.reservoir import (
     ACTIVE_VERIFIED_CAP,
     EVENT_KINDS,
-    LEGAL_TRANSITIONS,
     Reservoir,
     ReservoirEvent,
     ReservoirState,
@@ -40,6 +39,10 @@ def filled_reservoir(capacity=3):
     )
     assert reservoir is not None
     return reservoir
+
+
+FILL = (ReservoirState.DEPLETED, ReservoirState.MAINTAIN)
+DEPLETE = (ReservoirState.MAINTAIN, ReservoirState.DEPLETED)
 
 
 def drop(reservoir, *ids, now=1.0):
@@ -332,19 +335,13 @@ class TestUpgrade:
         assert outcome[0] == 1
         assert reservoir.active.candidate.id == "twin-a"
 
-    def test_upgrade_passes_through_transition(self):
+    def test_upgrade_changes_no_state(self):
         reservoir = Reservoir.sprint_fill([result("base", 360)], capacity=2)
         assert reservoir is not None
         reservoir.refill([result("uhd", 2160)], now=1.0)
-        reservoir.evaluate_upgrade(now=2.0)
-        assert (
-            ReservoirState.MAINTAIN,
-            ReservoirState.TRANSITION,
-        ) in reservoir.transitions
-        assert (
-            ReservoirState.TRANSITION,
-            ReservoirState.MAINTAIN,
-        ) in reservoir.transitions
+        assert reservoir.evaluate_upgrade(now=2.0) is not None
+        assert reservoir.state is ReservoirState.MAINTAIN
+        assert reservoir.transitions == (FILL,)
 
 
 class TestFailover:
@@ -398,10 +395,7 @@ class TestReacquire:
         )
         assert reservoir.state is ReservoirState.MAINTAIN
         assert reservoir.active.candidate.id == "a"
-        assert (
-            ReservoirState.DEPLETED,
-            ReservoirState.SPRINT,
-        ) in reservoir.transitions
+        assert reservoir.transitions == (FILL, DEPLETE, FILL)
 
     def test_requires_depleted_state(self):
         reservoir = filled_reservoir()
@@ -547,6 +541,49 @@ class TestBackwardClock:
             Reservoir.sprint_fill([result("a", 720)], capacity=3, now=NAN)
 
 
+class TestNewReservoir:
+    def test_starts_empty_and_depleted(self):
+        reservoir = Reservoir(3)
+        assert reservoir.state is ReservoirState.DEPLETED
+        assert reservoir.slots == ()
+        assert reservoir.events == ()
+        assert reservoir.transitions == ()
+
+    # The maintain operations, at a clock (1.0) that is not behind a new
+    # reservoir's: only the state refuses them.
+    @pytest.mark.parametrize("method", list(BACKWARD_CALLS))
+    def test_maintain_operations_raise_and_change_nothing(self, method):
+        reservoir = Reservoir(3)
+        before = full_snapshot(reservoir)
+        with pytest.raises(RuntimeError):
+            BACKWARD_CALLS[method](reservoir)
+        assert full_snapshot(reservoir) == before
+
+    def test_reacquire_is_sprint_fill(self):
+        round_ = [
+            result("hi", 1080, latency=30.0),
+            result("mid", 720, latency=20.0),
+            result("mid", 720, latency=25.0),
+            result("lo", 480, latency=10.0),
+        ]
+        built = Reservoir.sprint_fill(round_, capacity=2, now=4.0)
+        reservoir = Reservoir(2)
+        assert reservoir.reacquire(round_, now=4.0)
+        assert full_snapshot(reservoir) == full_snapshot(built)
+        assert [(s.candidate.id, s.arrival) for s in reservoir.slots] == [
+            (s.candidate.id, s.arrival) for s in built.slots
+        ]
+
+    def test_fruitless_reacquire_matches_sprint_fill(self):
+        round_ = [result("dead", 720, viable=False)]
+        assert Reservoir.sprint_fill(round_, capacity=2, now=4.0) is None
+        reservoir = Reservoir(2)
+        assert not reservoir.reacquire(round_, now=4.0)
+        assert reservoir.state is ReservoirState.DEPLETED
+        assert reservoir.slots == ()
+        assert [e.kind for e in reservoir.events] == ["reacquire"]
+
+
 class TestHealthCycleGuarantee:
     def test_checker_sees_every_standby_before_any_verdict(self):
         reservoir = filled_reservoir()
@@ -676,7 +713,7 @@ class TestTrace:
 
 
 class TestLifecycle:
-    def test_full_cycle_transitions_are_legal(self):
+    def test_full_cycle_transitions_alternate(self):
         reservoir = filled_reservoir()
         reservoir.run_health_cycle(lambda slot: slot.candidate.id != "lo", now=1.0)
         reservoir.refill([result("new", 900)], now=2.0)
@@ -685,7 +722,13 @@ class TestLifecycle:
             reservoir.on_active_failure(now=4.0)
         assert not reservoir.reacquire([result("x", 720, viable=False)], now=5.0)
         assert reservoir.reacquire([result("y", 1080)], now=6.0)
-        assert set(reservoir.transitions) <= LEGAL_TRANSITIONS
+        while reservoir.state is ReservoirState.MAINTAIN:
+            reservoir.on_active_failure(now=7.0)
+        assert reservoir.transitions == (FILL, DEPLETE, FILL, DEPLETE)
+        edges = {"filled": FILL, "depleted": DEPLETE}
+        assert reservoir.transitions == tuple(
+            edges[e.kind] for e in reservoir.events if e.kind in edges
+        )
 
     def test_custom_params_flow_through(self):
         # Zero switch cost: any positive delta upgrades at once.
