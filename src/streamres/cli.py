@@ -196,13 +196,23 @@ def _read_lines(path: str) -> list[str]:
 
 def _read_url_file(path: str) -> list[StreamCandidate]:
     candidates = []
-    for raw in _read_lines(path):
+    for number, raw in enumerate(_read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         url = parts[0]
-        quality = int(parts[1]) if len(parts) > 1 else DEFAULT_QUALITY
+        quality = DEFAULT_QUALITY
+        if len(parts) > 1:
+            try:
+                quality = int(parts[1])
+            except ValueError:
+                quality = 0  # reported below like any other non-positive value
+            if quality < 1:
+                raise ValueError(
+                    f"{path}:{number}: quality must be a positive integer, "
+                    f"got {parts[1]!r}"
+                )
         candidates.append(
             StreamCandidate(
                 id=url,

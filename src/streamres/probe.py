@@ -70,8 +70,10 @@ class StreamCandidate:
     locator: str
 
     def __post_init__(self) -> None:
-        if self.quality <= 0:
-            raise ValueError("quality must be positive")
+        # NaN fails too: a non-finite quality would pass admission and then
+        # make a switch score raise halfway through a reservoir operation.
+        if not 0 < self.quality < math.inf:
+            raise ValueError("quality must be positive and finite")
 
 
 class ProbeResult(NamedTuple):
@@ -112,38 +114,42 @@ class SimTransport:
     ) -> None:
         if not (median_latency_ms > 0.0 and sigma >= 0.0):  # NaN fails too
             raise ValueError("median latency must be positive and sigma non-negative")
+        # A global probability is the default of an empty per-id map.
         if isinstance(failure_prob, Mapping):
-            failure_prob = dict(failure_prob)
-            probs = failure_prob.values()
+            fail_probs, fail_default = dict(failure_prob), 0.0
         else:
-            probs = [failure_prob]
+            fail_probs, fail_default = {}, failure_prob
+        probs = [*fail_probs.values(), fail_default]
         if not all(0.0 <= prob <= 1.0 for prob in probs):
             raise ValueError("failure probability must lie in [0, 1]")
         self._rng = rng
-        self._failure_prob = failure_prob
+        self._fail_probs = fail_probs
+        self._fail_default = fail_default
         self._median = median_latency_ms
         self._sigma = sigma
         self._streams: dict[str, np.random.Generator] = {}
         self._lock = threading.Lock()
 
-    def _fail_prob(self, candidate_id: str) -> float:
-        if isinstance(self._failure_prob, dict):
-            return self._failure_prob.get(candidate_id, 0.0)
-        return self._failure_prob
-
     def probe(self, candidate: StreamCandidate, timeout_ms: float) -> ProbeResult:
         # Draw under the lock: one probe takes a candidate's next two draws
-        # at once, and no two threads use one Generator together.
-        with self._lock:
-            gen = self._streams.get(candidate.id)
+        # at once, and no two threads use one Generator together.  A maintain
+        # loop makes this call for every standby on every tick, so it takes
+        # the lock without a context manager and builds its result
+        # positionally, the cheapest form of each.
+        key = candidate.id
+        self._lock.acquire()
+        try:
+            gen = self._streams.get(key)
             if gen is None:
-                gen = self._rng.substream(zlib.crc32(candidate.id.encode()))
-                self._streams[candidate.id] = gen
+                gen = self._rng.substream(zlib.crc32(key.encode()))
+                self._streams[key] = gen
             # Fixed draw order: failure verdict first, then latency.
-            failed = gen.random() < self._fail_prob(candidate.id)
+            failed = gen.random() < self._fail_probs.get(key, self._fail_default)
             normal = gen.standard_normal()
+        finally:
+            self._lock.release()
         latency = self._median * math.exp(self._sigma * normal)
-        return ProbeResult(candidate=candidate, viable=not failed, latency_ms=latency)
+        return ProbeResult(candidate, not failed, latency)
 
 
 class HttpTransport:

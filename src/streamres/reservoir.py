@@ -196,23 +196,27 @@ class Reservoir:
         refill request).
         """
         self._enter(ReservoirState.MAINTAIN, now, commit=False)
-        standbys = self._slots[1:]
+        slots = self._slots
+        standbys = slots[1:]
         verdicts = [bool(checker(slot)) for slot in standbys]
         self._clock = now  # the checker returned: commit the call
         log = self._events.append
+        failures = 0
         for slot, viable in zip(standbys, verdicts):
             if viable:
                 slot.verified_count += 1
                 log(ReservoirEvent("health_pass", slot.candidate.id, now))
             else:
+                failures += 1
                 log(ReservoirEvent("health_fail", slot.candidate.id, now))
-        failures = verdicts.count(False)
         if failures:
-            self._slots[1:] = [
-                slot for slot, viable in zip(standbys, verdicts) if viable
-            ]
-        active = self._slots[0]
-        active.verified_count = min(ACTIVE_VERIFIED_CAP, active.verified_count + 1)
+            slots[1:] = [slot for slot, viable in zip(standbys, verdicts) if viable]
+        # min() by one comparison; a promoted standby above the cap drops to it.
+        active = slots[0]
+        count = active.verified_count + 1
+        active.verified_count = (
+            count if count < ACTIVE_VERIFIED_CAP else ACTIVE_VERIFIED_CAP
+        )
         return failures
 
     def refill(self, fresh_results: Sequence[ProbeResult], now: float) -> int:
@@ -227,7 +231,7 @@ class Reservoir:
         fresh = [r for r in fresh_results if r.viable]
         fresh.sort(key=lambda r: (-r.candidate.quality, r.latency_ms))
         admitted = 0
-        held = self.slot_ids()
+        held = {slot.candidate.id for slot in self._slots}
         for result in fresh:
             if result.candidate.id in held:
                 continue
@@ -236,13 +240,14 @@ class Reservoir:
                 if len(self._slots) < 2:
                     break  # only the active slot; nothing replaceable
                 worst = self._slots[-1]
-                if result.candidate.quality <= worst.quality:
+                worst_quality = worst.candidate.quality
+                if result.candidate.quality <= worst_quality:
                     # Scores at most -switch_cost; fresh is quality-descending
                     # and a displacement never lowers the worst quality, so
                     # no later result can win either.
                     break
                 score = switch_score(
-                    worst.quality,
+                    worst_quality,
                     result.candidate.quality,
                     FRESH_VERIFICATIONS,
                     self.params,
@@ -267,14 +272,15 @@ class Reservoir:
         self._enter(ReservoirState.MAINTAIN, now)
         best_index = None
         best_score = 0.0
-        active_quality = self._slots[0].quality
+        active_quality = self._slots[0].candidate.quality
         for index, slot in enumerate(self._slots[1:], start=1):
-            if slot.quality <= active_quality:
+            quality = slot.candidate.quality
+            if quality <= active_quality:
                 # Scores at most -switch_cost, and so does every standby
                 # after it: standbys are quality-descending.
                 break
             score = switch_score(
-                active_quality, slot.quality, slot.verified_count, self.params
+                active_quality, quality, slot.verified_count, self.params
             )
             if score > 0.0 and (best_index is None or score > best_score):
                 best_index = index
@@ -367,4 +373,4 @@ class Reservoir:
 def _slot_order(slot: Slot) -> tuple[int, int, int]:
     # Quality descending, then verification count descending, then earlier
     # arrival: the deterministic merit order used everywhere.
-    return (-slot.quality, -slot.verified_count, slot.arrival)
+    return (-slot.candidate.quality, -slot.verified_count, slot.arrival)

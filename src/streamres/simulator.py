@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -212,16 +211,6 @@ def _summary(history: list[int], offset: int, switch_count: int) -> TrialSummary
     )
 
 
-def _uniform_stream(gen: np.random.Generator) -> Iterator[float]:
-    """gen's uniforms one at a time, drawn _UNIFORM_CHUNK per call.
-
-    random() spends one 64-bit output per double, so the values are those
-    of one random(n) call per use, in the same order.
-    """
-    while True:
-        yield from gen.random(_UNIFORM_CHUNK).tolist()
-
-
 def run_monotonicity(
     config: MonotonicityConfig,
     rng: Rng,
@@ -237,7 +226,21 @@ def run_monotonicity(
     exactly the claim under test: the trajectory never steps down, and it
     ends at the best quality whose availability clears tau.
     """
-    uniforms = _uniform_stream(rng.substream(trial))
+    gen = rng.substream(trial)
+    # The trial's uniforms, drawn _UNIFORM_CHUNK per random() call and taken
+    # in order from the cursor on.  random() spends one 64-bit output per
+    # double, so they are the values of one long random(n) call.
+    drawn: list[float] = []
+    cursor = 0
+
+    def take(n: int) -> list[float]:
+        nonlocal drawn, cursor
+        while len(drawn) - cursor < n:
+            drawn = drawn[cursor:] + gen.random(_UNIFORM_CHUNK).tolist()
+            cursor = 0
+        cursor += n
+        return drawn[cursor - n : cursor]
+
     candidates = _candidates("p", (quality for quality, _ in config.providers))
     count = len(candidates)
     provider_index = {c.provider_id: i for i, c in enumerate(candidates)}
@@ -253,14 +256,9 @@ def run_monotonicity(
     def probe_round(indices: Sequence[int]) -> list[ProbeResult]:
         # Draws a latency for every provider, probed or not, so the stream
         # does not depend on which ones are.
-        latencies = list(islice(uniforms, count))
+        latencies = take(count)
         return [
-            ProbeResult(
-                candidate=candidates[i],
-                viable=up[i],
-                latency_ms=latencies[i] * 1000.0,
-            )
-            for i in indices
+            ProbeResult(candidates[i], up[i], latencies[i] * 1000.0) for i in indices
         ]
 
     def healthy(slot: Slot) -> bool:
@@ -269,7 +267,7 @@ def run_monotonicity(
 
     for step in range(config.steps + 1):
         now = float(step)
-        up = [u < a for u, a in zip(islice(uniforms, count), availabilities)]
+        up = [u < a for u, a in zip(take(count), availabilities)]
         if reservoir is None:
             # Initial acquisition probes every provider; repeat until some
             # candidate is viable.

@@ -179,6 +179,16 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("quality", ["72Op", "0"])
+    def test_bad_url_quality_names_file_and_line(self, capsys, tmp_path, quality):
+        urls = tmp_path / "urls.txt"
+        urls.write_text(f"http://127.0.0.1:1/a.m3u8 720\nhttp://127.0.0.1:1/b.m3u8 {quality}\n")
+        code, out, err = run_cli(["probe", "--urls", str(urls)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {urls}:2: quality must be a positive integer, got {quality!r}\n"
+        )
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("command, flag", [("probe", "--urls")])

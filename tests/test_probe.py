@@ -1,5 +1,6 @@
 """Concurrent probing: determinism, ordering, scheduling, real HTTP."""
 
+import hashlib
 import http.server
 import math
 import os
@@ -99,6 +100,30 @@ class TestSimTransport:
         assert transport.probe(candidate, 1e9) == ProbeResult(
             candidate=candidate, viable=viable, latency_ms=latency
         )
+
+    # Six ids, c0 listed twice, and a per-id mapping that leaves c5 out (it
+    # probes at 0.0): 43 rounds of 7 probes on one thread.  A change to the
+    # draw order, the draws per probe or the latency arithmetic moves it.
+    DRAW_SEQUENCE_SHA256 = (
+        "a3315745caeefe3e412ab926b023947bb3185b6b0c0704575523233c3a3b783c"
+    )
+
+    def test_draw_sequence_is_pinned(self):
+        candidates = make_candidates(6)
+        lines = candidates + candidates[:1]
+        transport = SimTransport(
+            Rng(2024),
+            failure_prob={"c0": 0.3, "c1": 0.5, "c2": 0.0, "c3": 1.0, "c4": 0.1},
+            median_latency_ms=180.0,
+            sigma=0.7,
+        )
+        digest = hashlib.sha256()
+        for _ in range(43):
+            for candidate in lines:
+                result = transport.probe(candidate, 1e9)
+                record = (result.candidate.id, result.viable, repr(result.latency_ms))
+                digest.update(f"{record}\n".encode())
+        assert digest.hexdigest() == self.DRAW_SEQUENCE_SHA256
 
     def test_repeated_id_draws_same_results_at_any_fan_out(self):
         # Threads share a candidate's generator under the lock; a lost or
@@ -416,8 +441,10 @@ class TestHttpTransport:
 
 class TestCandidateValidation:
     def test_quality_must_be_positive(self):
-        with pytest.raises(ValueError):
-            StreamCandidate("a", "p", 0, "sim://a")
+        # Finite too: NaN and inf would fail later, inside a reservoir call.
+        for quality in (0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                StreamCandidate("a", "p", quality, "sim://a")
 
 
 DRIP_LINES = (

@@ -164,6 +164,14 @@ class TestHealth:
             reservoir.run_health_cycle(lambda slot: True, now=float(step))
         assert reservoir.active.verified_count == ACTIVE_VERIFIED_CAP
 
+    def test_cycle_brings_active_above_cap_down_to_it(self):
+        # A standby promoted with more verifications than the cap holds them
+        # only until the next cycle credits it.
+        reservoir = filled_reservoir()
+        reservoir.active.verified_count = ACTIVE_VERIFIED_CAP + 5
+        reservoir.run_health_cycle(lambda slot: True, now=1.0)
+        assert reservoir.active.verified_count == ACTIVE_VERIFIED_CAP
+
     def test_cycle_surviving_standbys_gain_verifications(self):
         reservoir = filled_reservoir()
         reservoir.run_health_cycle(lambda slot: True, now=1.0)

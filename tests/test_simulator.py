@@ -320,6 +320,22 @@ class TestMonotonicityPinned:
         assert len(trace) == lines
         assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_uniform_chunk_size_changes_no_draw(self, monkeypatch, chunk):
+        # 20 providers take 20 uniforms at a time: a chunk of 1 or 7 refills
+        # several times within one take, and a take may straddle two chunks.
+        providers = tuple((240 + 60 * i, 0.3 + 0.035 * i) for i in range(20))
+        config = MonotonicityConfig(providers, steps=150, tau=0.5, slot_count=3)
+
+        def trial():
+            trace: list[str] = []
+            result = run_monotonicity(config, Rng(9), 4, trace_sink=trace)
+            return result, trace
+
+        reference = trial()
+        monkeypatch.setattr(simulator, "_UNIFORM_CHUNK", chunk)
+        assert trial() == reference
+
 
 # Event logs of 200-op fuzz sequences.  Each one refills, upgrades, drains
 # and reacquires, so the digest pins every path that places a slot.
