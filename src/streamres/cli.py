@@ -123,8 +123,20 @@ def _cmd_monotonicity(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_levels(text: str) -> tuple[int, ...]:
+    try:
+        levels = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        levels = ()  # reported below like a non-positive level
+    if not levels or min(levels) < 1:
+        raise ValueError(
+            f"--levels: expected comma-separated positive integers, got {text!r}"
+        )
+    return levels
+
+
 def _cmd_thrash(args: argparse.Namespace) -> int:
-    levels = tuple(int(level) for level in args.levels.split(","))
+    levels = _parse_levels(args.levels)
     trace: list[str] | None = [] if args.trace else None
     summary = run_thrash(levels, steps=args.steps, trace_sink=trace)
     print(f"switches {summary.switch_count} ({args.steps} steps, {len(levels)} levels)")
@@ -201,6 +213,10 @@ def _read_url_file(path: str) -> list[StreamCandidate]:
         if not line:
             continue
         parts = line.split()
+        if len(parts) > 2:
+            raise ValueError(
+                f"{path}:{number}: expected 'url [quality]', got {len(parts)} fields"
+            )
         url = parts[0]
         quality = DEFAULT_QUALITY
         if len(parts) > 1:

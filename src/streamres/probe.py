@@ -2,10 +2,15 @@
 
 A probe round issues up to max_in_flight checks at once and always waits for
 every verdict; there is no early exit, because the reservoir wants the full
-ranking, not just the first success.  SimTransport draws deterministic
-verdicts from one substream per candidate, its attempts in sequence;
-HttpTransport sends real HEAD probes on the standard library, each bounded
-by one deadline, and never raises.
+ranking, not just the first success.  The round runs on lanes: the calling
+thread is one, and at most max_in_flight - 1 short-lived helper threads are
+the rest (none for a one-lane round); each lane takes the next candidate in
+input order until none is left.  SimTransport draws deterministic verdicts
+from one substream per candidate, its attempts in sequence; HttpTransport
+sends real HEAD probes on the standard library, each bounded by one
+deadline, and never raises.  What a HEAD probe needs of its URL alone (host,
+port, the encoded request) is prepared once per URL and cached, since
+health checks and refill rounds probe the same locators again and again.
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ import socket
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from heapq import heappush, heapreplace
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Sequence
 from urllib.parse import quote, urlsplit
@@ -190,23 +194,13 @@ def _head_status(url: str, deadline: float) -> int:
     perf_counter value) and raises TimeoutError past it.  Malformed URLs and
     heads raise ValueError; network and TLS failures raise OSError.
     """
-    parts = urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"not an http(s) URL: {url!r}")
-    port = parts.port or (443 if parts.scheme == "https" else 80)
-    target = quote(parts.path or "/", safe=_URL_SAFE)
-    if parts.query:
-        target += "?" + quote(parts.query, safe=_URL_SAFE)
-    request = (
-        f"HEAD {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
-        "User-Agent: streamres\r\nAccept: */*\r\nConnection: close\r\n\r\n"
-    ).encode("ascii")
+    https, hostname, address, request = _head_request(url)
     # Each address of the host may wait for what is left of the deadline.
-    sock = socket.create_connection((parts.hostname, port), _remaining(deadline))
+    sock = socket.create_connection(address, _remaining(deadline))
     try:
-        if parts.scheme == "https":
+        if https:
             sock.settimeout(_remaining(deadline))
-            sock = _tls_context().wrap_socket(sock, server_hostname=parts.hostname)
+            sock = _tls_context().wrap_socket(sock, server_hostname=hostname)
         sock.settimeout(_remaining(deadline))
         sock.sendall(request)
         head = b""
@@ -224,6 +218,31 @@ def _head_status(url: str, deadline: float) -> int:
     if status_line is None:
         raise ValueError("malformed status line")
     return int(status_line[1])
+
+
+@lru_cache(maxsize=1024)
+def _head_request(url: str) -> tuple[bool, str, tuple[bytes, int], bytes]:
+    """What a HEAD probe of url needs of the URL alone, prepared once per URL.
+
+    Returns whether it is https, the host name, the (IDNA-encoded host,
+    port) address and the encoded request.  A URL that is not http(s) with
+    a host, has a bad port or a non-ASCII host raises ValueError; an
+    lru_cache stores no exception, so such a URL raises on every probe.
+    """
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"not an http(s) URL: {url!r}")
+    port = parts.port or (443 if parts.scheme == "https" else 80)
+    target = quote(parts.path or "/", safe=_URL_SAFE)
+    if parts.query:
+        target += "?" + quote(parts.query, safe=_URL_SAFE)
+    request = (
+        f"HEAD {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
+        "User-Agent: streamres\r\nAccept: */*\r\nConnection: close\r\n\r\n"
+    ).encode("ascii")
+    # The encoding socket.getaddrinfo would apply to a str host on every call.
+    host = parts.hostname.encode("idna")
+    return parts.scheme == "https", parts.hostname, (host, port), request
 
 
 def _remaining(deadline: float) -> float:
@@ -254,6 +273,14 @@ def probe_all(
     once (default: every candidate, up to MAX_IN_FLIGHT).  A verdict slower
     than the timeout is recorded as timed out and non-viable with latency
     clamped to the timeout.
+
+    The probes run on min(max_in_flight, len(candidates)) lanes: the calling
+    thread and one short-lived helper thread per further lane, so a one-lane
+    round starts no thread.  Each lane takes the next candidate in input
+    order.  If a probe raises, every other probe still runs (an interrupt or
+    exit stops the lanes taking more), and the first exception in input
+    order is raised once every lane has finished; no helper thread outlives
+    the call.
     """
     if not math.isfinite(timeout_ms):
         raise ValueError("timeout must be finite")
@@ -263,17 +290,49 @@ def probe_all(
         max_in_flight = max(1, min(len(candidates), MAX_IN_FLIGHT))
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
-    if not candidates:
-        return []
+    count = len(candidates)
+    results: list[ProbeResult] = [None] * count  # type: ignore[list-item]
+    errors: dict[int, BaseException] = {}
+    take = threading.Lock()
+    next_index = 0
 
-    def run(candidate: StreamCandidate) -> ProbeResult:
-        result = transport.probe(candidate, timeout_ms)
-        if result.latency_ms > timeout_ms:
-            return result._replace(viable=False, timed_out=True, latency_ms=timeout_ms)
-        return result
+    def lane() -> None:
+        nonlocal next_index
+        while True:
+            with take:
+                index = next_index
+                next_index += 1
+            if index >= count:
+                return
+            try:
+                result = transport.probe(candidates[index], timeout_ms)
+            except BaseException as exc:  # the caller raises it once every lane is done
+                errors[index] = exc
+                if not isinstance(exc, Exception):
+                    # An interrupt or exit ends the round: no lane takes more.
+                    with take:
+                        next_index = count
+                continue
+            if result.latency_ms > timeout_ms:
+                result = result._replace(viable=False, timed_out=True, latency_ms=timeout_ms)
+            results[index] = result
 
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(run, candidates))
+    helpers: list[threading.Thread] = []
+    try:
+        for _ in range(min(max_in_flight, count) - 1):
+            helper = threading.Thread(target=lane)
+            helper.start()
+            helpers.append(helper)
+        lane()
+    finally:
+        # Past an interrupt or a failed thread start, no lane takes more.
+        with take:
+            next_index = count
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def sort_results(results: Iterable[ProbeResult]) -> list[ProbeResult]:
@@ -286,6 +345,8 @@ def simulated_makespan(latencies_ms: Sequence[float], max_in_flight: int) -> flo
 
     Greedy list scheduling in submission order: with max_in_flight >= len the
     round takes max(latencies); with one lane it degenerates to the sum.
+    This is the schedule probe_all runs: each of its lanes takes the next
+    candidate in input order as soon as its previous probe is done.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")

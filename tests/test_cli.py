@@ -189,6 +189,24 @@ class TestUsageErrors:
             f"error: {urls}:2: quality must be a positive integer, got {quality!r}\n"
         )
 
+    def test_url_line_with_extra_fields_is_usage_error(self, capsys, tmp_path):
+        # A second quality was once dropped without a word.
+        urls = tmp_path / "urls.txt"
+        urls.write_text("http://127.0.0.1:1/a 720\nhttp://127.0.0.1:1/b 720 1080\n")
+        code, out, err = run_cli(["probe", "--urls", str(urls)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {urls}:2: expected 'url [quality]', got 3 fields\n"
+
+    @pytest.mark.parametrize("levels", ["720,nan", "720,,1080", "abc", "720,0"])
+    def test_bad_thrash_levels_name_the_option(self, capsys, levels):
+        argv = ["simulate", "thrash", "--levels", levels]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --levels: expected comma-separated positive integers, "
+            f"got {levels!r}\n"
+        )
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("command, flag", [("probe", "--urls")])

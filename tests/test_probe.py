@@ -239,6 +239,84 @@ class TestProbeAll:
         assert probe_module.MAX_IN_FLIGHT >= 12
 
 
+class ThreadRecordingTransport:
+    """Wraps a transport; records the thread and the candidate of each probe."""
+
+    def __init__(self, inner, fail=(), delay_s=0.0):
+        self._inner = inner
+        self._fail = fail
+        self._delay_s = delay_s
+        self._lock = threading.Lock()
+        self.threads = []
+        self.finished = []
+
+    def probe(self, candidate, timeout_ms):
+        with self._lock:
+            self.threads.append(threading.get_ident())
+        time.sleep(self._delay_s)
+        if candidate.id in self._fail:
+            raise RuntimeError(f"probe of {candidate.id} failed")
+        result = self._inner.probe(candidate, timeout_ms)
+        with self._lock:
+            self.finished.append(candidate.id)
+        return result
+
+
+class TestLanes:
+    @pytest.mark.parametrize("count, max_in_flight", [(6, 1), (1, None), (1, 8)])
+    def test_one_lane_runs_on_the_calling_thread(self, count, max_in_flight):
+        transport = ThreadRecordingTransport(SimTransport(Rng(3)))
+        before = threading.active_count()
+        results = probe_all(make_candidates(count), transport, max_in_flight=max_in_flight)
+        assert len(results) == count
+        assert transport.threads == [threading.get_ident()] * count
+        assert transport.finished == [c.id for c in make_candidates(count)]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("max_in_flight", [1, 3, 8])
+    def test_failure_is_raised_after_every_other_probe(self, max_in_flight):
+        # c1 fails after c5 in time, yet is first in input order.
+        candidates = make_candidates(8)
+        transport = ThreadRecordingTransport(
+            SimTransport(Rng(3)), fail=("c1", "c5"), delay_s=0.02
+        )
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="probe of c1 failed"):
+            probe_all(candidates, transport, max_in_flight=max_in_flight)
+        assert sorted(transport.finished) == ["c0", "c2", "c3", "c4", "c6", "c7"]
+        assert threading.active_count() == before
+
+    def test_interrupt_stops_the_round(self):
+        class Interrupt(BaseException):
+            pass
+
+        class InterruptingTransport(ThreadRecordingTransport):
+            def probe(self, candidate, timeout_ms):
+                if candidate.id == "c2":
+                    raise Interrupt
+                return super().probe(candidate, timeout_ms)
+
+        transport = InterruptingTransport(SimTransport(Rng(3)))
+        with pytest.raises(Interrupt):
+            probe_all(make_candidates(8), transport, max_in_flight=1)
+        assert transport.finished == ["c0", "c1"]
+
+    @pytest.mark.parametrize("max_in_flight", [2, 8])
+    def test_input_order_under_frequent_switches(self, max_in_flight):
+        candidates = make_candidates(40)
+        reference = probe_all(candidates, SimTransport(Rng(9)), max_in_flight=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(25):
+                results = probe_all(
+                    candidates, SimTransport(Rng(9)), max_in_flight=max_in_flight
+                )
+                assert results == reference
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class PeakCountingTransport:
     """Wraps a transport; records the most probes ever in flight at once."""
 
@@ -432,6 +510,27 @@ class TestHttpTransport:
         assert result.viable
         assert result.status == 200
 
+    def test_repeated_probe_gives_the_same_verdict(self, local_server):
+        candidate = StreamCandidate("a", "p", 1080, f"{local_server}/ok")
+        hits = probe_module._head_request.cache_info().hits
+        first = HttpTransport().probe(candidate, 2000.0)
+        second = HttpTransport().probe(candidate, 2000.0)
+        assert (first.viable, first.status) == (second.viable, second.status) == (True, 200)
+        assert probe_module._head_request.cache_info().hits > hits
+
+    def test_malformed_url_is_dead_on_every_call(self):
+        url = "http:///no-host"
+        for _ in range(3):
+            result = HttpTransport().probe(StreamCandidate("b", "p", 720, url), 500.0)
+            assert not result.viable
+            assert result.status is None
+            with pytest.raises(ValueError):
+                probe_module._head_request(url)
+
+    def test_url_cache_is_bounded(self):
+        maxsize = probe_module._head_request.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
     def test_connection_error_never_raises(self):
         candidate = StreamCandidate("d", "p", 720, "http://127.0.0.1:1/dead")
         result = HttpTransport().probe(candidate, 500.0)
@@ -556,4 +655,12 @@ def test_import_leaves_requests_out():
     src = str(Path(streamres.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, streamres; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_import_leaves_concurrent_futures_out():
+    # probe_all runs its lanes on plain threads.
+    src = str(Path(streamres.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, streamres; sys.exit('concurrent.futures' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
