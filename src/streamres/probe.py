@@ -8,9 +8,7 @@ the rest (none for a one-lane round); each lane takes the next candidate in
 input order until none is left.  SimTransport draws deterministic verdicts
 from one substream per candidate, its attempts in sequence; HttpTransport
 sends real HEAD probes on the standard library, each bounded by one
-deadline, and never raises.  What a HEAD probe needs of its URL alone (host,
-port, the encoded request) is prepared once per URL and cached, since
-health checks and refill rounds probe the same locators again and again.
+deadline, and never raises.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from heapq import heappush, heapreplace
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Sequence
 from urllib.parse import quote, urlsplit
@@ -194,13 +192,23 @@ def _head_status(url: str, deadline: float) -> int:
     perf_counter value) and raises TimeoutError past it.  Malformed URLs and
     heads raise ValueError; network and TLS failures raise OSError.
     """
-    https, hostname, address, request = _head_request(url)
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"not an http(s) URL: {url!r}")
+    port = parts.port or (443 if parts.scheme == "https" else 80)
+    target = quote(parts.path or "/", safe=_URL_SAFE)
+    if parts.query:
+        target += "?" + quote(parts.query, safe=_URL_SAFE)
+    request = (
+        f"HEAD {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
+        "User-Agent: streamres\r\nAccept: */*\r\nConnection: close\r\n\r\n"
+    ).encode("ascii")
     # Each address of the host may wait for what is left of the deadline.
-    sock = socket.create_connection(address, _remaining(deadline))
+    sock = socket.create_connection((parts.hostname, port), _remaining(deadline))
     try:
-        if https:
+        if parts.scheme == "https":
             sock.settimeout(_remaining(deadline))
-            sock = _tls_context().wrap_socket(sock, server_hostname=hostname)
+            sock = _tls_context().wrap_socket(sock, server_hostname=parts.hostname)
         sock.settimeout(_remaining(deadline))
         sock.sendall(request)
         head = b""
@@ -218,31 +226,6 @@ def _head_status(url: str, deadline: float) -> int:
     if status_line is None:
         raise ValueError("malformed status line")
     return int(status_line[1])
-
-
-@lru_cache(maxsize=1024)
-def _head_request(url: str) -> tuple[bool, str, tuple[bytes, int], bytes]:
-    """What a HEAD probe of url needs of the URL alone, prepared once per URL.
-
-    Returns whether it is https, the host name, the (IDNA-encoded host,
-    port) address and the encoded request.  A URL that is not http(s) with
-    a host, has a bad port or a non-ASCII host raises ValueError; an
-    lru_cache stores no exception, so such a URL raises on every probe.
-    """
-    parts = urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"not an http(s) URL: {url!r}")
-    port = parts.port or (443 if parts.scheme == "https" else 80)
-    target = quote(parts.path or "/", safe=_URL_SAFE)
-    if parts.query:
-        target += "?" + quote(parts.query, safe=_URL_SAFE)
-    request = (
-        f"HEAD {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
-        "User-Agent: streamres\r\nAccept: */*\r\nConnection: close\r\n\r\n"
-    ).encode("ascii")
-    # The encoding socket.getaddrinfo would apply to a str host on every call.
-    host = parts.hostname.encode("idna")
-    return parts.scheme == "https", parts.hostname, (host, port), request
 
 
 def _remaining(deadline: float) -> float:
@@ -278,9 +261,9 @@ def probe_all(
     thread and one short-lived helper thread per further lane, so a one-lane
     round starts no thread.  Each lane takes the next candidate in input
     order.  If a probe raises, every other probe still runs (an interrupt or
-    exit stops the lanes taking more), and the first exception in input
-    order is raised once every lane has finished; no helper thread outlives
-    the call.
+    exit stops the lanes taking more), and once every lane has finished the
+    first exception in input order is raised, an interrupt or exit before
+    any other; no helper thread outlives the call.
     """
     if not math.isfinite(timeout_ms):
         raise ValueError("timeout must be finite")
@@ -331,7 +314,8 @@ def probe_all(
         for helper in helpers:
             helper.join()
     if errors:
-        raise errors[min(errors)]
+        stops = [i for i, exc in errors.items() if not isinstance(exc, Exception)]
+        raise errors[min(stops or errors)]
     return results
 
 

@@ -301,6 +301,26 @@ class TestLanes:
             probe_all(make_candidates(8), transport, max_in_flight=1)
         assert transport.finished == ["c0", "c1"]
 
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 8])
+    def test_interrupt_outranks_an_earlier_failure(self, max_in_flight):
+        # c1 fails first in input order; the interrupt on c5 must still reach
+        # the caller as itself.
+        class Interrupt(BaseException):
+            pass
+
+        class InterruptingTransport(ThreadRecordingTransport):
+            def probe(self, candidate, timeout_ms):
+                if candidate.id == "c5":
+                    raise Interrupt
+                return super().probe(candidate, timeout_ms)
+
+        transport = InterruptingTransport(SimTransport(Rng(3)), fail=("c1",), delay_s=0.01)
+        before = threading.active_count()
+        with pytest.raises(Interrupt):
+            probe_all(make_candidates(8), transport, max_in_flight=max_in_flight)
+        assert "c1" not in transport.finished
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("max_in_flight", [2, 8])
     def test_input_order_under_frequent_switches(self, max_in_flight):
         candidates = make_candidates(40)
@@ -509,27 +529,6 @@ class TestHttpTransport:
         result = HttpTransport().probe(candidate, timeout_ms)
         assert result.viable
         assert result.status == 200
-
-    def test_repeated_probe_gives_the_same_verdict(self, local_server):
-        candidate = StreamCandidate("a", "p", 1080, f"{local_server}/ok")
-        hits = probe_module._head_request.cache_info().hits
-        first = HttpTransport().probe(candidate, 2000.0)
-        second = HttpTransport().probe(candidate, 2000.0)
-        assert (first.viable, first.status) == (second.viable, second.status) == (True, 200)
-        assert probe_module._head_request.cache_info().hits > hits
-
-    def test_malformed_url_is_dead_on_every_call(self):
-        url = "http:///no-host"
-        for _ in range(3):
-            result = HttpTransport().probe(StreamCandidate("b", "p", 720, url), 500.0)
-            assert not result.viable
-            assert result.status is None
-            with pytest.raises(ValueError):
-                probe_module._head_request(url)
-
-    def test_url_cache_is_bounded(self):
-        maxsize = probe_module._head_request.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
 
     def test_connection_error_never_raises(self):
         candidate = StreamCandidate("d", "p", 720, "http://127.0.0.1:1/dead")
