@@ -32,6 +32,8 @@ and rebuilds the slot list only when some standby failed.
 from __future__ import annotations
 
 import bisect
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -114,6 +116,9 @@ class Reservoir:
     def __init__(
         self, capacity: int, params: ProspectParams = DEFAULT_PARAMS
     ) -> None:
+        # An integer: a fractional or infinite capacity would never equal
+        # the slot count, and the reservoir would grow without bound.
+        capacity = operator.index(capacity)
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -205,10 +210,10 @@ class Reservoir:
         for slot, viable in zip(standbys, verdicts):
             if viable:
                 slot.verified_count += 1
-                log(ReservoirEvent("health_pass", slot.candidate.id, now))
+                log(_event(("health_pass", slot.candidate.id, now, None)))
             else:
                 failures += 1
-                log(ReservoirEvent("health_fail", slot.candidate.id, now))
+                log(_event(("health_fail", slot.candidate.id, now, None)))
         if failures:
             slots[1:] = [slot for slot, viable in zip(standbys, verdicts) if viable]
         # min() by one comparison; a promoted standby above the cap drops to it.
@@ -229,7 +234,9 @@ class Reservoir:
         """
         self._enter(ReservoirState.MAINTAIN, now)
         fresh = [r for r in fresh_results if r.viable]
-        fresh.sort(key=lambda r: (-r.candidate.quality, r.latency_ms))
+        if not fresh:
+            return 0
+        fresh.sort(key=_fresh_order)
         admitted = 0
         held = {slot.candidate.id for slot in self._slots}
         for result in fresh:
@@ -367,7 +374,17 @@ class Reservoir:
     def _log(
         self, kind: str, slot_id: str | None, now: float, score: float | None = None
     ) -> None:
-        self._events.append(ReservoirEvent(kind, slot_id, now, score))
+        self._events.append(_event((kind, slot_id, now, score)))
+
+
+# Builds a ReservoirEvent from its four fields in one C call, without the
+# Python frame of the named tuple's generated __new__.
+_event = functools.partial(tuple.__new__, ReservoirEvent)
+
+
+def _fresh_order(result: ProbeResult) -> tuple[int, float]:
+    # Refill's admission order: quality descending, then faster first.
+    return (-result.candidate.quality, result.latency_ms)
 
 
 def _slot_order(slot: Slot) -> tuple[int, int, int]:

@@ -6,18 +6,20 @@ unequal availability, and switch-thrash counting under persistent standbys.
 Depletion and the speedup estimate draw one substream per block of
 TRIAL_BLOCK trials, monotonicity one per trial, so results never depend on
 how trials are scheduled.  Depletion samples each trial from the exact law
-of its depletion time, in antithetic pairs; monotonicity draws its uniforms
-in chunks and consumes them in order.  A monotonicity step draws one up/down
-uniform per provider and, when it probes, one latency uniform per provider;
-its refill round passes only the eligible providers that are up, since
-refill drops every non-viable result, and the draws stay the same.
+of its depletion time, in antithetic pairs.  Monotonicity draws its
+uniforms in rows of one per provider: a step takes one up/down row and, when
+it probes, one latency row, so a trial's stream is a sequence of rows, drawn
+in blocks of whole rows and taken in order.  Its refill round passes only
+the eligible providers that are up, since refill drops every non-viable
+result, and the draws stay the same.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +29,8 @@ from .reservoir import Reservoir, Slot
 from .analytics import SpeedupScenario
 from .viability import TRIAL_BLOCK, Rng
 
-# Uniforms a monotonicity trial draws per generator call.
+# Uniforms a monotonicity trial draws per generator call, rounded down to
+# whole rows of one per provider (at least one row).
 _UNIFORM_CHUNK = 1024
 
 __all__ = [
@@ -103,7 +106,8 @@ class MonotonicityConfig:
             raise ValueError("tau must lie in [0, 1]")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.slot_count < 1:
+        # The reservoir's capacity: an integer, as Reservoir requires.
+        if operator.index(self.slot_count) < 1:
             raise ValueError("slot_count must be >= 1")
 
 
@@ -198,6 +202,30 @@ def _candidates(prefix: str, qualities: Iterable[int]) -> list[StreamCandidate]:
     ]
 
 
+def _rows(
+    gen: np.random.Generator, availabilities: np.ndarray
+) -> Iterator[tuple[list[bool], list[float], int]]:
+    """A trial's uniforms, one row of one per provider at a time.
+
+    Yields (ups, latencies, lo): the row is ups[lo:lo + providers] read as
+    up/down verdicts (uniform < availability), or latencies[lo:lo +
+    providers] read as latencies (uniform * 1000 ms); the caller reads
+    whichever it needs by offset.  Rows come max(1, _UNIFORM_CHUNK //
+    providers) per random() call, and random() spends one 64-bit output per
+    double, so the values are those of one long random(n) call whatever the
+    block size.  A block allocates only its two flat lists: a list per row
+    would keep hundreds alive per trial and set off extra young-generation
+    garbage collections.
+    """
+    count = len(availabilities)
+    while True:
+        block = gen.random((max(1, _UNIFORM_CHUNK // count), count))
+        ups = (block < availabilities).ravel().tolist()
+        latencies = (block * 1000.0).ravel().tolist()
+        for lo in range(0, len(ups), count):
+            yield ups, latencies, lo
+
+
 def _summary(history: list[int], offset: int, switch_count: int) -> TrialSummary:
     """Statistics of the active quality per step, history[0] at step offset."""
     final = history[-1]
@@ -226,25 +254,9 @@ def run_monotonicity(
     exactly the claim under test: the trajectory never steps down, and it
     ends at the best quality whose availability clears tau.
     """
-    gen = rng.substream(trial)
-    # The trial's uniforms, drawn _UNIFORM_CHUNK per random() call and taken
-    # in order from the cursor on.  random() spends one 64-bit output per
-    # double, so they are the values of one long random(n) call.
-    drawn: list[float] = []
-    cursor = 0
-
-    def take(n: int) -> list[float]:
-        nonlocal drawn, cursor
-        while len(drawn) - cursor < n:
-            drawn = drawn[cursor:] + gen.random(_UNIFORM_CHUNK).tolist()
-            cursor = 0
-        cursor += n
-        return drawn[cursor - n : cursor]
-
     candidates = _candidates("p", (quality for quality, _ in config.providers))
-    count = len(candidates)
-    provider_index = {c.provider_id: i for i, c in enumerate(candidates)}
-    availabilities = [a for _, a in config.providers]
+    index_of = {c.id: i for i, c in enumerate(candidates)}
+    rows = _rows(rng.substream(trial), np.array([a for _, a in config.providers]))
     eligible = [
         i for i, (_, availability) in enumerate(config.providers)
         if availability >= config.tau
@@ -253,26 +265,23 @@ def run_monotonicity(
     reservoir: Reservoir | None = None
     history: list[int] = []
 
-    def probe_round(indices: Sequence[int]) -> list[ProbeResult]:
-        # Draws a latency for every provider, probed or not, so the stream
-        # does not depend on which ones are.
-        latencies = take(count)
-        return [
-            ProbeResult(candidates[i], up[i], latencies[i] * 1000.0) for i in indices
-        ]
-
     def healthy(slot: Slot) -> bool:
-        # Reads the current step's up list.
-        return up[provider_index[slot.candidate.provider_id]]
+        # Reads the current step's up row.
+        return up[up_at + index_of[slot.candidate.id]]
 
     for step in range(config.steps + 1):
         now = float(step)
-        up = [u < a for u, a in zip(take(count), availabilities)]
+        # Provider i is up this step when up[up_at + i].
+        up, _, up_at = next(rows)
         if reservoir is None:
             # Initial acquisition probes every provider; repeat until some
             # candidate is viable.
+            _, latencies, at = next(rows)
             attempt = Reservoir.sprint_fill(
-                probe_round(range(count)),
+                [
+                    ProbeResult(candidate, up[up_at + i], latencies[at + i])
+                    for i, candidate in enumerate(candidates)
+                ],
                 capacity=config.slot_count,
                 params=params,
                 now=now,
@@ -283,10 +292,19 @@ def run_monotonicity(
             continue
         reservoir.run_health_cycle(healthy, now=now)
         if len(reservoir.slots) < config.slot_count:
-            # A failed standby always leaves a vacancy.  refill drops
-            # non-viable results first, so only eligible providers that are
-            # up take part.
-            reservoir.refill(probe_round([i for i in eligible if up[i]]), now=now)
+            # A failed standby always leaves a vacancy.  The round draws a
+            # latency for every provider, probed or not, but passes only the
+            # eligible providers that are up: refill drops non-viable
+            # results first.
+            _, latencies, at = next(rows)
+            reservoir.refill(
+                [
+                    ProbeResult(candidates[i], True, latencies[at + i])
+                    for i in eligible
+                    if up[up_at + i]
+                ],
+                now=now,
+            )
         reservoir.evaluate_upgrade(now=now)
         history.append(reservoir.active.quality)
 

@@ -1,6 +1,7 @@
 """Reservoir lifecycle: sprint, maintain, failover, upgrade, reacquire."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -104,6 +105,14 @@ class TestSprintFill:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             Reservoir.sprint_fill([result("a", 720)], capacity=0)
+
+    @pytest.mark.parametrize("capacity", [2.5, 2.0, math.nan, math.inf])
+    def test_non_integer_capacity_raises(self, capacity):
+        # A capacity the slot count can never equal would leave the
+        # reservoir unbounded: six viable results would fill six slots.
+        round_ = [result(f"s{i}", 360 + 60 * i) for i in range(6)]
+        with pytest.raises(TypeError):
+            Reservoir.sprint_fill(round_, capacity=capacity)
 
     def test_active_is_live_standbys_prefetched(self):
         # Prefetched means standby: every slot after the active one.

@@ -1,5 +1,6 @@
 """Monte Carlo experiment harness: conventions, determinism, known limits."""
 
+import collections
 import dataclasses
 import hashlib
 import math
@@ -9,12 +10,13 @@ import numpy as np
 import pytest
 
 from fuzzutil import run_fuzz_sequence
-from streamres import simulator
+from streamres import registry, simulator
 from streamres.analytics import (
     expected_max_exponential,
     harmonic_number,
     interruption_probability,
 )
+from streamres.reservoir import Reservoir
 from streamres.simulator import (
     DepletionConfig,
     DepletionResult,
@@ -233,6 +235,16 @@ class TestMonotonicityConfig:
         with pytest.raises(ValueError):
             MonotonicityConfig(PROVIDERS, tau=1.5)
 
+    @pytest.mark.parametrize("slot_count", [2.5, 3.0, math.nan, math.inf])
+    def test_non_integer_slot_count_raises(self, slot_count):
+        with pytest.raises(TypeError):
+            MonotonicityConfig(PROVIDERS, slot_count=slot_count)
+
+    @pytest.mark.parametrize("slot_count", [0, -2])
+    def test_slot_count_below_one_raises(self, slot_count):
+        with pytest.raises(ValueError):
+            MonotonicityConfig(PROVIDERS, slot_count=slot_count)
+
 
 class TestRunMonotonicity:
     def test_never_steps_down_and_reaches_top(self):
@@ -277,10 +289,12 @@ class TestRunMonotonicity:
 
 # Summaries and trace digests of 5000-step runs (Rng(9), trial 4), pinned
 # from the one-random-call-per-use implementation; each run crosses many
-# uniform chunks.  The last run interleaves repeated qualities, so refill's
+# uniform chunks.  The fourth run interleaves repeated qualities, so refill's
 # latency order decides which of two equal-quality providers takes a
 # vacancy, and the latencies of providers that are down shift that order if
-# a refill round mispairs them.
+# a refill round mispairs them.  The fifth, pinned from the 1024-uniform
+# chunks, has 3 providers: 1024 is not a whole number of 3-uniform rows, so
+# the rows fall on other block edges than the chunks did.
 PINNED_RUNS = [
     (
         PROVIDERS, 0.3, 3,
@@ -301,6 +315,11 @@ PINNED_RUNS = [
         ((1080, 0.5), (720, 0.6), (1080, 0.7), (720, 0.8)), 0.3, 2,
         (0, 1080, 0, 0), 6332,
         "cfe536ffab9065b4a441f8396d37caa07b27657084e6bb02793dc703d3728ec5",
+    ),
+    (
+        ((360, 0.9), (1080, 0.4), (720, 0.7)), 0.3, 2,
+        (0, 1080, 20, 1), 5586,
+        "88887d285a23e41959988ef7331b5d4610c75d03126ae4992fbdeed0bb88b4c9",
     ),
 ]
 
@@ -335,6 +354,56 @@ class TestMonotonicityPinned:
         reference = trial()
         monkeypatch.setattr(simulator, "_UNIFORM_CHUNK", chunk)
         assert trial() == reference
+
+
+class TestRegistrySweepWork:
+    def test_sweep_runs_every_reservoir_call(self, monkeypatch):
+        # The T3.1-T3.4 sweep is evidence only because every step of every
+        # trial really runs the reservoir: pinned calls and events catch a
+        # speedup that skips some of them.
+        calls: collections.Counter[str] = collections.Counter()
+        built: list[Reservoir] = []
+
+        def counting(name):
+            original = getattr(Reservoir, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("run_health_cycle", "refill", "evaluate_upgrade"):
+            monkeypatch.setattr(Reservoir, name, counting(name))
+        sprint_fill = Reservoir.sprint_fill.__func__
+        init = Reservoir.__init__
+
+        def counting_sprint_fill(cls, *args, **kwargs):
+            calls["sprint_fill"] += 1
+            return sprint_fill(cls, *args, **kwargs)
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Reservoir, "sprint_fill", classmethod(counting_sprint_fill))
+        monkeypatch.setattr(Reservoir, "__init__", recording_init)
+        registry._monotonicity(Rng(42))
+        assert calls == {
+            "sprint_fill": 202,
+            "run_health_cycle": 19998,
+            "refill": 18503,
+            "evaluate_upgrade": 19998,
+        }
+        events = collections.Counter(e.kind for r in built for e in r.events)
+        assert events == {
+            "filled": 200,
+            "health_pass": 12983,
+            "health_fail": 8152,
+            "refill": 8083,
+            "upgrade": 22,
+            "reacquire": 2,
+        }
 
 
 # Event logs of 200-op fuzz sequences.  Each one refills, upgrades, drains
