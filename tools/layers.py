@@ -77,8 +77,9 @@ def _sections() -> dict[str, float]:
 
 
 def _maintain_step_us() -> float:
-    # Four providers, best last; each step one standby fails its check in
-    # turn, so most steps refill a vacancy and some upgrade.
+    # Four providers, best last.  Each step one of the two standbys fails
+    # its check, so every step refills a vacancy; after the first step the
+    # best stream is active and the upgrade evaluation keeps it.
     results = [
         ProbeResult(StreamCandidate(f"m{i}", f"p{i}", quality, f"sim://p{i}"), True, 10.0 * i)
         for i, quality in enumerate((360, 720, 1080, 2160))
