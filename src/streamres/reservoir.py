@@ -21,12 +21,19 @@ be in the state the operation needs and ``now`` must not be behind the clock
 (a NaN ``now`` is refused too).  Either failure raises before any change.
 Every accepted call moves the clock to ``now``, even a call that changes
 nothing, so no later call can log behind it; a health cycle commits its
-clock only once its checker has returned.
+clock only once its checker has returned.  Operations name their state by
+the module constants ``_MAINTAIN`` and ``_DEPLETED``, which skip the Enum
+lookup on this per-call path.
 
 Every event is logged as a ``ReservoirEvent``, a named tuple, in an
 append-only list; ``transitions`` reads the state changes off it, one per
-``filled`` or ``depleted`` event.  A health cycle credits the standbys that pass in place
-and rebuilds the slot list only when some standby failed.
+``filled`` or ``depleted`` event.  Most maintain calls change nothing but
+the clock and the verification counts, and each takes a short path: a
+health cycle in which every standby passes credits and logs them in one
+loop and keeps the slot list (it rebuilds it only when some standby
+failed); a refill round with nothing viable and new returns before it
+sorts; an upgrade returns at once when no standby outranks the active
+stream in quality.
 """
 
 from __future__ import annotations
@@ -64,6 +71,11 @@ class ReservoirState(Enum):
     DEPLETED = "depleted"
 
 
+# The members as plain module globals: ReservoirState.MAINTAIN goes through
+# the Enum metaclass on every lookup, which would be most of a guard's cost.
+_MAINTAIN = ReservoirState.MAINTAIN
+_DEPLETED = ReservoirState.DEPLETED
+
 EVENT_KINDS = frozenset(
     {
         "filled",
@@ -79,8 +91,8 @@ EVENT_KINDS = frozenset(
 
 # The events that mark a change of state, and the change each one marks.
 _EDGES = {
-    "filled": (ReservoirState.DEPLETED, ReservoirState.MAINTAIN),
-    "depleted": (ReservoirState.MAINTAIN, ReservoirState.DEPLETED),
+    "filled": (_DEPLETED, _MAINTAIN),
+    "depleted": (_MAINTAIN, _DEPLETED),
 }
 
 
@@ -123,7 +135,7 @@ class Reservoir:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.params = params
-        self.state = ReservoirState.DEPLETED
+        self.state = _DEPLETED
         self.switch_count = 0
         self._slots: list[Slot] = []
         self._events: list[ReservoirEvent] = []
@@ -200,21 +212,24 @@ class Reservoir:
         Returns the number of standbys that failed (each one is an open
         refill request).
         """
-        self._enter(ReservoirState.MAINTAIN, now, commit=False)
+        self._enter(_MAINTAIN, now, commit=False)
         slots = self._slots
         standbys = slots[1:]
         verdicts = [bool(checker(slot)) for slot in standbys]
         self._clock = now  # the checker returned: commit the call
         log = self._events.append
-        failures = 0
-        for slot, viable in zip(standbys, verdicts):
-            if viable:
+        failures = verdicts.count(False)
+        if not failures:
+            for slot in standbys:
                 slot.verified_count += 1
                 log(_event(("health_pass", slot.candidate.id, now, None)))
-            else:
-                failures += 1
-                log(_event(("health_fail", slot.candidate.id, now, None)))
-        if failures:
+        else:
+            for slot, viable in zip(standbys, verdicts):
+                if viable:
+                    slot.verified_count += 1
+                    log(_event(("health_pass", slot.candidate.id, now, None)))
+                else:
+                    log(_event(("health_fail", slot.candidate.id, now, None)))
             slots[1:] = [slot for slot, viable in zip(standbys, verdicts) if viable]
         # min() by one comparison; a promoted standby above the cap drops to it.
         active = slots[0]
@@ -230,24 +245,25 @@ class Reservoir:
         Vacant slots take the highest-quality viable candidates outright.
         Once full, a fresh candidate must beat the worst standby through the
         switch score at fresh-candidate confidence; the displaced standby is
-        dropped.  A candidate already holding a slot is never admitted twice.
+        dropped.  A candidate holding a slot when the round begins, or
+        admitted earlier in it, is never admitted again in that round.
         """
-        self._enter(ReservoirState.MAINTAIN, now)
-        fresh = [r for r in fresh_results if r.viable]
+        self._enter(_MAINTAIN, now)
+        held = {slot.candidate.id for slot in self._slots}
+        fresh = [r for r in fresh_results if r.viable and r.candidate.id not in held]
         if not fresh:
             return 0
-        fresh.sort(key=_fresh_order)
+        if len(fresh) > 1:
+            fresh.sort(key=_fresh_order)
         admitted = 0
-        held = {slot.candidate.id for slot in self._slots}
         for result in fresh:
             if result.candidate.id in held:
-                continue
+                continue  # listed again after this round admitted it
             score = None  # a vacancy admits outright
             if len(self._slots) == self.capacity:
                 if len(self._slots) < 2:
                     break  # only the active slot; nothing replaceable
-                worst = self._slots[-1]
-                worst_quality = worst.candidate.quality
+                worst_quality = self._slots[-1].candidate.quality
                 if result.candidate.quality <= worst_quality:
                     # Scores at most -switch_cost; fresh is quality-descending
                     # and a displacement never lowers the worst quality, so
@@ -261,8 +277,9 @@ class Reservoir:
                 )
                 if score <= 0.0:
                     continue
+                # The displaced id held a slot when the round began, so no
+                # result left in fresh carries it.
                 self._slots.pop()
-                held.discard(worst.candidate.id)
             self._admit(result, lo=1)
             self._log("refill", result.candidate.id, now, score=score)
             admitted += 1
@@ -276,11 +293,14 @@ class Reservoir:
         positive score wins (ties go to the lower slot index).  Returns the
         pre-swap standby index and its score, or None for no switch.
         """
-        self._enter(ReservoirState.MAINTAIN, now)
+        self._enter(_MAINTAIN, now)
+        slots = self._slots
+        active_quality = slots[0].candidate.quality
+        if len(slots) < 2 or slots[1].candidate.quality <= active_quality:
+            return None  # the best standby is no better: nothing can switch
         best_index = None
         best_score = 0.0
-        active_quality = self._slots[0].candidate.quality
-        for index, slot in enumerate(self._slots[1:], start=1):
+        for index, slot in enumerate(slots[1:], start=1):
             quality = slot.candidate.quality
             if quality <= active_quality:
                 # Scores at most -switch_cost, and so does every standby
@@ -294,10 +314,10 @@ class Reservoir:
                 best_score = score
         if best_index is None:
             return None
-        promoted = self._slots.pop(best_index)
-        demoted = self._slots[0]
-        self._slots[0] = promoted
-        bisect.insort(self._slots, demoted, lo=1, key=_slot_order)
+        promoted = slots.pop(best_index)
+        demoted = slots[0]
+        slots[0] = promoted
+        bisect.insort(slots, demoted, lo=1, key=_slot_order)
         self.switch_count += 1
         self._log("upgrade", promoted.candidate.id, now, score=best_score)
         return best_index, best_score
@@ -312,13 +332,13 @@ class Reservoir:
         reservoir is depleted and asks for re-acquisition instead.
         Returns the new active slot, or None when depleted.
         """
-        self._enter(ReservoirState.MAINTAIN, now)
+        self._enter(_MAINTAIN, now)
         failed = self._slots.pop(0)
         self._log("failover", failed.candidate.id, now)
         if self._slots:
             # Standbys are sorted, so the best one is already in front.
             return self._slots[0]
-        self.state = ReservoirState.DEPLETED
+        self.state = _DEPLETED
         self._log("depleted", None, now)
         self._log("reacquire", None, now)
         return None
@@ -331,7 +351,7 @@ class Reservoir:
         enters MAINTAIN and returns True.  On a fruitless round it stays
         depleted, logs another re-acquisition request, and returns False.
         """
-        self._enter(ReservoirState.DEPLETED, now)
+        self._enter(_DEPLETED, now)
         picked: dict[str, ProbeResult] = {}
         for result in sort_results(probe_results):
             if not result.viable or len(picked) == self.capacity:
@@ -344,7 +364,7 @@ class Reservoir:
         # arrival, keeping equal-quality picks deterministic.
         for result in picked.values():
             self._admit(result, lo=0)
-        self.state = ReservoirState.MAINTAIN
+        self.state = _MAINTAIN
         self._log("filled", self._slots[0].candidate.id, now)
         return True
 

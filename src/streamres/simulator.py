@@ -63,7 +63,9 @@ class DepletionConfig:
     refill: bool = True
 
     def __post_init__(self) -> None:
-        if self.slot_count < 1:
+        # Counts are integers (TypeError otherwise), checked here rather than
+        # deep inside numpy when the experiment runs.
+        if operator.index(self.slot_count) < 1:
             raise ValueError("slot_count must be >= 1")
         if len(self.failure_rates) != self.slot_count:
             raise ValueError("need one failure rate per slot")
@@ -73,9 +75,9 @@ class DepletionConfig:
             raise ValueError("failure rates must be positive")
         if self.refill and any(rate > 1.0 for rate in self.failure_rates):
             raise ValueError("per-step failure probabilities must lie in (0, 1]")
-        if self.horizon < 1:
+        if operator.index(self.horizon) < 1:
             raise ValueError("horizon must be >= 1")
-        if self.trials < 1:
+        if operator.index(self.trials) < 1:
             raise ValueError("trials must be >= 1")
 
 
@@ -104,9 +106,10 @@ class MonotonicityConfig:
                 raise ValueError("availability must lie in [0, 1]")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        if self.steps < 1:
+        # Integers (TypeError otherwise); slot_count is the reservoir's
+        # capacity, an integer as Reservoir requires.
+        if operator.index(self.steps) < 1:
             raise ValueError("steps must be >= 1")
-        # The reservoir's capacity: an integer, as Reservoir requires.
         if operator.index(self.slot_count) < 1:
             raise ValueError("slot_count must be >= 1")
 
@@ -253,6 +256,12 @@ def run_monotonicity(
     when a refill admission and a positive switch score agree, which is
     exactly the claim under test: the trajectory never steps down, and it
     ends at the best quality whose availability clears tau.
+
+    The trial first probes every provider once a step until some stream is
+    viable, then runs one maintain step a step: a health cycle, a refill
+    round when a slot is vacant, and an upgrade evaluation.  It keeps the
+    slot count and the active quality from what those calls return, not by
+    reading the reservoir's views every step.
     """
     candidates = _candidates("p", (quality for quality, _ in config.providers))
     index_of = {c.id: i for i, c in enumerate(candidates)}
@@ -262,63 +271,72 @@ def run_monotonicity(
         if availability >= config.tau
     ]
 
-    reservoir: Reservoir | None = None
-    history: list[int] = []
-
     def healthy(slot: Slot) -> bool:
         # Reads the current step's up row.
         return up[up_at + index_of[slot.candidate.id]]
 
-    for step in range(config.steps + 1):
-        now = float(step)
+    # Initial acquisition probes every provider; repeat until some candidate
+    # is viable.
+    for acquired in range(config.steps + 1):
         # Provider i is up this step when up[up_at + i].
         up, _, up_at = next(rows)
-        if reservoir is None:
-            # Initial acquisition probes every provider; repeat until some
-            # candidate is viable.
-            _, latencies, at = next(rows)
-            attempt = Reservoir.sprint_fill(
-                [
-                    ProbeResult(candidate, up[up_at + i], latencies[at + i])
-                    for i, candidate in enumerate(candidates)
-                ],
-                capacity=config.slot_count,
-                params=params,
-                now=now,
-            )
-            if attempt is not None:
-                reservoir = attempt
-                history.append(reservoir.active.quality)
-            continue
-        reservoir.run_health_cycle(healthy, now=now)
-        if len(reservoir.slots) < config.slot_count:
-            # A failed standby always leaves a vacancy.  The round draws a
-            # latency for every provider, probed or not, but passes only the
-            # eligible providers that are up: refill drops non-viable
-            # results first.
-            _, latencies, at = next(rows)
-            reservoir.refill(
-                [
-                    ProbeResult(candidates[i], True, latencies[at + i])
-                    for i in eligible
-                    if up[up_at + i]
-                ],
-                now=now,
-            )
-        reservoir.evaluate_upgrade(now=now)
-        history.append(reservoir.active.quality)
-
-    if trace_sink is not None and reservoir is not None:
-        trace_sink.extend(reservoir.trace_lines())
-    if reservoir is None:
+        _, latencies, at = next(rows)
+        reservoir = Reservoir.sprint_fill(
+            [
+                ProbeResult(candidate, up[up_at + i], latencies[at + i])
+                for i, candidate in enumerate(candidates)
+            ],
+            capacity=config.slot_count,
+            params=params,
+            now=float(acquired),
+        )
+        if reservoir is not None:
+            break
+    else:
         return TrialSummary(
             monotone_violations=0,
             final_quality=0,
             convergence_step=config.steps,
             switch_count=0,
         )
+
+    health_cycle = reservoir.run_health_cycle
+    refill = reservoir.refill
+    evaluate_upgrade = reservoir.evaluate_upgrade
+    # The slot count and the active quality, kept from the calls' returns: a
+    # failure drops one standby, refill fills vacancies before it displaces
+    # anyone, and only an upgrade changes the active stream.
+    capacity = config.slot_count
+    occupied = len(reservoir.slots)
+    quality = reservoir.active.quality
+    history = [quality]
+    for step in range(acquired + 1, config.steps + 1):
+        now = float(step)
+        up, _, up_at = next(rows)
+        occupied -= health_cycle(healthy, now)
+        if occupied < capacity:
+            # A failed standby always leaves a vacancy.  The round draws a
+            # latency for every provider, probed or not, but passes only the
+            # eligible providers that are up: refill drops non-viable
+            # results first.
+            _, latencies, at = next(rows)
+            admitted = refill(
+                [
+                    ProbeResult(candidates[i], True, latencies[at + i])
+                    for i in eligible
+                    if up[up_at + i]
+                ],
+                now,
+            )
+            occupied = min(occupied + admitted, capacity)
+        if evaluate_upgrade(now) is not None:
+            quality = reservoir.active.quality
+        history.append(quality)
+
+    if trace_sink is not None:
+        trace_sink.extend(reservoir.trace_lines())
     # Steps spent before acquisition come first in the convergence step.
-    return _summary(history, config.steps + 1 - len(history), reservoir.switch_count)
+    return _summary(history, acquired, reservoir.switch_count)
 
 
 def run_thrash(
@@ -337,7 +355,7 @@ def run_thrash(
     """
     if not qualities:
         raise ValueError("at least one quality level is required")
-    if steps < 1:
+    if operator.index(steps) < 1:
         raise ValueError("steps must be >= 1")
     candidates = _candidates("s", qualities)
     worst = min(candidates, key=lambda c: c.quality)

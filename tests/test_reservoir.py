@@ -674,6 +674,56 @@ class TestHealthCycleBranches:
         assert [e.kind for e in reservoir.events[1:]] == ["health_pass"] * 3
 
 
+class TestNoOpTicks:
+    """Maintain calls that change nothing: the result, the log and the slots
+    are as before, and only the clock (and a health cycle's verification
+    counts) move."""
+
+    def assert_unchanged(self, reservoir, slots, counts, events, now):
+        assert all(kept is slot for kept, slot in zip(reservoir.slots, slots))
+        assert len(reservoir.slots) == len(slots)
+        assert [slot.verified_count for slot in reservoir.slots] == counts
+        assert reservoir.events == events
+        assert reservoir.switch_count == 0
+        assert reservoir._clock == now
+
+    def test_refill_of_held_and_dead_results_admits_nothing(self):
+        reservoir = filled_reservoir(capacity=4)  # one vacancy
+        slots, events = reservoir.slots, reservoir.events
+        round_ = [
+            result("mid", 720, latency=5.0),
+            result("new", 2160, viable=False),
+            result("hi", 1080),
+            result("new", 2160, latency=50.0, viable=False),
+            result("lo", 480, viable=False),
+        ]
+        assert reservoir.refill(round_, now=2.0) == 0
+        self.assert_unchanged(reservoir, slots, [1, 1, 1], events, 2.0)
+
+    def test_upgrade_with_nothing_above_the_active_stream(self):
+        reservoir = filled_reservoir()  # active 1080, standbys 720 and 480
+        slots, events = reservoir.slots, reservoir.events
+        assert reservoir.evaluate_upgrade(now=3.0) is None
+        self.assert_unchanged(reservoir, slots, [1, 1, 1], events, 3.0)
+
+    def test_all_pass_health_cycle_only_credits_and_logs_passes(self):
+        reservoir = filled_reservoir()
+        slots, events = reservoir.slots, reservoir.events
+        assert reservoir.run_health_cycle(lambda slot: True, now=4.0) == 0
+        passes = (
+            ReservoirEvent("health_pass", "mid", 4.0),
+            ReservoirEvent("health_pass", "lo", 4.0),
+        )
+        self.assert_unchanged(reservoir, slots, [2, 2, 2], events + passes, 4.0)
+
+    def test_id_held_when_the_round_begins_is_not_readmitted(self):
+        # "x" displaces "lo"; the round's later "lo" result, at a quality
+        # other than the one its slot had, is still not admitted.
+        reservoir = filled_reservoir()
+        assert reservoir.refill([result("x", 2160), result("lo", 1440)], now=1.0) == 1
+        assert [slot.candidate.id for slot in reservoir.slots] == ["hi", "x", "mid"]
+
+
 class TestEvents:
     def test_record_shape(self):
         assert ReservoirEvent._fields == ("kind", "slot_id", "timestamp", "score")

@@ -50,6 +50,13 @@ class TestDepletionConfig:
         with pytest.raises(ValueError, match="finite"):
             DepletionConfig(2, (0.1, rate), refill=refill)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["slot_count", "horizon", "trials"])
+    def test_non_integer_count_raises(self, field, value):
+        fields = {"slot_count": 1, "failure_rates": (0.1,), field: value}
+        with pytest.raises(TypeError):
+            DepletionConfig(**fields)
+
 
 class TestRunDepletion:
     def test_certain_failure_depletes_at_step_one(self):
@@ -245,6 +252,11 @@ class TestMonotonicityConfig:
         with pytest.raises(ValueError):
             MonotonicityConfig(PROVIDERS, slot_count=slot_count)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, math.nan, math.inf])
+    def test_non_integer_steps_raises(self, steps):
+        with pytest.raises(TypeError):
+            MonotonicityConfig(PROVIDERS, steps=steps)
+
 
 class TestRunMonotonicity:
     def test_never_steps_down_and_reaches_top(self):
@@ -341,8 +353,9 @@ class TestMonotonicityPinned:
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     def test_uniform_chunk_size_changes_no_draw(self, monkeypatch, chunk):
-        # 20 providers take 20 uniforms at a time: a chunk of 1 or 7 refills
-        # several times within one take, and a take may straddle two chunks.
+        # 20 providers take one row of 20 uniforms at a time: a chunk of 1 or
+        # 7 rounds up to one whole row per block, and a chunk of 4096 holds
+        # 204 rows.
         providers = tuple((240 + 60 * i, 0.3 + 0.035 * i) for i in range(20))
         config = MonotonicityConfig(providers, steps=150, tau=0.5, slot_count=3)
 
@@ -452,6 +465,11 @@ class TestRunThrash:
             run_thrash((), steps=10)
         with pytest.raises(ValueError):
             run_thrash((720,), steps=0)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, math.nan, math.inf])
+    def test_non_integer_steps_raises(self, steps):
+        with pytest.raises(TypeError):
+            run_thrash((720, 1080), steps=steps)
 
 
 class TestHarmonicRatio:
