@@ -27,7 +27,6 @@ from .probe import (
     SimTransport,
     StreamCandidate,
     probe_all,
-    simulated_makespan,
     sort_results,
 )
 from .prospect import (
@@ -115,7 +114,6 @@ __all__ = [
     "run_speedup_empirical",
     "run_thrash",
     "run_verify",
-    "simulated_makespan",
     "sort_results",
     "switch_score",
     "utility_estimate",

@@ -408,8 +408,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "trials", MIN_TRIALS) < MIN_TRIALS:
             raise ValueError(f"trials must be >= {MIN_TRIALS}")
         return args.handler(args)
-    except (ValueError, MemoryError) as exc:
-        # MemoryError: a --trials too large to allocate is a usage error too.
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # A --trials too large to allocate, or an integer too large for a
+        # float, is a usage error too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

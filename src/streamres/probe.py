@@ -21,8 +21,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from functools import cache
-from heapq import heappush, heapreplace
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 from urllib.parse import quote, urlsplit
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "HttpTransport",
     "probe_all",
     "sort_results",
-    "simulated_makespan",
     "empirical_first_success_rounds",
 ]
 
@@ -56,6 +54,10 @@ _HEAD_END = re.compile(rb"\r?\n\r?\n")
 _STATUS_LINE = re.compile(rb"HTTP/\d\.\d (\d{3})\b")
 # Characters a request target keeps as they are when percent-encoded.
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+# SimTransport latency: lognormal with this median and log-scale sigma.
+_SIM_MEDIAN_MS = 300.0
+_SIM_SIGMA = 0.6
 
 # Geometric round counts explode as the per-probe failure probability
 # approaches 1; reject anything at or beyond this.
@@ -102,33 +104,16 @@ class SimTransport:
     Each candidate draws from one substream of its own, keyed by a CRC of
     its id and built on its first probe; its attempts take that stream's
     next draws in sequence, so a candidate's n-th verdict does not depend on
-    list order or thread scheduling.  Latency is lognormal around
-    median_latency_ms; failure probability may be global or per-id (a
-    mapping is copied at construction, and every value must lie in [0, 1]).
+    list order or thread scheduling.  Every id fails with the one
+    failure_prob, which must lie in [0, 1], and latency is lognormal with a
+    fixed median of 300 ms and sigma 0.6.
     """
 
-    def __init__(
-        self,
-        rng: Rng,
-        failure_prob: float | Mapping[str, float] = 0.0,
-        median_latency_ms: float = 300.0,
-        sigma: float = 0.6,
-    ) -> None:
-        if not (median_latency_ms > 0.0 and sigma >= 0.0):  # NaN fails too
-            raise ValueError("median latency must be positive and sigma non-negative")
-        # A global probability is the default of an empty per-id map.
-        if isinstance(failure_prob, Mapping):
-            fail_probs, fail_default = dict(failure_prob), 0.0
-        else:
-            fail_probs, fail_default = {}, failure_prob
-        probs = [*fail_probs.values(), fail_default]
-        if not all(0.0 <= prob <= 1.0 for prob in probs):
+    def __init__(self, rng: Rng, failure_prob: float = 0.0) -> None:
+        if not 0.0 <= failure_prob <= 1.0:  # NaN fails too
             raise ValueError("failure probability must lie in [0, 1]")
         self._rng = rng
-        self._fail_probs = fail_probs
-        self._fail_default = fail_default
-        self._median = median_latency_ms
-        self._sigma = sigma
+        self._failure_prob = failure_prob
         self._streams: dict[str, np.random.Generator] = {}
         self._lock = threading.Lock()
 
@@ -146,11 +131,11 @@ class SimTransport:
                 gen = self._rng.substream(zlib.crc32(key.encode()))
                 self._streams[key] = gen
             # Fixed draw order: failure verdict first, then latency.
-            failed = gen.random() < self._fail_probs.get(key, self._fail_default)
+            failed = gen.random() < self._failure_prob
             normal = gen.standard_normal()
         finally:
             self._lock.release()
-        latency = self._median * math.exp(self._sigma * normal)
+        latency = _SIM_MEDIAN_MS * math.exp(_SIM_SIGMA * normal)
         return ProbeResult(candidate, not failed, latency)
 
 
@@ -195,7 +180,9 @@ def _head_status(url: str, deadline: float) -> int:
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"not an http(s) URL: {url!r}")
-    port = parts.port or (443 if parts.scheme == "https" else 80)
+    port = parts.port
+    if port is None:  # an explicit port 0 stays 0
+        port = 443 if parts.scheme == "https" else 80
     target = quote(parts.path or "/", safe=_URL_SAFE)
     if parts.query:
         target += "?" + quote(parts.query, safe=_URL_SAFE)
@@ -322,31 +309,6 @@ def probe_all(
 def sort_results(results: Iterable[ProbeResult]) -> list[ProbeResult]:
     """Viable results first, then ascending latency; ties keep input order."""
     return sorted(results, key=lambda r: (not r.viable, r.latency_ms))
-
-
-def simulated_makespan(latencies_ms: Sequence[float], max_in_flight: int) -> float:
-    """Completion time of a probe round under a simulated clock.
-
-    Greedy list scheduling in submission order: with max_in_flight >= len the
-    round takes max(latencies); with one lane it degenerates to the sum.
-    This is the schedule probe_all runs: each of its lanes takes the next
-    candidate in input order as soon as its previous probe is done.
-    """
-    if max_in_flight < 1:
-        raise ValueError("max_in_flight must be >= 1")
-    if any(latency < 0.0 for latency in latencies_ms):
-        raise ValueError("latencies must be non-negative")
-    lanes: list[float] = []
-    makespan = 0.0
-    for latency in latencies_ms:
-        if len(lanes) < max_in_flight:
-            done = latency
-            heappush(lanes, done)
-        else:
-            done = lanes[0] + latency
-            heapreplace(lanes, done)
-        makespan = max(makespan, done)
-    return makespan
 
 
 def empirical_first_success_rounds(

@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .probe import ProbeResult, StreamCandidate, empirical_first_success_rounds
-from .prospect import DEFAULT_PARAMS, ProspectParams
 from .reservoir import Reservoir, Slot
 from .analytics import SpeedupScenario
 from .viability import TRIAL_BLOCK, Rng
@@ -246,7 +245,6 @@ def run_monotonicity(
     config: MonotonicityConfig,
     rng: Rng,
     trial: int = 0,
-    params: ProspectParams = DEFAULT_PARAMS,
     trace_sink: list[str] | None = None,
 ) -> TrialSummary:
     """One lazy-refill trial; reports quality trajectory statistics.
@@ -259,9 +257,9 @@ def run_monotonicity(
 
     The trial first probes every provider once a step until some stream is
     viable, then runs one maintain step a step: a health cycle, a refill
-    round when a slot is vacant, and an upgrade evaluation.  It keeps the
-    slot count and the active quality from what those calls return, not by
-    reading the reservoir's views every step.
+    round when a slot is vacant, and an upgrade evaluation.  It reads the
+    slot count off the reservoir's slot list each step, and keeps the
+    active quality from what the upgrade evaluation returns.
     """
     candidates = _candidates("p", (quality for quality, _ in config.providers))
     index_of = {c.id: i for i, c in enumerate(candidates)}
@@ -287,7 +285,6 @@ def run_monotonicity(
                 for i, candidate in enumerate(candidates)
             ],
             capacity=config.slot_count,
-            params=params,
             now=float(acquired),
         )
         if reservoir is not None:
@@ -303,24 +300,21 @@ def run_monotonicity(
     health_cycle = reservoir.run_health_cycle
     refill = reservoir.refill
     evaluate_upgrade = reservoir.evaluate_upgrade
-    # The slot count and the active quality, kept from the calls' returns: a
-    # failure drops one standby, refill fills vacancies before it displaces
-    # anyone, and only an upgrade changes the active stream.
     capacity = config.slot_count
-    occupied = len(reservoir.slots)
+    # Only an upgrade changes the active stream.
     quality = reservoir.active.quality
     history = [quality]
     for step in range(acquired + 1, config.steps + 1):
         now = float(step)
         up, _, up_at = next(rows)
-        occupied -= health_cycle(healthy, now)
-        if occupied < capacity:
+        health_cycle(healthy, now)
+        if len(reservoir.slots) < capacity:
             # A failed standby always leaves a vacancy.  The round draws a
             # latency for every provider, probed or not, but passes only the
             # eligible providers that are up: refill drops non-viable
             # results first.
             _, latencies, at = next(rows)
-            admitted = refill(
+            refill(
                 [
                     ProbeResult(candidates[i], True, latencies[at + i])
                     for i in eligible
@@ -328,7 +322,6 @@ def run_monotonicity(
                 ],
                 now,
             )
-            occupied = min(occupied + admitted, capacity)
         if evaluate_upgrade(now) is not None:
             quality = reservoir.active.quality
         history.append(quality)
@@ -342,7 +335,6 @@ def run_monotonicity(
 def run_thrash(
     qualities: Sequence[int],
     steps: int = 100,
-    params: ProspectParams = DEFAULT_PARAMS,
     trace_sink: list[str] | None = None,
 ) -> TrialSummary:
     """Count switches with every stream persistently viable.
@@ -363,7 +355,6 @@ def run_thrash(
     reservoir = Reservoir.sprint_fill(
         [ProbeResult(candidate=worst, viable=True, latency_ms=0.0)],
         capacity=len(candidates),
-        params=params,
         now=0.0,
     )
     assert reservoir is not None

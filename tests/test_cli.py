@@ -179,6 +179,20 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    # Integers past the largest float overflow where they meet float arithmetic.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["speedup", str(10**400), "3", "0.4"],
+            ["simulate", "depletion", "--horizon", str(10**400), "--trials", "100"],
+            ["simulate", "thrash", "--levels", f"{10**400},720"],
+        ],
+    )
+    def test_integer_too_large_for_a_float_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("quality", ["72Op", "0"])
     def test_bad_url_quality_names_file_and_line(self, capsys, tmp_path, quality):
         urls = tmp_path / "urls.txt"

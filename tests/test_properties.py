@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzutil import run_fuzz_sequence, slot_order_key
-from streamres.probe import (
-    ProbeResult,
-    StreamCandidate,
-    simulated_makespan,
-    sort_results,
-)
+from streamres.probe import ProbeResult, StreamCandidate, sort_results
 from streamres.prospect import DEFAULT_PARAMS, ProspectParams, switch_score, value, weight
 from streamres.reservoir import Reservoir
 from streamres.simulator import run_thrash
@@ -136,26 +131,6 @@ class TestProbeSort:
             for i, (viable, latency) in enumerate(rows)
         ]
         assert sort_results(results) == brute_force_rank(results)
-
-
-class TestMakespan:
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=20),
-        st.integers(min_value=1, max_value=25),
-    )
-    def test_bounded_by_max_and_sum(self, latencies, lanes):
-        span = simulated_makespan(latencies, lanes)
-        assert max(latencies) - 1e-9 <= span <= sum(latencies) + 1e-9
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=20),
-        st.integers(min_value=1, max_value=10),
-    )
-    def test_more_lanes_never_slower(self, latencies, lanes):
-        assert (
-            simulated_makespan(latencies, lanes + 1)
-            <= simulated_makespan(latencies, lanes) + 1e-9
-        )
 
 
 class TestNoThrash:

@@ -227,6 +227,16 @@ class TestRefill:
         admitted = reservoir.refill([result("hi", 1080), result("hi", 1080)], now=2.0)
         assert admitted == 0
 
+    def test_new_id_listed_twice_takes_one_vacancy(self):
+        # Two vacancies and one new id listed twice: the second listing finds
+        # the id already held and is skipped.
+        reservoir = Reservoir.sprint_fill([result("a", 720)], capacity=3)
+        admitted = reservoir.refill(
+            [result("x", 1080, latency=2.0), result("x", 1080, latency=3.0)], now=1.0
+        )
+        assert admitted == 1
+        assert [slot.candidate.id for slot in reservoir.slots] == ["a", "x"]
+
     def test_dead_results_ignored(self):
         reservoir = filled_reservoir()
         drop(reservoir, "mid")

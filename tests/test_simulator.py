@@ -351,6 +351,25 @@ class TestMonotonicityPinned:
         assert len(trace) == lines
         assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == digest
 
+    def test_round_that_fills_then_displaces_is_pinned(self):
+        # A refill round here fills a vacancy and then displaces the worst
+        # standby, so the sweep must not count the displacement as a second
+        # admission.
+        providers = ((360, 0.95), (720, 0.6), (2160, 0.6), (1080, 0.6))
+        config = MonotonicityConfig(providers, steps=300, tau=0.3, slot_count=3)
+        trace: list[str] = []
+        result = run_monotonicity(config, Rng(7), 18, trace_sink=trace)
+        assert (
+            result.monotone_violations,
+            result.final_quality,
+            result.convergence_step,
+            result.switch_count,
+        ) == (0, 2160, 1, 1)
+        assert len(trace) == 673
+        assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == (
+            "ad7c79f1627ff01c1ec1fdb5b0175531f27fa56759ad32959595a11f03b8668c"
+        )
+
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     def test_uniform_chunk_size_changes_no_draw(self, monkeypatch, chunk):
         # 20 providers take one row of 20 uniforms at a time: a chunk of 1 or

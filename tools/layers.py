@@ -17,8 +17,9 @@ run times each layer once, after a warm-up run that is not recorded:
 - ``import streamres`` in a fresh interpreter, in ms.
 
 The file holds each layer's median, quartiles and samples, and the
-machine's core count, the Python and numpy versions and the git commit of
-the checkout (null outside one).  Wall times on a shared host move by
+machine's core count, the Python and numpy versions, the git commit of
+the checkout and whether its tracked files differ from that commit (both
+null outside one).  Wall times on a shared host move by
 10-40% from minute to minute, so compare two commits only in runs made
 back to back on one machine.
 """
@@ -149,15 +150,20 @@ def one_run() -> dict[str, float]:
     }
 
 
-def _commit() -> str | None:
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _commit() -> dict[str, object]:
+    """HEAD, and whether tracked files differ from it (both null outside git)."""
     try:
-        out = subprocess.run(
-            ["git", "-C", str(ROOT), "rev-parse", "HEAD"],
-            check=True, capture_output=True, text=True,
-        )
+        head = _git("rev-parse", "HEAD")
+        changed = _git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
+        return {"commit": None, "dirty": None}
+    return {"commit": head, "dirty": bool(changed)}
 
 
 def summary(samples: list[float]) -> dict[str, object]:
@@ -180,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
             "usable_cores": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "commit": _commit(),
+            **_commit(),
         },
         "runs": args.runs,
         "layers": {name: summary([run[name] for run in runs]) for name in runs[0]},
