@@ -228,15 +228,17 @@ def _rows(
             yield ups, latencies, lo
 
 
-def _summary(history: list[int], offset: int, switch_count: int) -> TrialSummary:
-    """Statistics of the active quality per step, history[0] at step offset."""
-    final = history[-1]
+def _summary(switches: list[tuple[int, int]], switch_count: int) -> TrialSummary:
+    """Trial statistics from (step, active quality) points, one per switch.
+
+    Each quality holds from its point until the next one."""
+    final = switches[-1][1]
     return TrialSummary(
         monotone_violations=sum(
-            1 for prev, cur in zip(history, history[1:]) if cur < prev
+            1 for (_, prev), (_, cur) in zip(switches, switches[1:]) if cur < prev
         ),
         final_quality=final,
-        convergence_step=history.index(final) + offset,
+        convergence_step=next(step for step, quality in switches if quality == final),
         switch_count=switch_count,
     )
 
@@ -258,8 +260,9 @@ def run_monotonicity(
     The trial first probes every provider once a step until some stream is
     viable, then runs one maintain step a step: a health cycle, a refill
     round when a slot is vacant, and an upgrade evaluation.  It reads the
-    slot count off the reservoir's slot list each step, and keeps the
-    active quality from what the upgrade evaluation returns.
+    slot count off the reservoir's slot list each step, and records a
+    switch point (step, active quality) at acquisition and after each
+    upgrade evaluation that switches.
     """
     candidates = _candidates("p", (quality for quality, _ in config.providers))
     index_of = {c.id: i for i, c in enumerate(candidates)}
@@ -290,20 +293,14 @@ def run_monotonicity(
         if reservoir is not None:
             break
     else:
-        return TrialSummary(
-            monotone_violations=0,
-            final_quality=0,
-            convergence_step=config.steps,
-            switch_count=0,
-        )
+        return _summary([(config.steps, 0)], 0)
 
     health_cycle = reservoir.run_health_cycle
     refill = reservoir.refill
     evaluate_upgrade = reservoir.evaluate_upgrade
     capacity = config.slot_count
     # Only an upgrade changes the active stream.
-    quality = reservoir.active.quality
-    history = [quality]
+    switches = [(acquired, reservoir.active.quality)]
     for step in range(acquired + 1, config.steps + 1):
         now = float(step)
         up, _, up_at = next(rows)
@@ -323,13 +320,11 @@ def run_monotonicity(
                 now,
             )
         if evaluate_upgrade(now) is not None:
-            quality = reservoir.active.quality
-        history.append(quality)
+            switches.append((step, reservoir.active.quality))
 
     if trace_sink is not None:
         trace_sink.extend(reservoir.trace_lines())
-    # Steps spent before acquisition come first in the convergence step.
-    return _summary(history, acquired, reservoir.switch_count)
+    return _summary(switches, reservoir.switch_count)
 
 
 def run_thrash(
@@ -363,15 +358,15 @@ def run_thrash(
         now=0.0,
     )
 
-    history = [reservoir.active.quality]
+    switches = [(0, reservoir.active.quality)]
     for step in range(1, steps + 1):
         reservoir.run_health_cycle(lambda slot: True, now=float(step))
-        reservoir.evaluate_upgrade(now=float(step))
-        history.append(reservoir.active.quality)
+        if reservoir.evaluate_upgrade(now=float(step)) is not None:
+            switches.append((step, reservoir.active.quality))
 
     if trace_sink is not None:
         trace_sink.extend(reservoir.trace_lines())
-    return _summary(history, 0, reservoir.switch_count)
+    return _summary(switches, reservoir.switch_count)
 
 
 def run_speedup_empirical(

@@ -65,6 +65,10 @@ class TestInterruptionProbability:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             interruption_probability([], 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            interruption_probability([0.1, -0.2], 1.0)
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            interruption_probability([0.1], -1.0)
 
 
 class TestHarmonic:

@@ -14,7 +14,7 @@ import pytest
 import streamres
 from streamres import registry
 from streamres.cli import CheckResult, build_parser, main, run_verify
-from streamres.simulator import run_depletion
+from streamres.simulator import MonotonicityConfig, run_depletion, run_monotonicity
 from streamres.viability import Rng
 
 
@@ -394,6 +394,23 @@ class TestSimulate:
         assert code == 0
         assert "violations 0" in out
         assert "min-final-quality 2160" in out
+
+    def test_monotonicity_trace_follows_the_summary(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "monotonicity", "--steps", "30", "--trace"], capsys
+        )
+        config = MonotonicityConfig(registry.REFERENCE_PROVIDERS, steps=30)
+        trace: list[str] = []
+        run_monotonicity(config, Rng(registry.DEFAULT_SEED), 0, trace_sink=trace)
+        assert code == 0
+        assert out.splitlines() == [
+            "violations 0",
+            "min-final-quality 2160",
+            "mean-convergence-step 0.00",
+            "mean-switches 0.00",
+            *trace,
+        ]
+        assert trace[0] == "0\tfilled\tp3-2160p\t-"
 
     @pytest.mark.parametrize("sweep", ["0", "-1"])
     def test_empty_monotonicity_sweep_is_usage_error(self, capsys, sweep):

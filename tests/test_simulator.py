@@ -21,6 +21,7 @@ from streamres.simulator import (
     DepletionConfig,
     DepletionResult,
     MonotonicityConfig,
+    TrialSummary,
     run_depletion,
     run_monotonicity,
     run_thrash,
@@ -43,6 +44,13 @@ class TestDepletionConfig:
     def test_positive_rates(self):
         with pytest.raises(ValueError):
             DepletionConfig(1, (0.0,))
+
+    @pytest.mark.parametrize("field", ["slot_count", "horizon", "trials"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_count_below_one_raises(self, field, value):
+        fields = {"slot_count": 1, "failure_rates": (0.1,), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            DepletionConfig(**fields)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     @pytest.mark.parametrize("refill", [True, False])
@@ -241,6 +249,11 @@ class TestMonotonicityConfig:
             MonotonicityConfig(((720, 1.5),))
         with pytest.raises(ValueError):
             MonotonicityConfig(PROVIDERS, tau=1.5)
+        for quality in (0, -720):
+            with pytest.raises(ValueError, match="quality must be positive"):
+                MonotonicityConfig(((quality, 0.5), (1080, 0.5)))
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            MonotonicityConfig(PROVIDERS, steps=0)
 
     @pytest.mark.parametrize("slot_count", [2.5, 3.0, math.nan, math.inf])
     def test_non_integer_slot_count_raises(self, slot_count):
@@ -290,6 +303,14 @@ class TestRunMonotonicity:
         assert summary.final_quality == 1080
         assert summary.convergence_step == 0
         assert summary.switch_count == 0
+
+    def test_no_acquisition_reports_every_step_at_quality_zero(self):
+        # No provider is ever up, so the trial never acquires a stream.
+        config = MonotonicityConfig(((720, 0.0), (1080, 0.0)), steps=50)
+        trace: list[str] = []
+        summary = run_monotonicity(config, Rng(42), 0, trace_sink=trace)
+        assert summary == TrialSummary(0, 0, 50, 0)
+        assert trace == []
 
     def test_trace_sink_collects_events(self):
         config = MonotonicityConfig(PROVIDERS, steps=30, tau=0.3)
@@ -455,6 +476,14 @@ class TestReservoirTracePinned:
         assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == digest
 
 
+class TestSummary:
+    def test_reads_every_field_off_the_switch_points(self):
+        # A step down (1080 -> 480), then a return to the first quality: the
+        # final quality was first reached at the first point.
+        switches = [(3, 720), (5, 1080), (9, 480), (12, 720)]
+        assert simulator._summary(switches, 3) == TrialSummary(1, 720, 3, 3)
+
+
 class TestRunThrash:
     def test_close_levels_never_switch(self):
         summary = run_thrash((1080, 1060, 1040, 1020, 1000), steps=100)
@@ -465,6 +494,17 @@ class TestRunThrash:
         summary = run_thrash((360, 2160), steps=100)
         assert summary.switch_count == 1
         assert summary.final_quality == 2160
+
+    @pytest.mark.parametrize(
+        "qualities, steps, summary",
+        [
+            ((1080, 1060, 1040, 1020, 1000), 100, (0, 1000, 0, 0)),
+            ((360, 2160, 1080, 720, 1440), 300, (0, 2160, 1, 1)),
+            ((360, 2160), 100, (0, 2160, 1, 1)),
+        ],
+    )
+    def test_full_summary_is_pinned(self, qualities, steps, summary):
+        assert run_thrash(qualities, steps=steps) == TrialSummary(*summary)
 
     def test_equal_fleet_never_switches(self):
         summary = run_thrash((720, 720, 720), steps=100)
