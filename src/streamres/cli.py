@@ -14,7 +14,7 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 from urllib.parse import urlparse
 
 from . import analytics
@@ -52,6 +52,8 @@ __all__ = ["CheckResult", "VerifyReport", "run_verify", "main", "entrypoint"]
 
 DEFAULT_QUALITY = 720
 
+_T = TypeVar("_T")
+
 
 # -- subcommand handlers -----------------------------------------------------
 
@@ -65,30 +67,34 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _parse_rates(text: str) -> tuple[float, ...]:
+def _parse_list(
+    option: str, text: str, convert: Callable[[str], _T], expected: str
+) -> tuple[_T, ...]:
+    """Each comma-separated part through convert; a ValueError names option."""
     try:
-        return tuple(float(part) for part in text.split(","))
+        return tuple(convert(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
+        raise ValueError(
+            f"{option}: expected comma-separated {expected}, got {text!r}"
+        ) from None
 
 
-def _parse_providers(text: str) -> tuple[tuple[int, float], ...]:
-    providers = []
-    for part in text.split(","):
-        quality, _, availability = part.partition(":")
-        try:
-            providers.append((int(quality), float(availability)))
-        except ValueError:
-            raise ValueError(
-                f"expected quality:availability pairs, got {part!r}"
-            ) from None
-    return tuple(providers)
+def _provider(text: str) -> tuple[int, float]:
+    quality, _, availability = text.partition(":")
+    return int(quality), float(availability)
+
+
+def _positive_int(text: str) -> int:
+    number = int(text)
+    if number < 1:
+        raise ValueError(text)
+    return number
 
 
 def _cmd_depletion(args: argparse.Namespace) -> int:
     config = DepletionConfig(
         slot_count=args.k,
-        failure_rates=_parse_rates(args.rates),
+        failure_rates=_parse_list("--lambdas", args.rates, float, "numbers"),
         horizon=args.horizon,
         trials=args.trials,
         refill=args.refill,
@@ -99,10 +105,10 @@ def _cmd_depletion(args: argparse.Namespace) -> int:
 
 
 def _cmd_monotonicity(args: argparse.Namespace) -> int:
-    if args.sweep < 1:
-        raise ValueError("sweep must be >= 1")
     config = MonotonicityConfig(
-        providers=_parse_providers(args.providers),
+        providers=_parse_list(
+            "--providers", args.providers, _provider, "quality:availability pairs"
+        ),
         steps=args.steps,
         tau=args.tau,
         slot_count=args.k,
@@ -123,20 +129,8 @@ def _cmd_monotonicity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_levels(text: str) -> tuple[int, ...]:
-    try:
-        levels = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        levels = ()  # reported below like a non-positive level
-    if not levels or min(levels) < 1:
-        raise ValueError(
-            f"--levels: expected comma-separated positive integers, got {text!r}"
-        )
-    return levels
-
-
 def _cmd_thrash(args: argparse.Namespace) -> int:
-    levels = _parse_levels(args.levels)
+    levels = _parse_list("--levels", args.levels, _positive_int, "positive integers")
     trace: list[str] | None = [] if args.trace else None
     summary = run_thrash(levels, steps=args.steps, trace_sink=trace)
     print(f"switches {summary.switch_count} ({args.steps} steps, {len(levels)} levels)")
@@ -180,8 +174,6 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     # Evenly spaced samples of args.fn over [args.lo, args.lo + args.width].
-    if args.samples < 2:
-        raise ValueError("samples must be >= 2")
     for i in range(args.samples):
         x = args.lo + args.width * i / (args.samples - 1)
         print(f"{x:.6g}\t{args.fn(x):.6g}")
@@ -190,25 +182,18 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_uptime(args: argparse.Namespace) -> int:
     # Expected useful lifetime against slot count.
-    if args.slots < 1:
-        raise ValueError("slots must be >= 1")
     for k in range(1, args.slots + 1):
         print(f"{k}\t{analytics.utility_estimate(k, args.failure_rate):.6g}")
     return 0
 
 
-def _read_lines(path: str) -> list[str]:
-    """Lines of a file named on the command line; unreadable is a usage error."""
+def _read_url_file(path: str) -> list[StreamCandidate]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except OSError as exc:  # unreadable is a usage error
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
-    return text.splitlines()
-
-
-def _read_url_file(path: str) -> list[StreamCandidate]:
     candidates = []
-    for number, raw in enumerate(_read_lines(path), start=1):
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -243,8 +228,6 @@ def _read_url_file(path: str) -> list[StreamCandidate]:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ValueError("k must be >= 1")
     candidates = _read_url_file(args.urls)
     results = probe_all(
         candidates,
@@ -399,14 +382,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Least value of each bounded integer option, by argparse dest.  main checks
+# them before the handler runs, so a bad one prints and probes nothing.  Not
+# here: score --n (>= 0) and speedup n (>= 1), which the library calls taking
+# them check before any output.
+_LEAST = {"seed": 0, "trials": MIN_TRIALS, "sweep": 1, "samples": 2, "slots": 1, "k": 1}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Checked before any handler prints.
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError("seed must be >= 0")
-        if getattr(args, "trials", MIN_TRIALS) < MIN_TRIALS:
-            raise ValueError(f"trials must be >= {MIN_TRIALS}")
+        # Checked before any handler prints or probes.
+        for dest, least in _LEAST.items():
+            if getattr(args, dest, least) < least:
+                raise ValueError(f"{dest} must be >= {least}")
         return args.handler(args)
     except (ValueError, MemoryError, OverflowError) as exc:
         # A --trials too large to allocate, or an integer too large for a

@@ -281,7 +281,7 @@ class Reservoir:
                 # result left in fresh carries it.
                 self._slots.pop()
             self._admit(result, lo=1)
-            self._log("refill", result.candidate.id, now, score=score)
+            self._events.append(_event(("refill", result.candidate.id, now, score)))
             admitted += 1
             held.add(result.candidate.id)
         return admitted
@@ -319,7 +319,7 @@ class Reservoir:
         slots[0] = promoted
         bisect.insort(slots, demoted, lo=1, key=_slot_order)
         self.switch_count += 1
-        self._log("upgrade", promoted.candidate.id, now, score=best_score)
+        self._events.append(_event(("upgrade", promoted.candidate.id, now, best_score)))
         return best_index, best_score
 
     # -- failover ----------------------------------------------------------
@@ -334,13 +334,13 @@ class Reservoir:
         """
         self._enter(_MAINTAIN, now)
         failed = self._slots.pop(0)
-        self._log("failover", failed.candidate.id, now)
+        self._events.append(_event(("failover", failed.candidate.id, now, None)))
         if self._slots:
             # Standbys are sorted, so the best one is already in front.
             return self._slots[0]
         self.state = _DEPLETED
-        self._log("depleted", None, now)
-        self._log("reacquire", None, now)
+        self._events.append(_event(("depleted", None, now, None)))
+        self._events.append(_event(("reacquire", None, now, None)))
         return None
 
     def reacquire(self, probe_results: Sequence[ProbeResult], now: float) -> bool:
@@ -358,14 +358,14 @@ class Reservoir:
                 break
             picked.setdefault(result.candidate.id, result)
         if not picked:
-            self._log("reacquire", None, now)
+            self._events.append(_event(("reacquire", None, now, None)))
             return False
         # Highest quality leads; admission (latency) order breaks ties via
         # arrival, keeping equal-quality picks deterministic.
         for result in picked.values():
             self._admit(result, lo=0)
         self.state = _MAINTAIN
-        self._log("filled", self._slots[0].candidate.id, now)
+        self._events.append(_event(("filled", self._slots[0].candidate.id, now, None)))
         return True
 
     # -- trace -------------------------------------------------------------
@@ -390,11 +390,6 @@ class Reservoir:
             raise ValueError("event timestamps must be non-decreasing")
         if commit:
             self._clock = now
-
-    def _log(
-        self, kind: str, slot_id: str | None, now: float, score: float | None = None
-    ) -> None:
-        self._events.append(_event((kind, slot_id, now, score)))
 
 
 # Builds a ReservoirEvent from its four fields in one C call, without the

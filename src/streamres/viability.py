@@ -36,5 +36,7 @@ class Rng:
         return Rng(self.seed, self.path + path)
 
     def substream(self, *path: int) -> np.random.Generator:
-        key = self.path + path
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+        # PCG64 named outright, not default_rng's choice, so a numpy that
+        # changes its default bit generator cannot move a pinned digest.
+        seq = np.random.SeedSequence(self.seed, spawn_key=self.path + path)
+        return np.random.Generator(np.random.PCG64(seq))

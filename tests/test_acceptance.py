@@ -168,8 +168,8 @@ def test_criterion_7_byte_identical_reports(report42):
     assert report.records() == again.records()
     assert report.records() == threaded.records()
     print(
-        "criterion 7 PASS: records reports byte-identical across repeat runs "
-        "and across 1 vs 4 worker threads"
+        "criterion 7 PASS: records reports byte-identical across repeat runs, "
+        "and with workers=4 (which run_verify ignores)"
     )
 
 

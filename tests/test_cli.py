@@ -13,7 +13,7 @@ import pytest
 
 import streamres
 from streamres import registry
-from streamres.cli import CheckResult, build_parser, main, run_verify
+from streamres.cli import _LEAST, CheckResult, build_parser, main, run_verify
 from streamres.simulator import MonotonicityConfig, run_depletion, run_monotonicity
 from streamres.viability import Rng
 
@@ -220,6 +220,31 @@ class TestUsageErrors:
             "error: --levels: expected comma-separated positive integers, "
             f"got {levels!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["simulate", "depletion", "--lambdas", "0.1,zebra"],
+                "--lambdas: expected comma-separated numbers, got '0.1,zebra'",
+            ),
+            (
+                ["simulate", "monotonicity", "--providers", "720:0.9,1080"],
+                "--providers: expected comma-separated quality:availability "
+                "pairs, got '720:0.9,1080'",
+            ),
+            (
+                ["simulate", "monotonicity", "--providers", "720:0.9,x:0.5"],
+                "--providers: expected comma-separated quality:availability "
+                "pairs, got '720:0.9,x:0.5'",
+            ),
+        ],
+        ids=["lambdas", "providers-pair", "providers-quality"],
+    )
+    def test_bad_list_names_the_option(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
 
 class TestConfigFile:
@@ -567,6 +592,51 @@ class TestProbe:
         code, out, err = run_cli(["probe", "--urls", str(urls), f"--k={k}"], capsys)
         assert (code, out) == (2, "")
         assert err == "error: k must be >= 1\n"
+
+
+# Every (subcommand, option, least value) that main checks before the handler
+# runs.  Written out, so an entry dropped from cli._LEAST fails below.
+BOUNDED_OPTIONS = [
+    ("verify", "seed", 0),
+    ("verify", "trials", 100),
+    ("simulate depletion", "seed", 0),
+    ("simulate depletion", "trials", 100),
+    ("simulate depletion", "k", 1),
+    ("simulate monotonicity", "seed", 0),
+    ("simulate monotonicity", "k", 1),
+    ("simulate monotonicity", "sweep", 1),
+    ("speedup", "seed", 0),
+    ("speedup", "trials", 100),
+    ("probe", "k", 1),
+    ("curves value", "samples", 2),
+    ("curves weight", "samples", 2),
+    ("curves uptime", "slots", 1),
+]
+
+
+def test_bounds_table_covers_exactly_the_listed_options():
+    bounded = {
+        (command, option[2:], _LEAST[option[2:]])
+        for command, options in subcommand_options(build_parser())
+        for option in options
+        if option[2:] in _LEAST
+    }
+    assert bounded == set(BOUNDED_OPTIONS)
+
+
+# Probing 127.0.0.1:1 is refused at once, so a bound checked only after the
+# probe round shows up as output, not as a hang.
+@pytest.mark.parametrize("command, dest, least", BOUNDED_OPTIONS)
+def test_option_below_its_bound_fails_before_output(
+    capsys, tmp_path, command, dest, least
+):
+    urls = tmp_path / "urls.txt"
+    urls.write_text("http://127.0.0.1:1/a 720\n")
+    required = {"speedup": ["12", "3", "0.4"], "probe": ["--urls", str(urls)]}
+    argv = [*command.split(), *required.get(command, []), f"--{dest}={least - 1}"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {dest} must be >= {least}\n"
 
 
 class TestCheckResult:
