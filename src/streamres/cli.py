@@ -52,6 +52,11 @@ __all__ = ["CheckResult", "VerifyReport", "run_verify", "main", "entrypoint"]
 
 DEFAULT_QUALITY = 720
 
+# Largest value of every integer option but the seed (SeedSequence takes any
+# size), and of each quality in --levels and --providers: past the largest
+# machine index an integer cannot size an array or convert to a float.
+_MOST = sys.maxsize
+
 _T = TypeVar("_T")
 
 
@@ -79,13 +84,20 @@ def _parse_list(
         ) from None
 
 
+def _bounded_int(text: str) -> int:
+    number = int(text)
+    if number > _MOST:
+        raise ValueError(text)
+    return number
+
+
 def _provider(text: str) -> tuple[int, float]:
     quality, _, availability = text.partition(":")
-    return int(quality), float(availability)
+    return _bounded_int(quality), float(availability)
 
 
 def _positive_int(text: str) -> int:
-    number = int(text)
+    number = _bounded_int(text)
     if number < 1:
         raise ValueError(text)
     return number
@@ -396,6 +408,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         for dest, least in _LEAST.items():
             if getattr(args, dest, least) < least:
                 raise ValueError(f"{dest} must be >= {least}")
+        for dest, number in vars(args).items():
+            if type(number) is int and dest != "seed" and number > _MOST:
+                raise ValueError(f"{dest} must be <= {_MOST}")
         return args.handler(args)
     except (ValueError, MemoryError, OverflowError) as exc:
         # A --trials too large to allocate, or an integer too large for a

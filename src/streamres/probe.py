@@ -20,7 +20,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 from urllib.parse import quote, urlsplit
 
@@ -58,6 +58,9 @@ _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 # SimTransport latency: lognormal with this median and log-scale sigma.
 _SIM_MEDIAN_MS = 300.0
 _SIM_SIGMA = 0.6
+# SimTransport probes per block of draws, per candidate.  A larger block
+# makes each refill long enough to show in a session's tail latency.
+_BLOCK = 64
 
 # Geometric round counts explode as the per-probe failure probability
 # approaches 1; reject anything at or beyond this.
@@ -94,6 +97,11 @@ class ProbeResult(NamedTuple):
     status: int | None = None
 
 
+# Builds a ProbeResult from all five fields in one C call, without the Python
+# frame of the named tuple's generated __new__.
+_result = partial(tuple.__new__, ProbeResult)
+
+
 class Transport(Protocol):
     def probe(self, candidate: StreamCandidate, timeout_ms: float) -> ProbeResult: ...
 
@@ -102,11 +110,13 @@ class SimTransport:
     """Deterministic fake transport.
 
     Each candidate draws from one substream of its own, keyed by a CRC of
-    its id and built on its first probe; its attempts take that stream's
-    next draws in sequence, so a candidate's n-th verdict does not depend on
-    list order or thread scheduling.  Every id fails with the one
-    failure_prob, which must lie in [0, 1], and latency is lognormal with a
-    fixed median of 300 ms and sigma 0.6.
+    its id and built on its first probe.  The stream is read in blocks of
+    _BLOCK probes: _BLOCK uniforms for the failure verdicts, then _BLOCK
+    normals for the latencies, and a candidate's n-th probe takes the n-th
+    of each, so its n-th verdict does not depend on list order or thread
+    scheduling.  Every id fails with the one failure_prob, which must lie in
+    [0, 1], and latency is lognormal with a fixed median of 300 ms and
+    sigma 0.6.
     """
 
     def __init__(self, rng: Rng, failure_prob: float = 0.0) -> None:
@@ -115,28 +125,38 @@ class SimTransport:
         self._rng = rng
         self._failure_prob = failure_prob
         self._streams: dict[str, np.random.Generator] = {}
+        # Per id, its undrawn (viable, normal) pairs, next one last.
+        self._pending: dict[str, list[tuple[bool, float]]] = {}
         self._lock = threading.Lock()
 
     def probe(self, candidate: StreamCandidate, timeout_ms: float) -> ProbeResult:
-        # Draw under the lock: one probe takes a candidate's next two draws
-        # at once, and no two threads use one Generator together.  A maintain
-        # loop makes this call for every standby on every tick, so it takes
-        # the lock without a context manager and builds its result
-        # positionally, the cheapest form of each.
+        # A maintain loop makes this call for every standby on every tick,
+        # so it takes the lock without a context manager and most calls
+        # just pop a pair; the lock keeps two threads from drawing one
+        # block twice.
         key = candidate.id
         self._lock.acquire()
         try:
-            gen = self._streams.get(key)
-            if gen is None:
-                gen = self._rng.substream(zlib.crc32(key.encode()))
-                self._streams[key] = gen
-            # Fixed draw order: failure verdict first, then latency.
-            failed = gen.random() < self._failure_prob
-            normal = gen.standard_normal()
+            pending = self._pending.get(key)
+            if not pending:
+                pending = self._draw_block(key)
+            viable, normal = pending.pop()
         finally:
             self._lock.release()
         latency = _SIM_MEDIAN_MS * math.exp(_SIM_SIGMA * normal)
-        return ProbeResult(candidate, not failed, latency)
+        return _result((candidate, viable, latency, False, None))
+
+    def _draw_block(self, key: str) -> list[tuple[bool, float]]:
+        gen = self._streams.get(key)
+        if gen is None:
+            gen = self._streams[key] = self._rng.substream(zlib.crc32(key.encode()))
+        # A uniform below failure_prob fails.  The block is stored only once
+        # both draws are done, so a draw that raises leaves no half-built
+        # block: the id's next probe draws a whole one.
+        viable = (gen.random(_BLOCK) >= self._failure_prob)[::-1].tolist()
+        normals = gen.standard_normal(_BLOCK)[::-1].tolist()
+        pending = self._pending[key] = list(zip(viable, normals))
+        return pending
 
 
 class HttpTransport:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .probe import ProbeResult, StreamCandidate, empirical_first_success_rounds
+from .probe import ProbeResult, StreamCandidate, _result, empirical_first_success_rounds
 from .reservoir import Reservoir, Slot
 from .analytics import SpeedupScenario
 from .viability import TRIAL_BLOCK, Rng
@@ -313,7 +313,7 @@ def run_monotonicity(
             _, latencies, at = next(rows)
             refill(
                 [
-                    ProbeResult(candidates[i], True, latencies[at + i])
+                    _result((candidates[i], True, latencies[at + i], False, None))
                     for i in eligible
                     if up[up_at + i]
                 ],

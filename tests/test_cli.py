@@ -193,6 +193,49 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    # An integer option past the largest machine index is named before the
+    # handler runs: these two once printed Python's and numpy's messages,
+    # and a --steps that large never finished.
+    @pytest.mark.parametrize(
+        "argv, dest",
+        [
+            (["simulate", "depletion", "--horizon", str(10**400)], "horizon"),
+            (["speedup", "12", "3", "0.4", "--empirical", "--trials", str(10**400)], "trials"),
+            (["simulate", "thrash", "--steps", str(sys.maxsize + 1)], "steps"),
+        ],
+        ids=["horizon", "trials", "steps"],
+    )
+    def test_integer_past_machine_index_names_the_option(self, capsys, argv, dest):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {dest} must be <= {sys.maxsize}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["simulate", "thrash", "--levels", f"{10**400},720"],
+                f"--levels: expected comma-separated positive integers, got '{10**400},720'",
+            ),
+            (
+                ["simulate", "monotonicity", "--providers", f"{10**400}:0.9"],
+                "--providers: expected comma-separated quality:availability "
+                f"pairs, got '{10**400}:0.9'",
+            ),
+        ],
+        ids=["levels", "providers"],
+    )
+    def test_quality_past_machine_index_names_the_option(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_seed_has_no_upper_bound(self, capsys):
+        argv = ["speedup", "12", "3", "0.4", "--empirical", "--trials", "100"]
+        code, out, _ = run_cli([*argv, "--seed", str(10**400)], capsys)
+        assert code == 0
+        assert out.endswith("(100 trials)\n")
+
     @pytest.mark.parametrize("quality", ["72Op", "0"])
     def test_bad_url_quality_names_file_and_line(self, capsys, tmp_path, quality):
         urls = tmp_path / "urls.txt"

@@ -89,20 +89,31 @@ class TestSimTransport:
         assert interleaved == solo
 
     def test_first_probe_matches_hand_computation(self):
+        # Probe 0 and probe B, the first of the second block, from the
+        # substream's block draws: B uniforms, then B normals, per block.
+        block = probe_module._BLOCK
         candidate = make_candidates(1)[0]
         transport = SimTransport(Rng(42), failure_prob=0.3)
         gen = Rng(42).substream(zlib.crc32(b"c0"))
-        viable = not gen.random() < 0.3
-        latency = 300.0 * math.exp(0.6 * gen.standard_normal())
-        assert transport.probe(candidate, 1e9) == ProbeResult(
-            candidate=candidate, viable=viable, latency_ms=latency
-        )
+        expected = []
+        for _ in range(2):
+            uniform = float(gen.random(block)[0])
+            normal = float(gen.standard_normal(block)[0])
+            expected.append(
+                ProbeResult(
+                    candidate=candidate,
+                    viable=not uniform < 0.3,
+                    latency_ms=300.0 * math.exp(0.6 * normal),
+                )
+            )
+        results = [transport.probe(candidate, 1e9) for _ in range(block + 1)]
+        assert [results[0], results[block]] == expected
 
     # Six ids, c0 listed twice: 43 rounds of 7 probes on one thread.  A
     # change to the draw order, the draws per probe or the latency
     # arithmetic moves it.
     DRAW_SEQUENCE_SHA256 = (
-        "373480f49f560324ec7d59904d3dc954381a9c8d1932005bdc675f3d27e52343"
+        "2c16f2dbe5105592cd8637e78c8fe3f9e08a1309f69e05a7929823ce926dc9b6"
     )
 
     def test_draw_sequence_is_pinned(self):
@@ -116,6 +127,102 @@ class TestSimTransport:
                 record = (result.candidate.id, result.viable, repr(result.latency_ms))
                 digest.update(f"{record}\n".encode())
         assert digest.hexdigest() == self.DRAW_SEQUENCE_SHA256
+
+    @pytest.mark.parametrize("failure_prob", [0.02, 0.3])
+    def test_verdicts_and_latencies_follow_their_laws(self, failure_prob):
+        # 20 ids x 1000 probes, about 16 blocks each; every bound is
+        # 4 standard errors.
+        candidates = make_candidates(20)
+        transport = SimTransport(Rng(99), failure_prob=failure_prob)
+        results = [
+            transport.probe(candidate, 1e9)
+            for _ in range(1000)
+            for candidate in candidates
+        ]
+        n = len(results)
+        fail_rate = sum(not r.viable for r in results) / n
+        assert abs(fail_rate - failure_prob) < 4 * math.sqrt(
+            failure_prob * (1 - failure_prob) / n
+        )
+        logs = np.log([r.latency_ms for r in results])
+        assert abs(logs.mean() - math.log(300.0)) < 4 * 0.6 / math.sqrt(n)
+        assert abs(logs.std(ddof=1) - 0.6) < 4 * 0.6 / math.sqrt(2 * (n - 1))
+
+    def test_block_boundaries_ignore_interleaving(self):
+        # c0 crosses three block boundaries while the other ids, probed in
+        # uneven numbers between its probes, cross theirs at other times.
+        block = probe_module._BLOCK
+        first, *others = make_candidates(4)
+        alone = SimTransport(Rng(13), failure_prob=0.4)
+        mixed = SimTransport(Rng(13), failure_prob=0.4)
+        count = 3 * block + block // 2
+        solo = [alone.probe(first, 1e9) for _ in range(count)]
+        interleaved = []
+        for i in range(count):
+            for other in others[: i % 4]:
+                mixed.probe(other, 1e9)
+            interleaved.append(mixed.probe(first, 1e9))
+        assert interleaved == solo
+
+    def test_one_substream_per_candidate_across_blocks(self, monkeypatch):
+        paths = []
+        substream = Rng.substream
+
+        def counting(rng, *path):
+            paths.append(path)
+            return substream(rng, *path)
+
+        monkeypatch.setattr(Rng, "substream", counting)
+        candidates = make_candidates(3)
+        transport = SimTransport(Rng(42), failure_prob=0.2)
+        for _ in range(4 * probe_module._BLOCK + 1):
+            probe_all(candidates, transport, 1e9, 1)
+        assert sorted(paths) == sorted(
+            (zlib.crc32(c.id.encode()),) for c in candidates
+        )
+
+    def test_failed_block_draw_leaves_the_id_usable(self, monkeypatch):
+        # The second block's uniform draw raises once; the id's next probe
+        # draws that block again, so its verdicts are those of a transport
+        # that never failed.  Then a normal draw raises once, after its
+        # block's uniforms were taken, and the id still goes on probing.
+        block = probe_module._BLOCK
+        substream = Rng.substream
+        failures = {}
+
+        class Flaky:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def draw(self, method, size):
+                if method in failures:
+                    raise failures.pop(method)
+                return getattr(self.gen, method)(size)
+
+            def random(self, size):
+                return self.draw("random", size)
+
+            def standard_normal(self, size):
+                return self.draw("standard_normal", size)
+
+        monkeypatch.setattr(
+            Rng, "substream", lambda rng, *path: Flaky(substream(rng, *path))
+        )
+        candidate = make_candidates(1)[0]
+        flaky = SimTransport(Rng(5), failure_prob=0.3)
+        seen = [flaky.probe(candidate, 1e9) for _ in range(block)]
+        failures["random"] = MemoryError()
+        with pytest.raises(MemoryError):
+            flaky.probe(candidate, 1e9)
+        seen += [flaky.probe(candidate, 1e9) for _ in range(block)]
+        failures["standard_normal"] = MemoryError()
+        with pytest.raises(MemoryError):
+            flaky.probe(candidate, 1e9)
+        after = [flaky.probe(candidate, 1e9) for _ in range(2 * block)]
+        assert all(r.latency_ms > 0.0 for r in after)
+        monkeypatch.undo()
+        plain = SimTransport(Rng(5), failure_prob=0.3)
+        assert seen == [plain.probe(candidate, 1e9) for _ in range(2 * block)]
 
     def test_repeated_id_draws_same_results_at_any_fan_out(self):
         # Threads share a candidate's generator under the lock; a lost or

@@ -14,6 +14,8 @@ run times each layer once, after a warm-up run that is not recorded:
 - ``Rng.substream``, in us per stream, the mean over SUBSTREAMS streams;
 - one ``probe_all`` round over PROBE_CANDIDATES candidates on
   ``SimTransport``, in ms, the mean over PROBE_ROUNDS rounds;
+- ``SimTransport.probe``, in us per probe, the mean over SIM_ROUNDS rounds
+  that each probe SIM_IDS ids once on the calling thread;
 - ``import streamres`` in a fresh interpreter, in ms.
 
 The file holds each layer's median, quartiles and samples, and the
@@ -58,6 +60,8 @@ SCORE_CALLS = 20000
 SUBSTREAMS = 2000
 PROBE_CANDIDATES = 12
 PROBE_ROUNDS = 20
+SIM_IDS = 9
+SIM_ROUNDS = 2222
 
 
 def _sections() -> dict[str, float]:
@@ -127,6 +131,16 @@ def _probe_round_ms() -> float:
     return (time.perf_counter() - started) / PROBE_ROUNDS * 1e3
 
 
+def _sim_probe_us() -> float:
+    candidates = [StreamCandidate(f"s{i}", f"p{i}", 720, f"sim://p{i}") for i in range(SIM_IDS)]
+    probe = SimTransport(Rng(registry.DEFAULT_SEED), failure_prob=0.2).probe
+    started = time.perf_counter()
+    for _ in range(SIM_ROUNDS):
+        for candidate in candidates:
+            probe(candidate, 1e9)
+    return (time.perf_counter() - started) / (SIM_ROUNDS * SIM_IDS) * 1e6
+
+
 def _import_ms() -> float:
     code = (
         "import time; started = time.perf_counter(); import streamres; "
@@ -146,6 +160,7 @@ def one_run() -> dict[str, float]:
         "prospect.switch_score_us": _switch_score_us(),
         "viability.substream_us": _substream_us(),
         "probe.probe_all_round_ms": _probe_round_ms(),
+        "probe.sim_probe_us": _sim_probe_us(),
         "setup.import_streamres_ms": _import_ms(),
     }
 
