@@ -18,7 +18,6 @@ from .analytics import (
     expected_time_concurrent,
     harmonic_number,
     interruption_probability,
-    no_thrash_bound,
     utility_estimate,
 )
 from .probe import (
@@ -107,7 +106,6 @@ __all__ = [
     "harmonic_number",
     "interruption_probability",
     "main",
-    "no_thrash_bound",
     "probe_all",
     "run_depletion",
     "run_monotonicity",

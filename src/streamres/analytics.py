@@ -1,10 +1,9 @@
 """Closed-form reliability results for a k-slot standby reservoir.
 
 Everything here is exact arithmetic: interruption probability with warm
-standbys, expected depletion horizons, batched-vs-concurrent acquisition
-speedup, and the switch-rate bound.  The Monte Carlo counterparts live in
-streamres.simulator; these functions are the oracles they are checked
-against.
+standbys, expected depletion horizons, and batched-vs-concurrent acquisition
+speedup.  The Monte Carlo counterparts live in streamres.simulator; these
+functions are the oracles they are checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "expected_time_batched",
     "batched_speedup",
     "censored_depletion_mean",
-    "no_thrash_bound",
     "utility_estimate",
 ]
 
@@ -142,24 +140,6 @@ def censored_depletion_mean(step_fail_prob: float, horizon: int) -> float:
     # expm1/log1p form: the direct power cancels catastrophically for tiny p.
     mass = -math.expm1(horizon * math.log1p(-step_fail_prob))
     return mass / step_fail_prob
-
-
-def no_thrash_bound(
-    horizon: float,
-    switch_cost: float,
-    mean_failure_rate: float,
-    quality_ceiling: float,
-) -> float:
-    """Upper bound on expected switches over a horizon: T / (2 c lam q).
-
-    Grows only linearly in the horizon, so the switch rate stays bounded no
-    matter how long the session runs.
-    """
-    if horizon < 0.0:
-        raise ValueError("horizon must be non-negative")
-    if switch_cost <= 0.0 or mean_failure_rate <= 0.0 or quality_ceiling <= 0.0:
-        raise ValueError("switch cost, failure rate and ceiling must be positive")
-    return horizon / (2.0 * switch_cost * mean_failure_rate * quality_ceiling)
 
 
 def utility_estimate(slot_count: int, mean_failure_rate: float) -> float:

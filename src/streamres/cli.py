@@ -53,8 +53,8 @@ __all__ = ["CheckResult", "VerifyReport", "run_verify", "main", "entrypoint"]
 DEFAULT_QUALITY = 720
 
 # Largest value of every integer option but the seed (SeedSequence takes any
-# size), and of each quality in --levels and --providers: past the largest
-# machine index an integer cannot size an array or convert to a float.
+# size), and of each quality in --levels, --providers and a URL file: past the
+# largest machine index an integer cannot size an array or convert to a float.
 _MOST = sys.maxsize
 
 _T = TypeVar("_T")
@@ -218,14 +218,12 @@ def _read_url_file(path: str) -> list[StreamCandidate]:
         quality = DEFAULT_QUALITY
         if len(parts) > 1:
             try:
-                quality = int(parts[1])
+                quality = _positive_int(parts[1])
             except ValueError:
-                quality = 0  # reported below like any other non-positive value
-            if quality < 1:
                 raise ValueError(
                     f"{path}:{number}: quality must be a positive integer, "
                     f"got {parts[1]!r}"
-                )
+                ) from None
         candidates.append(
             StreamCandidate(
                 id=url,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 import socket
+import sys
 import threading
 import time
 import zlib
@@ -77,10 +78,11 @@ class StreamCandidate:
     locator: str
 
     def __post_init__(self) -> None:
-        # NaN fails too: a non-finite quality would pass admission and then
-        # make a switch score raise halfway through a reservoir operation.
-        if not 0 < self.quality < math.inf:
-            raise ValueError("quality must be positive and finite")
+        # NaN fails too.  Past the largest float, a quality would pass
+        # admission and then make a switch score raise halfway through a
+        # reservoir operation.
+        if not 0 < self.quality <= sys.float_info.max:
+            raise ValueError("quality must be positive and at most the largest float")
 
 
 class ProbeResult(NamedTuple):

@@ -52,8 +52,11 @@ class ProspectParams:
             raise ValueError("gamma must lie in (0, 1]")
         if self.switch_cost < 0.0:
             raise ValueError("switch_cost must be non-negative")
-        if self.quality_ceiling <= 0.0:
-            raise ValueError("quality_ceiling must be positive")
+        # From one up, the normalized delta of any two qualities a stream
+        # candidate accepts is finite, so switch_score cannot raise halfway
+        # through a reservoir operation.
+        if self.quality_ceiling < 1.0:
+            raise ValueError("quality_ceiling must be >= 1")
         if not 0.0 < self.confidence_base < 1.0:
             raise ValueError("confidence_base must lie in (0, 1)")
 

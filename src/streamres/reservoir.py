@@ -20,10 +20,10 @@ Every public operation opens with one guard, ``_enter``: the reservoir must
 be in the state the operation needs and ``now`` must not be behind the clock
 (a NaN ``now`` is refused too).  Either failure raises before any change.
 Every accepted call moves the clock to ``now``, even a call that changes
-nothing, so no later call can log behind it; a health cycle commits its
-clock only once its checker has returned.  Operations name their state by
-the module constants ``_MAINTAIN`` and ``_DEPLETED``, which skip the Enum
-lookup on this per-call path.
+nothing, so no later call can log behind it, but only after its last step
+that can raise (a health cycle's checker, a refill or reacquire sort).
+Operations name their state by the module constants ``_MAINTAIN`` and
+``_DEPLETED``, which skip the Enum lookup on this per-call path.
 
 Every event is logged as a ``ReservoirEvent``, a named tuple, in an
 append-only list; ``transitions`` reads the state changes off it, one per
@@ -50,7 +50,6 @@ from .prospect import DEFAULT_PARAMS, ProspectParams, switch_score
 
 __all__ = [
     "ReservoirState",
-    "EVENT_KINDS",
     "Slot",
     "ReservoirEvent",
     "Reservoir",
@@ -75,19 +74,6 @@ class ReservoirState(Enum):
 # the Enum metaclass on every lookup, which would be most of a guard's cost.
 _MAINTAIN = ReservoirState.MAINTAIN
 _DEPLETED = ReservoirState.DEPLETED
-
-EVENT_KINDS = frozenset(
-    {
-        "filled",
-        "health_pass",
-        "health_fail",
-        "refill",
-        "failover",
-        "upgrade",
-        "depleted",
-        "reacquire",
-    }
-)
 
 # The events that mark a change of state, and the change each one marks.
 _EDGES = {
@@ -199,9 +185,6 @@ class Reservoir:
             _EDGES[event.kind] for event in self._events if event.kind in _EDGES
         )
 
-    def slot_ids(self) -> set[str]:
-        return {slot.candidate.id for slot in self._slots}
-
     # -- maintain loop -----------------------------------------------------
 
     def run_health_cycle(self, checker: Callable[[Slot], bool], now: float) -> int:
@@ -248,13 +231,14 @@ class Reservoir:
         dropped.  A candidate holding a slot when the round begins, or
         admitted earlier in it, is never admitted again in that round.
         """
-        self._enter(_MAINTAIN, now)
+        self._enter(_MAINTAIN, now, commit=False)
         held = {slot.candidate.id for slot in self._slots}
         fresh = [r for r in fresh_results if r.viable and r.candidate.id not in held]
-        if not fresh:
-            return 0
         if len(fresh) > 1:
             fresh.sort(key=_fresh_order)
+        self._clock = now  # the sort returned: commit the call
+        if not fresh:
+            return 0
         admitted = 0
         for result in fresh:
             if result.candidate.id in held:
@@ -309,7 +293,7 @@ class Reservoir:
             score = switch_score(
                 active_quality, quality, slot.verified_count, self.params
             )
-            if score > 0.0 and (best_index is None or score > best_score):
+            if score > best_score:
                 best_index = index
                 best_score = score
         if best_index is None:
@@ -351,12 +335,13 @@ class Reservoir:
         enters MAINTAIN and returns True.  On a fruitless round it stays
         depleted, logs another re-acquisition request, and returns False.
         """
-        self._enter(_DEPLETED, now)
+        self._enter(_DEPLETED, now, commit=False)
         picked: dict[str, ProbeResult] = {}
         for result in sort_results(probe_results):
             if not result.viable or len(picked) == self.capacity:
                 break
             picked.setdefault(result.candidate.id, result)
+        self._clock = now  # the sort returned: commit the call
         if not picked:
             self._events.append(_event(("reacquire", None, now, None)))
             return False

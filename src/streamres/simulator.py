@@ -228,10 +228,11 @@ def _rows(
             yield ups, latencies, lo
 
 
-def _summary(switches: list[tuple[int, int]], switch_count: int) -> TrialSummary:
-    """Trial statistics from (step, active quality) points, one per switch.
+def _summary(switches: list[tuple[int, int]]) -> TrialSummary:
+    """Trial statistics from (step, active quality) switch points.
 
-    Each quality holds from its point until the next one."""
+    The first point is where the trial starts and each later one a switch;
+    each quality holds from its point until the next one."""
     final = switches[-1][1]
     return TrialSummary(
         monotone_violations=sum(
@@ -239,7 +240,7 @@ def _summary(switches: list[tuple[int, int]], switch_count: int) -> TrialSummary
         ),
         final_quality=final,
         convergence_step=next(step for step, quality in switches if quality == final),
-        switch_count=switch_count,
+        switch_count=len(switches) - 1,
     )
 
 
@@ -293,7 +294,7 @@ def run_monotonicity(
         if reservoir is not None:
             break
     else:
-        return _summary([(config.steps, 0)], 0)
+        return _summary([(config.steps, 0)])
 
     health_cycle = reservoir.run_health_cycle
     refill = reservoir.refill
@@ -324,7 +325,7 @@ def run_monotonicity(
 
     if trace_sink is not None:
         trace_sink.extend(reservoir.trace_lines())
-    return _summary(switches, reservoir.switch_count)
+    return _summary(switches)
 
 
 def run_thrash(
@@ -366,7 +367,7 @@ def run_thrash(
 
     if trace_sink is not None:
         trace_sink.extend(reservoir.trace_lines())
-    return _summary(switches, reservoir.switch_count)
+    return _summary(switches)
 
 
 def run_speedup_empirical(

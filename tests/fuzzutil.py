@@ -10,7 +10,22 @@ Shared by the property suite and the acceptance suite.
 import numpy as np
 
 from streamres.probe import ProbeResult, StreamCandidate
-from streamres.reservoir import EVENT_KINDS, Reservoir, ReservoirState
+from streamres.reservoir import Reservoir, ReservoirState
+
+# The eight kinds of event the reservoir logs, listed here rather than read
+# off the code under test.
+EVENT_KINDS = frozenset(
+    {
+        "filled",
+        "health_pass",
+        "health_fail",
+        "refill",
+        "failover",
+        "upgrade",
+        "depleted",
+        "reacquire",
+    }
+)
 
 FILL = (ReservoirState.DEPLETED, ReservoirState.MAINTAIN)
 DEPLETE = (ReservoirState.MAINTAIN, ReservoirState.DEPLETED)

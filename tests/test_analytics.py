@@ -19,7 +19,6 @@ from streamres.analytics import (
     expected_time_concurrent,
     harmonic_number,
     interruption_probability,
-    no_thrash_bound,
     utility_estimate,
 )
 
@@ -189,22 +188,6 @@ class TestCensoredDepletionMean:
 
 
 class TestBounds:
-    def test_no_thrash_reference_point(self):
-        assert no_thrash_bound(100.0, 0.12, 0.12, 2160.0) == pytest.approx(
-            1.607, abs=1e-3
-        )
-
-    def test_no_thrash_linear_in_horizon(self):
-        one = no_thrash_bound(100.0, 0.12, 0.12, 2160.0)
-        ten = no_thrash_bound(1000.0, 0.12, 0.12, 2160.0)
-        assert ten == pytest.approx(10.0 * one, rel=1e-12)
-
-    def test_no_thrash_validation(self):
-        with pytest.raises(ValueError):
-            no_thrash_bound(-1.0, 0.12, 0.12, 2160.0)
-        with pytest.raises(ValueError):
-            no_thrash_bound(100.0, 0.0, 0.12, 2160.0)
-
     def test_utility_estimate(self):
         assert utility_estimate(1, 0.1) == pytest.approx(10.0)
         assert utility_estimate(3, 0.1) == pytest.approx(18.333333, abs=1e-5)

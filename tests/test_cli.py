@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import streamres
-from streamres import registry
+from streamres import cli, registry
 from streamres.cli import _LEAST, CheckResult, build_parser, main, run_verify
 from streamres.simulator import MonotonicityConfig, run_depletion, run_monotonicity
 from streamres.viability import Rng
@@ -246,6 +246,23 @@ class TestUsageErrors:
             f"error: {urls}:2: quality must be a positive integer, got {quality!r}\n"
         )
 
+    def test_url_quality_past_machine_index_names_file_and_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # An integer past the largest float once became a candidate.
+        def probe_all(*args, **kwargs):
+            raise AssertionError("probed")
+
+        monkeypatch.setattr(cli, "probe_all", probe_all)
+        quality = str(10**400)
+        urls = tmp_path / "urls.txt"
+        urls.write_text(f"http://127.0.0.1:1/a.m3u8 720\nhttp://127.0.0.1:1/b.m3u8 {quality}\n")
+        code, out, err = run_cli(["probe", "--urls", str(urls)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {urls}:2: quality must be a positive integer, got {quality!r}\n"
+        )
+
     def test_url_line_with_extra_fields_is_usage_error(self, capsys, tmp_path):
         # A second quality was once dropped without a word.
         urls = tmp_path / "urls.txt"
@@ -338,6 +355,12 @@ class TestScore:
         assert code == 2
         assert out == ""
         assert "must be finite" in err
+
+    def test_quality_ceiling_below_one_is_usage_error(self, capsys):
+        argv = ["score", "720", "1080", "--quality-ceiling", "0.5"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: quality_ceiling must be >= 1\n"
 
     def test_bad_quality_is_usage_error(self, capsys):
         code, _, err = run_cli(["score", "0", "1080"], capsys)

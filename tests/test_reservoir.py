@@ -2,15 +2,16 @@
 
 import dataclasses
 import math
+import sys
 
 import pytest
 
+from fuzzutil import EVENT_KINDS
 from streamres import reservoir as reservoir_module
 from streamres.probe import ProbeResult, StreamCandidate
 from streamres.prospect import ProspectParams
 from streamres.reservoir import (
     ACTIVE_VERIFIED_CAP,
-    EVENT_KINDS,
     Reservoir,
     ReservoirEvent,
     ReservoirState,
@@ -21,6 +22,10 @@ def candidate(name, quality):
     return StreamCandidate(
         id=name, provider_id=f"prov-{name}", quality=quality, locator=f"sim://{name}"
     )
+
+
+def slot_ids(reservoir):
+    return {slot.candidate.id for slot in reservoir.slots}
 
 
 def result(name, quality, latency=100.0, viable=True):
@@ -64,7 +69,7 @@ class TestSprintFill:
             capacity=2,
         )
         assert reservoir is not None
-        assert reservoir.slot_ids() == {"lo", "mid"}
+        assert slot_ids(reservoir) == {"lo", "mid"}
         assert reservoir.active.candidate.id == "mid"
         assert reservoir.state is ReservoirState.MAINTAIN
 
@@ -79,7 +84,7 @@ class TestSprintFill:
             capacity=3,
         )
         assert reservoir is not None
-        assert reservoir.slot_ids() == {"ok"}
+        assert slot_ids(reservoir) == {"ok"}
 
     def test_repeated_id_is_admitted_once(self):
         round_ = [result("u", 1080, 40.0), result("u", 1080, 60.0), result("v", 720)]
@@ -150,7 +155,7 @@ class TestHealth:
     def test_fail_drops_slot_and_requests_refill(self):
         reservoir = filled_reservoir()
         assert drop(reservoir, "lo") == 1
-        assert reservoir.slot_ids() == {"hi", "mid"}
+        assert slot_ids(reservoir) == {"hi", "mid"}
         assert reservoir.events[-1].kind == "health_fail"
 
     def test_active_slot_is_off_limits(self):
@@ -165,7 +170,7 @@ class TestHealth:
             lambda slot: slot.candidate.id != "mid", now=1.0
         )
         assert failures == 1
-        assert reservoir.slot_ids() == {"hi", "lo"}
+        assert slot_ids(reservoir) == {"hi", "lo"}
 
     def test_cycle_credits_active_up_to_cap(self):
         reservoir = filled_reservoir()
@@ -196,7 +201,7 @@ class TestRefill:
             now=2.0,
         )
         assert admitted == 1
-        assert reservoir.slot_ids() == {"hi", "lo", "b"}
+        assert slot_ids(reservoir) == {"hi", "lo", "b"}
 
     def test_latency_breaks_quality_ties(self):
         reservoir = filled_reservoir()
@@ -205,20 +210,20 @@ class TestRefill:
             [result("slow", 720, latency=400.0), result("fast", 720, latency=30.0)],
             now=2.0,
         )
-        assert "fast" in reservoir.slot_ids()
-        assert "slow" not in reservoir.slot_ids()
+        assert "fast" in slot_ids(reservoir)
+        assert "slow" not in slot_ids(reservoir)
 
     def test_full_reservoir_requires_clear_improvement(self):
         reservoir = filled_reservoir()
         # 60 pixels above the worst standby: inside the dead zone, rejected.
         assert reservoir.refill([result("near", 540)], now=1.0) == 0
-        assert "near" not in reservoir.slot_ids()
+        assert "near" not in slot_ids(reservoir)
 
     def test_full_reservoir_replaces_worst_for_big_gain(self):
         reservoir = filled_reservoir()
         admitted = reservoir.refill([result("uhd", 2160)], now=1.0)
         assert admitted == 1
-        assert "lo" not in reservoir.slot_ids()
+        assert "lo" not in slot_ids(reservoir)
         assert reservoir.standbys[0].candidate.id == "uhd"
 
     def test_never_admits_present_candidate_twice(self):
@@ -269,7 +274,7 @@ class TestRefill:
         fresh = [result("x", 720), result("y", 1440), result("z", 480)]
         assert reservoir.refill(fresh, now=1.0) == 1
         assert scored == [1440]
-        assert reservoir.slot_ids() == {"hi", "mid", "y"}
+        assert slot_ids(reservoir) == {"hi", "mid", "y"}
 
     def test_single_slot_reservoir_never_replaces_active(self):
         reservoir = Reservoir.sprint_fill([result("only", 480)], capacity=1)
@@ -643,6 +648,56 @@ class TestHealthCycleGuarantee:
         assert snapshot(reservoir) == before
         # The clock did not move to 1.0: an earlier time is still accepted.
         assert reservoir.run_health_cycle(lambda slot: True, now=0.5) == 0
+
+
+class TestInputsThatRaiseMidCall:
+    def test_quality_past_the_largest_float_is_refused(self):
+        # Such a quality once made a refill's switch score overflow after an
+        # earlier admission in the same round.
+        for quality in (10**400, int(sys.float_info.max) + 1):
+            with pytest.raises(ValueError, match="largest float"):
+                candidate("huge", quality)
+
+    @pytest.mark.parametrize("ceiling", [5e-324, 0.5])
+    def test_quality_ceiling_below_one_is_refused(self, ceiling):
+        # A ceiling of 5e-324 once made refill and evaluate_upgrade raise in
+        # their switch score after the clock had moved.
+        with pytest.raises(ValueError, match="quality_ceiling must be >= 1"):
+            ProspectParams(quality_ceiling=ceiling)
+
+    @pytest.mark.parametrize("top", [sys.float_info.max, int(sys.float_info.max)])
+    @pytest.mark.parametrize("ceiling", [1.0, 2160.0])
+    def test_refill_and_upgrade_complete_at_the_extremes(self, top, ceiling):
+        reservoir = Reservoir.sprint_fill(
+            [result("a", 1, 10.0), result("b", 1, 20.0)],
+            capacity=2,
+            params=ProspectParams(quality_ceiling=ceiling),
+        )
+        assert reservoir is not None
+        assert reservoir.refill([result("top", top)], now=1.0) == 1
+        index, score = reservoir.evaluate_upgrade(now=2.0)
+        assert (index, reservoir.active.candidate.id) == (1, "top")
+        assert math.isfinite(score) and score > 0.0
+
+    def test_refill_latency_that_cannot_sort_changes_nothing(self):
+        reservoir = Reservoir.sprint_fill([result("a", 720)], capacity=3)
+        assert reservoir is not None
+        before = full_snapshot(reservoir)
+        tied = [result("x", 1080, latency=None), result("y", 1080, latency=5.0)]
+        with pytest.raises(TypeError):
+            reservoir.refill(tied, now=5.0)
+        assert full_snapshot(reservoir) == before
+        # The clock did not move to 5.0: an earlier time is still accepted.
+        assert reservoir.refill([result("y", 1080)], now=1.0) == 1
+
+    def test_reacquire_latency_that_cannot_sort_changes_nothing(self):
+        reservoir = Reservoir(3)
+        before = full_snapshot(reservoir)
+        tied = [result("x", 720, latency=None), result("y", 720, latency=5.0)]
+        with pytest.raises(TypeError):
+            reservoir.reacquire(tied, now=5.0)
+        assert full_snapshot(reservoir) == before
+        assert reservoir.reacquire([result("y", 720)], now=1.0)
 
 
 class TestHealthCycleBranches:

@@ -481,7 +481,31 @@ class TestSummary:
         # A step down (1080 -> 480), then a return to the first quality: the
         # final quality was first reached at the first point.
         switches = [(3, 720), (5, 1080), (9, 480), (12, 720)]
-        assert simulator._summary(switches, 3) == TrialSummary(1, 720, 3, 3)
+        assert simulator._summary(switches) == TrialSummary(1, 720, 3, 3)
+
+
+def upgrade_lines(trace):
+    return sum(line.split("\t")[1] == "upgrade" for line in trace)
+
+
+class TestSwitchCountFromSwitchPoints:
+    # Every switch point after the first is an upgrade, so the count read off
+    # the points equals the upgrade events in the trace.
+    @pytest.mark.parametrize(
+        "levels, steps, upgrades",
+        [(registry.THRASH_LEVELS, 100, 0), ((360, 2160, 1080, 720, 1440), 300, 1)],
+    )
+    def test_thrash(self, levels, steps, upgrades):
+        trace: list[str] = []
+        summary = run_thrash(levels, steps, trace_sink=trace)
+        assert summary.switch_count == upgrade_lines(trace) == upgrades
+
+    def test_monotonicity_trial_that_upgrades(self):
+        providers = ((360, 0.95), (720, 0.6), (2160, 0.6), (1080, 0.6))
+        config = MonotonicityConfig(providers, steps=300, tau=0.3, slot_count=3)
+        trace: list[str] = []
+        summary = run_monotonicity(config, Rng(7), 36, trace_sink=trace)
+        assert summary.switch_count == upgrade_lines(trace) == 2
 
 
 class TestRunThrash:
