@@ -84,8 +84,21 @@ def _parse_list(
         ) from None
 
 
+def _int(text: str) -> int:
+    # ASCII digits after an optional minus sign: int() alone also takes
+    # underscores, surrounding spaces and non-ASCII digits.  The sign stays,
+    # so a negative reaches its option's bound check.
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
 def _bounded_int(text: str) -> int:
-    number = int(text)
+    number = _int(text)
     if number > _MOST:
         raise ValueError(text)
     return number
@@ -267,14 +280,14 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})"
+        "--seed", type=_int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})"
     )
 
 
 def _add_trials(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trials",
-        type=int,
+        type=_int,
         default=DEFAULT_TRIALS,
         help=f"Monte Carlo trials, min {MIN_TRIALS} (default {DEFAULT_TRIALS})",
     )
@@ -311,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dep = sim_sub.add_parser("depletion", help="depletion horizon experiment")
     _add_seed(p_dep)
     _add_trials(p_dep)
-    p_dep.add_argument("--k", type=int, default=3, help="slot count")
+    p_dep.add_argument("--k", type=_int, default=3, help="slot count")
     p_dep.add_argument(
         "--lambdas",
         dest="rates",
         default="0.10,0.12,0.15",
         help="comma-separated per-slot failure rates",
     )
-    p_dep.add_argument("--horizon", type=int, default=100)
+    p_dep.add_argument("--horizon", type=_int, default=100)
     p_dep.add_argument(
         "--refill", action=argparse.BooleanOptionalAction, default=True
     )
@@ -331,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(f"{q}:{a}" for q, a in REFERENCE_PROVIDERS),
         help="comma-separated quality:availability pairs",
     )
-    p_mono.add_argument("--steps", type=int, default=100)
+    p_mono.add_argument("--steps", type=_int, default=100)
     p_mono.add_argument("--tau", type=float, default=0.3)
-    p_mono.add_argument("--k", type=int, default=3, help="slot count")
-    p_mono.add_argument("--sweep", type=int, default=1, help="number of trials")
+    p_mono.add_argument("--k", type=_int, default=3, help="slot count")
+    p_mono.add_argument("--sweep", type=_int, default=1, help="number of trials")
     p_mono.add_argument("--trace", action="store_true", help="print trial 0 event log")
     p_mono.set_defaults(handler=_cmd_monotonicity)
 
@@ -344,22 +357,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(str(level) for level in THRASH_LEVELS),
         help="comma-separated quality levels",
     )
-    p_thrash.add_argument("--steps", type=int, default=100)
+    p_thrash.add_argument("--steps", type=_int, default=100)
     p_thrash.add_argument("--trace", action="store_true", help="print the event log")
     p_thrash.set_defaults(handler=_cmd_thrash)
 
     p_score = sub.add_parser("score", help="score one candidate switch")
     p_score.add_argument("quality_active", type=float)
     p_score.add_argument("quality_candidate", type=float)
-    p_score.add_argument("--n", type=int, default=1, help="candidate verifications")
+    p_score.add_argument("--n", type=_int, default=1, help="candidate verifications")
     _add_prospect_overrides(p_score)
     p_score.set_defaults(handler=_cmd_score)
 
     p_speed = sub.add_parser("speedup", help="batched vs concurrent scan cost")
     _add_seed(p_speed)
     _add_trials(p_speed)
-    p_speed.add_argument("n", type=int, help="candidate count")
-    p_speed.add_argument("b", type=int, help="batch size")
+    p_speed.add_argument("n", type=_int, help="candidate count")
+    p_speed.add_argument("b", type=_int, help="batch size")
     p_speed.add_argument("f", type=float, help="per-probe failure probability")
     p_speed.add_argument(
         "--empirical", action="store_true", help="also run the Monte Carlo estimate"
@@ -369,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="probe stream URLs and pick a reservoir")
     p_probe.add_argument("--urls", required=True, help="file of 'url [quality]' lines")
     p_probe.add_argument("--timeout-ms", type=float, default=DEFAULT_TIMEOUT_MS)
-    p_probe.add_argument("--k", type=int, default=3, help="reservoir capacity")
-    p_probe.add_argument("--max-in-flight", type=int, default=None)
+    p_probe.add_argument("--k", type=_int, default=3, help="reservoir capacity")
+    p_probe.add_argument("--max-in-flight", type=_int, default=None)
     p_probe.set_defaults(handler=_cmd_probe)
 
     p_curves = sub.add_parser("curves", help="emit (x, y) pairs for the named curve")
@@ -380,10 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("weight", weight, 0.0, 1.0),
     ):
         p_curve = curves_sub.add_parser(name, help=f"prospect {name} curve")
-        p_curve.add_argument("--samples", type=int, default=101)
+        p_curve.add_argument("--samples", type=_int, default=101)
         p_curve.set_defaults(handler=_cmd_curve, fn=fn, lo=lo, width=width)
     p_uptime = curves_sub.add_parser("uptime", help="expected lifetime per slot count")
-    p_uptime.add_argument("--slots", type=int, default=8, help="max slot count")
+    p_uptime.add_argument("--slots", type=_int, default=8, help="max slot count")
     p_uptime.add_argument(
         "--failure-rate", type=float, default=0.1, help="mean failure rate"
     )

@@ -8,7 +8,9 @@ the rest (none for a one-lane round); each lane takes the next candidate in
 input order until none is left.  SimTransport draws deterministic verdicts
 from one substream per candidate, its attempts in sequence; HttpTransport
 sends real HEAD probes on the standard library, each bounded by one
-deadline, and never raises.
+deadline, and never raises.  empirical_first_success_rounds estimates the
+mean time to a first viable probe of a batched and a concurrent scan, from
+one substream of uniforms.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from urllib.parse import quote, urlsplit
 
 import numpy as np
 
-from .viability import TRIAL_BLOCK, Rng
+from .viability import Rng
 
 if TYPE_CHECKING:
     import ssl
@@ -345,24 +347,32 @@ def empirical_first_success_rounds(
     Each round of the batched scan probes batch_size candidates and the scan
     walks n/b batches, so a trial costs (n/b) * rounds-to-first-success; the
     concurrent scan probes everything at once and costs just its round count.
-    Trials are drawn in blocks of TRIAL_BLOCK from substream(block), batched
-    counts before concurrent ones, so the estimate depends only on the seed
-    and the trial count.
+    A scan whose rounds all fail with probability q takes G rounds, drawn by
+    inversion from a uniform U as G = max(1, ceil(log(1 - U) / log(q))), or 1
+    when q is 0; random() is stable across numpy versions, unlike
+    geometric().  Every trial draws from substream(0), all batched counts
+    before all concurrent ones, so the estimate depends only on the seed and
+    the trial count.
     """
     if n_candidates < 1 or not 1 <= batch_size <= n_candidates:
         raise ValueError("need 1 <= batch_size <= n_candidates")
-    if failure_prob < 0.0 or failure_prob >= MAX_FAILURE_PROB:
+    if not 0.0 <= failure_prob < MAX_FAILURE_PROB:  # NaN fails too
         raise ValueError(f"failure_prob must lie in [0, {MAX_FAILURE_PROB})")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p_batch = 1.0 - failure_prob**batch_size
-    p_all = 1.0 - failure_prob**n_candidates
-    cost_factor = n_candidates / batch_size
-    batched = np.empty(trials)
-    concurrent = np.empty(trials)
-    for lo in range(0, trials, TRIAL_BLOCK):
-        hi = min(lo + TRIAL_BLOCK, trials)
-        gen = rng.substream(lo // TRIAL_BLOCK)
-        batched[lo:hi] = cost_factor * gen.geometric(p_batch, hi - lo)
-        concurrent[lo:hi] = gen.geometric(p_all, hi - lo)
-    return float(batched.mean()), float(concurrent.mean())
+    gen = rng.substream(0)
+    # One buffer holds each scan's round counts in turn.
+    rounds = np.empty(trials)
+    means = []
+    for q in (failure_prob**batch_size, failure_prob**n_candidates):
+        gen.random(out=rounds)
+        if q > 0.0:
+            np.log1p(np.negative(rounds, out=rounds), out=rounds)
+            np.divide(rounds, math.log(q), out=rounds)
+            np.ceil(rounds, out=rounds)
+            np.maximum(rounds, 1.0, out=rounds)  # U = 0 gives 0 rounds
+        else:
+            rounds.fill(1.0)
+        means.append(float(rounds.mean()))
+    batched, concurrent = means
+    return n_candidates / batch_size * batched, concurrent

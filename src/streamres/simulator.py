@@ -3,15 +3,17 @@
 Three experiment families: depletion horizons under slot failure (with and
 without refill), quality convergence under lazy refill from providers of
 unequal availability, and switch-thrash counting under persistent standbys.
-Depletion and the speedup estimate draw one substream per block of
-TRIAL_BLOCK trials, monotonicity one per trial, so results never depend on
-how trials are scheduled.  Depletion samples each trial from the exact law
-of its depletion time, in antithetic pairs.  Monotonicity draws its
-uniforms in rows of one per provider: a step takes one up/down row and, when
-it probes, one latency row, so a trial's stream is a sequence of rows, drawn
-in blocks of whole rows and taken in order.  Its refill round passes only
-the eligible providers that are up, since refill drops every non-viable
-result, and the draws stay the same.
+Depletion draws one substream per block of TRIAL_BLOCK trials, the speedup
+estimate one substream for all its trials and monotonicity one per trial,
+so results never depend on how trials are scheduled.  Depletion samples
+each trial from the exact law of its depletion time, in antithetic pairs.
+Monotonicity draws its uniforms in rows of one per provider: a step takes
+one up/down row and, when a slot is vacant, one latency row, so a trial's
+stream is a sequence of rows, drawn in blocks of whole rows and read by
+offset in order.  Its refill round passes only the eligible providers that
+are up, since refill drops every non-viable result, and the draws stay the
+same.  A sweep builds its candidates once per config, not once per trial,
+and counts vacancies from the health cycle's and refill's returns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,6 +98,10 @@ class MonotonicityConfig:
     slot_count: int = 3
 
     def __post_init__(self) -> None:
+        # Kept as a tuple of pairs, so a config is hashable (run_monotonicity
+        # caches its set-up by config) and a caller's list cannot change
+        # after it was checked.
+        object.__setattr__(self, "providers", tuple((q, a) for q, a in self.providers))
         if not self.providers:
             raise ValueError("at least one provider is required")
         for quality, availability in self.providers:
@@ -204,28 +210,51 @@ def _candidates(prefix: str, qualities: Iterable[int]) -> list[StreamCandidate]:
     ]
 
 
-def _rows(
-    gen: np.random.Generator, availabilities: np.ndarray
-) -> Iterator[tuple[list[bool], list[float], int]]:
-    """A trial's uniforms, one row of one per provider at a time.
+# A config's candidates, id -> index map, availabilities and eligible
+# provider indices: what every trial of a sweep shares.
+_Setup = tuple[
+    tuple[StreamCandidate, ...], dict[str, int], np.ndarray, tuple[int, ...]
+]
+# The set-ups of the configs swept lately, by config.
+_SETUPS: dict[MonotonicityConfig, _Setup] = {}
+_MAX_SETUPS = 8
 
-    Yields (ups, latencies, lo): the row is ups[lo:lo + providers] read as
-    up/down verdicts (uniform < availability), or latencies[lo:lo +
+
+def _sweep_setup(config: MonotonicityConfig) -> _Setup:
+    """config's set-up, built on its first trial; no caller mutates it."""
+    setup = _SETUPS.get(config)
+    if setup is None:
+        candidates = tuple(_candidates("p", (q for q, _ in config.providers)))
+        availabilities = np.array([a for _, a in config.providers])
+        availabilities.flags.writeable = False
+        eligible = tuple(
+            i for i, (_, availability) in enumerate(config.providers)
+            if availability >= config.tau
+        )
+        if len(_SETUPS) == _MAX_SETUPS:
+            _SETUPS.clear()
+        index_of = {c.id: i for i, c in enumerate(candidates)}
+        setup = _SETUPS[config] = (candidates, index_of, availabilities, eligible)
+    return setup
+
+
+def _block(
+    gen: np.random.Generator, availabilities: np.ndarray
+) -> tuple[list[bool], list[float]]:
+    """The next block of a trial's uniforms, rows of one per provider.
+
+    Returns (ups, latencies): the row at offset lo is ups[lo:lo + providers]
+    read as up/down verdicts (uniform < availability), or latencies[lo:lo +
     providers] read as latencies (uniform * 1000 ms); the caller reads
-    whichever it needs by offset.  Rows come max(1, _UNIFORM_CHUNK //
-    providers) per random() call, and random() spends one 64-bit output per
-    double, so the values are those of one long random(n) call whatever the
-    block size.  A block allocates only its two flat lists: a list per row
-    would keep hundreds alive per trial and set off extra young-generation
-    garbage collections.
+    whichever it needs.  A block is max(1, _UNIFORM_CHUNK // providers)
+    rows, and random() spends one 64-bit output per double, so the values
+    are those of one long random(n) call whatever the block size.  A block
+    allocates only its two flat lists: a list per row would keep hundreds
+    alive per trial and set off extra young-generation garbage collections.
     """
     count = len(availabilities)
-    while True:
-        block = gen.random((max(1, _UNIFORM_CHUNK // count), count))
-        ups = (block < availabilities).ravel().tolist()
-        latencies = (block * 1000.0).ravel().tolist()
-        for lo in range(0, len(ups), count):
-            yield ups, latencies, lo
+    block = gen.random((max(1, _UNIFORM_CHUNK // count), count))
+    return (block < availabilities).ravel().tolist(), (block * 1000.0).ravel().tolist()
 
 
 def _summary(switches: list[tuple[int, int]]) -> TrialSummary:
@@ -260,18 +289,21 @@ def run_monotonicity(
 
     The trial first probes every provider once a step until some stream is
     viable, then runs one maintain step a step: a health cycle, a refill
-    round when a slot is vacant, and an upgrade evaluation.  It reads the
-    slot count off the reservoir's slot list each step, and records a
-    switch point (step, active quality) at acquisition and after each
+    round when a slot is vacant, and an upgrade evaluation.  It counts the
+    vacant slots from what the health cycle and refill return, and records
+    a switch point (step, active quality) at acquisition and after each
     upgrade evaluation that switches.
     """
-    candidates = _candidates("p", (quality for quality, _ in config.providers))
-    index_of = {c.id: i for i, c in enumerate(candidates)}
-    rows = _rows(rng.substream(trial), np.array([a for _, a in config.providers]))
-    eligible = [
-        i for i, (_, availability) in enumerate(config.providers)
-        if availability >= config.tau
-    ]
+    candidates, index_of, availabilities, eligible = _sweep_setup(config)
+    gen = rng.substream(trial)
+    count = len(candidates)
+    # The current block and the offset of its next unread row; a read at
+    # the block's end draws the next block first.  A row is read as its
+    # block and offset, since the step's next read may draw a new block.
+    end = max(1, _UNIFORM_CHUNK // count) * count
+    ups: list[bool] = []
+    latencies: list[float] = []
+    at = end
 
     def healthy(slot: Slot) -> bool:
         # Reads the current step's up row.
@@ -280,12 +312,21 @@ def run_monotonicity(
     # Initial acquisition probes every provider; repeat until some candidate
     # is viable.
     for acquired in range(config.steps + 1):
-        # Provider i is up this step when up[up_at + i].
-        up, _, up_at = next(rows)
-        _, latencies, at = next(rows)
+        # Provider i is up this step when up[up_at + i]; its latency is
+        # latency[latency_at + i], from the next row.
+        if at == end:
+            ups, latencies = _block(gen, availabilities)
+            at = 0
+        up, up_at = ups, at
+        at += count
+        if at == end:
+            ups, latencies = _block(gen, availabilities)
+            at = 0
+        latency, latency_at = latencies, at
+        at += count
         reservoir = Reservoir.sprint_fill(
             [
-                ProbeResult(candidate, up[up_at + i], latencies[at + i])
+                ProbeResult(candidate, up[up_at + i], latency[latency_at + i])
                 for i, candidate in enumerate(candidates)
             ],
             capacity=config.slot_count,
@@ -299,27 +340,37 @@ def run_monotonicity(
     health_cycle = reservoir.run_health_cycle
     refill = reservoir.refill
     evaluate_upgrade = reservoir.evaluate_upgrade
-    capacity = config.slot_count
+    # Counted from the calls' returns: each failed standby opens a vacancy,
+    # and a refill round fills vacancies before it displaces anyone.
+    vacant = config.slot_count - len(reservoir.slots)
     # Only an upgrade changes the active stream.
     switches = [(acquired, reservoir.active.quality)]
     for step in range(acquired + 1, config.steps + 1):
         now = float(step)
-        up, _, up_at = next(rows)
-        health_cycle(healthy, now)
-        if len(reservoir.slots) < capacity:
-            # A failed standby always leaves a vacancy.  The round draws a
-            # latency for every provider, probed or not, but passes only the
-            # eligible providers that are up: refill drops non-viable
-            # results first.
-            _, latencies, at = next(rows)
-            refill(
+        if at == end:
+            ups, latencies = _block(gen, availabilities)
+            at = 0
+        up, up_at = ups, at
+        at += count
+        vacant += health_cycle(healthy, now)
+        if vacant:
+            # The round draws a latency for every provider, probed or not,
+            # but passes only the eligible providers that are up: refill
+            # drops non-viable results first.
+            if at == end:
+                ups, latencies = _block(gen, availabilities)
+                at = 0
+            latency, latency_at = latencies, at
+            at += count
+            admitted = refill(
                 [
-                    _result((candidates[i], True, latencies[at + i], False, None))
+                    _result((candidates[i], True, latency[latency_at + i], False, None))
                     for i in eligible
                     if up[up_at + i]
                 ],
                 now,
             )
+            vacant = max(0, vacant - admitted)
         if evaluate_upgrade(now) is not None:
             switches.append((step, reservoir.active.quality))
 

@@ -1,9 +1,9 @@
 """Reproducible random substreams.
 
 Rng hands out path-addressed substreams, so a draw depends on the seed and
-the path alone, never on how work is scheduled.  Depletion and the speedup
-estimate key one substream per TRIAL_BLOCK trials, monotonicity one per
-trial and SimTransport one per candidate.
+the path alone, never on how work is scheduled.  Depletion keys one
+substream per TRIAL_BLOCK trials, the speedup estimate one for all its
+trials, monotonicity one per trial and SimTransport one per candidate.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 
 __all__ = ["Rng", "TRIAL_BLOCK"]
 
-# Trials per block-keyed substream.  Even, so depletion's antithetic pairs
-# never straddle two blocks.
+# Trials per depletion substream.  Even, so antithetic pairs never straddle
+# two blocks.
 TRIAL_BLOCK = 256
 
 

@@ -20,7 +20,8 @@ from streamres.viability import Rng
 
 # `verify --format records` at the defaults.  The Monte Carlo actuals pin the
 # sampling schemes: exact-law antithetic pairs for depletion (T1.1-T1.5), one
-# substream per block for the speedup estimate (T2.4).
+# substream of uniforms inverted to round counts for the speedup estimate
+# (T2.4).
 DEFAULT_RECORDS = (
     "T1.1\t10\t10.0704\t0.3\tpass\n"
     "T1.2\t91.4\t91.723\t1.5\tpass\n"
@@ -30,12 +31,42 @@ DEFAULT_RECORDS = (
     "T2.1\t4.27\t4.273432576\t0.01\tpass\n"
     "T2.2\t4.01\t4.009743677\t0.01\tpass\n"
     "T2.3\t5.31\t5.3125\t0.01\tpass\n"
-    "T2.4\t4.273432576\t4.271557284\t0.05\tpass\n"  # per-trial substreams gave 4.26892
+    # Per-trial substreams gave 4.26892, per-block geometric() draws 4.271557284.
+    "T2.4\t4.273432576\t4.270914582\t0.05\tpass\n"
     "T2.5\t0\t0\t0\tpass\n"
     "T3.1\t0\t0\t0\tpass\n"
     "T3.2\t2160\t2160\t0\tpass\n"
     "T3.3\t15\t0.17\t5\tpass\n"
     "T3.4\t45\t0.1\t12\tpass\n"
+    "T4.1\t2.25\t2.25\t0.001\tpass\n"
+    "T4.2\t0.0553\t0.05526613675\t0.0005\tpass\n"
+    "T4.3\t0.4206\t0.4206393543\t0.0005\tpass\n"
+    "T4.4\t0.9116\t0.9115837526\t0.0005\tpass\n"
+    "T4.5\t-0.01\t-0.009688299389\t0.002\tpass\n"
+    "T4.6\t0.055\t0.05542386568\t0.002\tpass\n"
+    "T4.7\t0.079\t0.07849025522\t0.002\tpass\n"
+    "T4.8\t-0.12\t-0.12\t1e-06\tpass\n"
+    "T4.9\t-0.097\t-0.09720453375\t0.002\tpass\n"
+    "T4.10\t2\t0\t0\tpass\n"
+)
+
+# `verify --format records --seed 7 --trials 300`: a second seed for every
+# sampling scheme; the rows run at --trials widen by sqrt(5000 / 300).
+SEED7_RECORDS = (
+    "T1.1\t10\t9.61\t1.224744871\tpass\n"
+    "T1.2\t91.4\t94.45333333\t6.123724357\tpass\n"
+    "T1.3\t9.15\t9.828650711\t0.8164965809\tpass\n"
+    "T1.4\t1.833333333\t9.828650711\t0\tpass\n"
+    "T1.5\t15.45354445\t15.01227642\t2.041241452\tpass\n"
+    "T2.1\t4.27\t4.273432576\t0.01\tpass\n"
+    "T2.2\t4.01\t4.009743677\t0.01\tpass\n"
+    "T2.3\t5.31\t5.3125\t0.01\tpass\n"
+    "T2.4\t4.273432576\t4.297333333\t0.2041241452\tpass\n"
+    "T2.5\t0\t0\t0\tpass\n"
+    "T3.1\t0\t0\t0\tpass\n"
+    "T3.2\t2160\t2160\t0\tpass\n"
+    "T3.3\t15\t0.07\t5\tpass\n"
+    "T3.4\t45\t0.21\t12\tpass\n"
     "T4.1\t2.25\t2.25\t0.001\tpass\n"
     "T4.2\t0.0553\t0.05526613675\t0.0005\tpass\n"
     "T4.3\t0.4206\t0.4206393543\t0.0005\tpass\n"
@@ -94,6 +125,12 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--format", "records"], capsys)
         assert code == 0
         assert out == DEFAULT_RECORDS
+
+    def test_seed7_records(self, capsys):
+        argv = ["verify", "--format", "records", "--seed", "7", "--trials", "300"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == SEED7_RECORDS
 
     def test_below_minimum_trials_is_usage_error(self, capsys):
         code, _, err = run_cli(["verify", "--trials", "50"], capsys)
@@ -262,6 +299,41 @@ class TestUsageErrors:
         assert err == (
             f"error: {urls}:2: quality must be a positive integer, got {quality!r}\n"
         )
+
+    # int() alone takes underscores, surrounding spaces and non-ASCII digits:
+    # each of these once probed or ran as 720.
+    @pytest.mark.parametrize("quality", ["7_20", "٧٢٠", "+720"])
+    def test_url_quality_takes_ascii_digits_only(self, capsys, tmp_path, quality):
+        urls = tmp_path / "urls.txt"
+        urls.write_text(f"http://127.0.0.1:1/a 720\nhttp://127.0.0.1:1/b {quality}\n")
+        code, out, err = run_cli(["probe", "--urls", str(urls)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {urls}:2: quality must be a positive integer, got {quality!r}\n"
+        )
+
+    @pytest.mark.parametrize("levels", ["1_080,720", "1080, 720", "١٠٨٠,720"])
+    def test_levels_take_ascii_digits_only(self, capsys, levels):
+        code, out, err = run_cli(["simulate", "thrash", "--levels", levels], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --levels: expected comma-separated positive integers, "
+            f"got {levels!r}\n"
+        )
+
+    @pytest.mark.parametrize("steps", ["1_000", " 100", "١٠٠", "+100"])
+    def test_integer_option_takes_ascii_digits_only(self, capsys, steps):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "thrash", "--steps", steps])
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(
+            f"error: argument --steps: invalid int value: {steps!r}\n"
+        )
+
+    def test_negative_integer_option_reaches_its_bound(self, capsys):
+        code, out, err = run_cli(["simulate", "monotonicity", "--sweep", "-1"], capsys)
+        assert (code, out, err) == (2, "", "error: sweep must be >= 1\n")
 
     def test_url_line_with_extra_fields_is_usage_error(self, capsys, tmp_path):
         # A second quality was once dropped without a word.

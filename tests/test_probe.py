@@ -496,23 +496,24 @@ class TestEmpiricalFirstSuccess:
         b = empirical_first_success_rounds(12, 3, 0.4, 500, Rng(9))
         assert a == b
 
-    def test_one_substream_per_block(self):
-        # 257 trials: a full block of 256 from substream(0), then one trial
-        # from substream(1); each block draws its batched counts first.
+    def test_one_substream_batched_first(self):
+        # Every trial draws from substream(0): 257 uniforms for the batched
+        # round counts, then 257 for the concurrent ones, each inverted.
         rng = CountingRng(Rng(5))
         batched, concurrent = empirical_first_success_rounds(12, 3, 0.4, 257, rng)
-        assert rng.paths == [(0,), (1,)]
-        p_batch, p_all = 1.0 - 0.4**3, 1.0 - 0.4**12
-        expected_batched, expected_concurrent = [], []
-        for block, size in ((0, 256), (1, 1)):
-            gen = Rng(5).substream(block)
-            expected_batched.append(4.0 * gen.geometric(p_batch, size))
-            expected_concurrent.append(gen.geometric(p_all, size))
-        assert batched == float(np.concatenate(expected_batched).mean())
-        assert concurrent == float(np.concatenate(expected_concurrent).mean())
+        assert rng.paths == [(0,)]
+        uniforms = Rng(5).substream(0).random(2 * 257).tolist()
 
-    def test_verify_draws_t24_from_391_substreams(self, monkeypatch):
-        # T2.4 runs 20 x 5000 = 100 000 trials at the defaults: 391 blocks.
+        def mean_rounds(us, q):
+            counts = [max(1, math.ceil(math.log1p(-u) / math.log(q))) for u in us]
+            return sum(counts) / len(counts)
+
+        assert batched == 4.0 * mean_rounds(uniforms[:257], 0.4**3)
+        assert concurrent == mean_rounds(uniforms[257:], 0.4**12)
+
+    def test_verify_draws_t24_from_one_substream(self, monkeypatch):
+        # T2.4 runs 20 x 5000 = 100 000 trials at the defaults, all from
+        # one substream.
         recorders = []
 
         def recorded(scenario, trials, rng):
@@ -521,7 +522,28 @@ class TestEmpiricalFirstSuccess:
 
         monkeypatch.setattr(registry, "run_speedup_empirical", recorded)
         registry.run_verify(seed=42, trials=5000)
-        assert [len(recorder.paths) for recorder in recorders] == [391]
+        assert [recorder.paths for recorder in recorders] == [[(0,)]]
+
+    @pytest.mark.parametrize("failure_prob", [0.0, 1e-200])
+    def test_certain_success_takes_one_round(self, failure_prob):
+        # 1e-200 ** 3 underflows to 0: every probe round succeeds.
+        assert empirical_first_success_rounds(12, 3, failure_prob, 1000, Rng(3)) == (
+            4.0,
+            1.0,
+        )
+
+    @pytest.mark.parametrize(
+        "n, b, f", [(12, 3, 0.4), (20, 5, 0.3), (6, 1, 0.9)]
+    )
+    def test_round_counts_follow_the_geometric_law(self, n, b, f):
+        # A scan whose rounds all fail with probability q takes a
+        # Geometric(1 - q) number of rounds: mean 1/(1 - q), variance
+        # q/(1 - q)**2.
+        trials = 40_000
+        batched, concurrent = empirical_first_success_rounds(n, b, f, trials, Rng(11))
+        for mean, q in ((batched * b / n, f**b), (concurrent, f**n)):
+            stderr = math.sqrt(q / trials) / (1.0 - q)
+            assert abs(mean - 1.0 / (1.0 - q)) <= 4.0 * stderr
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -530,6 +552,11 @@ class TestEmpiricalFirstSuccess:
             empirical_first_success_rounds(3, 1, 0.9995, 10, Rng(1))
         with pytest.raises(ValueError):
             empirical_first_success_rounds(3, 1, 0.1, 0, Rng(1))
+
+    def test_nan_failure_prob_is_refused(self):
+        # Inversion would turn a NaN into NaN round counts, not an error.
+        with pytest.raises(ValueError, match=r"failure_prob must lie in \[0, 0.999\)"):
+            empirical_first_success_rounds(12, 3, math.nan, 10, Rng(1))
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):

@@ -312,6 +312,21 @@ class TestRunMonotonicity:
         assert summary == TrialSummary(0, 0, 50, 0)
         assert trace == []
 
+    def test_trials_share_one_setup_and_the_cache_stays_small(self):
+        config = MonotonicityConfig(PROVIDERS, steps=5)
+        run_monotonicity(config, Rng(1), 0)
+        setup = simulator._SETUPS[config]
+        run_monotonicity(MonotonicityConfig(PROVIDERS, steps=5), Rng(1), 1)
+        assert simulator._SETUPS[config] is setup
+        for steps in range(6, 6 + 2 * simulator._MAX_SETUPS):
+            run_monotonicity(MonotonicityConfig(PROVIDERS, steps=steps), Rng(1), 0)
+        assert 1 <= len(simulator._SETUPS) <= simulator._MAX_SETUPS
+
+    def test_list_providers_are_kept_as_a_tuple(self):
+        config = MonotonicityConfig([[720, 0.5], (1080, 0.9)], steps=5)
+        assert config.providers == ((720, 0.5), (1080, 0.9))
+        assert run_monotonicity(config, Rng(1), 0).final_quality == 1080
+
     def test_trace_sink_collects_events(self):
         config = MonotonicityConfig(PROVIDERS, steps=30, tau=0.3)
         trace: list[str] = []
@@ -457,6 +472,50 @@ class TestRegistrySweepWork:
             "upgrade": 22,
             "reacquire": 2,
         }
+
+
+class TestSweepVacancies:
+    # Five providers, the best often down, so standbys fail, vacancies open
+    # and refill rounds both fill vacancies and displace full reservoirs.
+    PROVIDERS = ((360, 0.95), (720, 0.6), (2160, 0.6), (1080, 0.6), (480, 0.9))
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
+    def test_refill_runs_exactly_when_a_slot_is_vacant(self, monkeypatch, capacity):
+        # The sweep counts vacancies from the calls' returns; the reservoir's
+        # own slot count after each health cycle must agree.
+        vacant_steps: list[float] = []
+        refill_steps: list[float] = []
+        displacing_rounds = 0
+        health_cycle = Reservoir.run_health_cycle
+        refill = Reservoir.refill
+
+        def checking_health_cycle(self, checker, now):
+            failures = health_cycle(self, checker, now)
+            if len(self.slots) < self.capacity:
+                vacant_steps.append(now)
+            return failures
+
+        def checking_refill(self, results, now):
+            nonlocal displacing_rounds
+            vacancies = self.capacity - len(self.slots)
+            admitted = refill(self, results, now)
+            displacing_rounds += admitted > vacancies
+            refill_steps.append(now)
+            return admitted
+
+        monkeypatch.setattr(Reservoir, "run_health_cycle", checking_health_cycle)
+        monkeypatch.setattr(Reservoir, "refill", checking_refill)
+        config = MonotonicityConfig(
+            self.PROVIDERS, steps=300, tau=0.3, slot_count=capacity
+        )
+        for trial in range(20):
+            run_monotonicity(config, Rng(7), trial)
+        assert refill_steps == vacant_steps
+        # Only the active slot at capacity 1: nothing fails, nothing refills.
+        assert bool(refill_steps) == (capacity > 1)
+        # At capacity 2 a round's one vacancy takes its best result, and no
+        # later, lower one can displace it.
+        assert bool(displacing_rounds) == (capacity > 2)
 
 
 # Event logs of 200-op fuzz sequences.  Each one refills, upgrades, drains

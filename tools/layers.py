@@ -11,7 +11,8 @@ run times each layer once, after a warm-up run that is not recorded:
   upgrade evaluation) on a 3-slot reservoir whose standbys keep failing,
   in us, the mean over MAINTAIN_STEPS steps;
 - ``switch_score``, in us per call, the mean over SCORE_CALLS calls;
-- ``Rng.substream``, in us per stream, the mean over SUBSTREAMS streams;
+- ``Rng.substream``, in us per stream, the mean over SUBSTREAMS streams,
+  and the number of streams one ``run_verify`` at the defaults builds;
 - one ``probe_all`` round over PROBE_CANDIDATES candidates on
   ``SimTransport``, in ms, the mean over PROBE_ROUNDS rounds;
 - ``SimTransport.probe``, in us per probe, the mean over SIM_ROUNDS rounds
@@ -120,6 +121,23 @@ def _substream_us() -> float:
     return (time.perf_counter() - started) / SUBSTREAMS * 1e6
 
 
+def _substreams_per_verify() -> int:
+    substream = Rng.substream
+    calls = 0
+
+    def counting(self: Rng, *path: int):
+        nonlocal calls
+        calls += 1
+        return substream(self, *path)
+
+    Rng.substream = counting
+    try:
+        registry.run_verify(registry.DEFAULT_SEED, registry.DEFAULT_TRIALS)
+    finally:
+        Rng.substream = substream
+    return calls
+
+
 def _probe_round_ms() -> float:
     candidates = [
         StreamCandidate(f"c{i}", f"p{i}", 720, f"sim://p{i}") for i in range(PROBE_CANDIDATES)
@@ -159,6 +177,7 @@ def one_run() -> dict[str, float]:
         "reservoir.maintain_step_us": _maintain_step_us(),
         "prospect.switch_score_us": _switch_score_us(),
         "viability.substream_us": _substream_us(),
+        "viability.substreams_per_verify": _substreams_per_verify(),
         "probe.probe_all_round_ms": _probe_round_ms(),
         "probe.sim_probe_us": _sim_probe_us(),
         "setup.import_streamres_ms": _import_ms(),
