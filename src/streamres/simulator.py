@@ -301,8 +301,6 @@ def run_monotonicity(
     # the block's end draws the next block first.  A row is read as its
     # block and offset, since the step's next read may draw a new block.
     end = max(1, _UNIFORM_CHUNK // count) * count
-    ups: list[bool] = []
-    latencies: list[float] = []
     at = end
 
     def healthy(slot: Slot) -> bool:
