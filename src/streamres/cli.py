@@ -97,6 +97,17 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
+def _float(text: str) -> float:
+    # ASCII without underscores or surrounding spaces, which float() alone
+    # also takes.  nan and inf pass, and meet their option's own check.
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(text)
+    return float(text)
+
+
+_float.__name__ = "float"
+
+
 def _bounded_int(text: str) -> int:
     number = _int(text)
     if number > _MOST:
@@ -106,7 +117,7 @@ def _bounded_int(text: str) -> int:
 
 def _provider(text: str) -> tuple[int, float]:
     quality, _, availability = text.partition(":")
-    return _bounded_int(quality), float(availability)
+    return _bounded_int(quality), _float(availability)
 
 
 def _positive_int(text: str) -> int:
@@ -118,8 +129,7 @@ def _positive_int(text: str) -> int:
 
 def _cmd_depletion(args: argparse.Namespace) -> int:
     config = DepletionConfig(
-        slot_count=args.k,
-        failure_rates=_parse_list("--lambdas", args.rates, float, "numbers"),
+        failure_rates=_parse_list("--lambdas", args.rates, _float, "numbers"),
         horizon=args.horizon,
         trials=args.trials,
         refill=args.refill,
@@ -297,7 +307,7 @@ def _add_prospect_overrides(parser: argparse.ArgumentParser) -> None:
     # One flag per ProspectParams field, defaulting to the field's default.
     for field in fields(ProspectParams):
         flag = "--" + field.name.replace("_", "-")
-        parser.add_argument(flag, type=float, default=field.default)
+        parser.add_argument(flag, type=_float, default=field.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,12 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dep = sim_sub.add_parser("depletion", help="depletion horizon experiment")
     _add_seed(p_dep)
     _add_trials(p_dep)
-    p_dep.add_argument("--k", type=_int, default=3, help="slot count")
     p_dep.add_argument(
         "--lambdas",
         dest="rates",
         default="0.10,0.12,0.15",
-        help="comma-separated per-slot failure rates",
+        help="comma-separated failure rates, one per slot",
     )
     p_dep.add_argument("--horizon", type=_int, default=100)
     p_dep.add_argument(
@@ -345,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated quality:availability pairs",
     )
     p_mono.add_argument("--steps", type=_int, default=100)
-    p_mono.add_argument("--tau", type=float, default=0.3)
+    p_mono.add_argument("--tau", type=_float, default=0.3)
     p_mono.add_argument("--k", type=_int, default=3, help="slot count")
     p_mono.add_argument("--sweep", type=_int, default=1, help="number of trials")
     p_mono.add_argument("--trace", action="store_true", help="print trial 0 event log")
@@ -362,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thrash.set_defaults(handler=_cmd_thrash)
 
     p_score = sub.add_parser("score", help="score one candidate switch")
-    p_score.add_argument("quality_active", type=float)
-    p_score.add_argument("quality_candidate", type=float)
+    p_score.add_argument("quality_active", type=_float)
+    p_score.add_argument("quality_candidate", type=_float)
     p_score.add_argument("--n", type=_int, default=1, help="candidate verifications")
     _add_prospect_overrides(p_score)
     p_score.set_defaults(handler=_cmd_score)
@@ -373,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trials(p_speed)
     p_speed.add_argument("n", type=_int, help="candidate count")
     p_speed.add_argument("b", type=_int, help="batch size")
-    p_speed.add_argument("f", type=float, help="per-probe failure probability")
+    p_speed.add_argument("f", type=_float, help="per-probe failure probability")
     p_speed.add_argument(
         "--empirical", action="store_true", help="also run the Monte Carlo estimate"
     )
@@ -381,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe", help="probe stream URLs and pick a reservoir")
     p_probe.add_argument("--urls", required=True, help="file of 'url [quality]' lines")
-    p_probe.add_argument("--timeout-ms", type=float, default=DEFAULT_TIMEOUT_MS)
+    p_probe.add_argument("--timeout-ms", type=_float, default=DEFAULT_TIMEOUT_MS)
     p_probe.add_argument("--k", type=_int, default=3, help="reservoir capacity")
     p_probe.add_argument("--max-in-flight", type=_int, default=None)
     p_probe.set_defaults(handler=_cmd_probe)
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_uptime = curves_sub.add_parser("uptime", help="expected lifetime per slot count")
     p_uptime.add_argument("--slots", type=_int, default=8, help="max slot count")
     p_uptime.add_argument(
-        "--failure-rate", type=float, default=0.1, help="mean failure rate"
+        "--failure-rate", type=_float, default=0.1, help="mean failure rate"
     )
     p_uptime.set_defaults(handler=_cmd_uptime)
 

@@ -208,14 +208,14 @@ def _depletion(rng: Rng, trials: int) -> dict[str, float]:
     # reproduced manually with the matching flags.  Each config's shape keys
     # its substreams, so the three runs never share draws.
     single = run_depletion(
-        DepletionConfig(1, (0.10,), horizon=100, trials=trials, refill=True), rng
+        DepletionConfig((0.10,), horizon=100, trials=trials, refill=True), rng
     )
     refilled = run_depletion(
-        DepletionConfig(3, DEPLETION_RATES, horizon=100, trials=trials, refill=True),
+        DepletionConfig(DEPLETION_RATES, horizon=100, trials=trials, refill=True),
         rng,
     )
     drained = run_depletion(
-        DepletionConfig(3, DEPLETION_RATES, horizon=100, trials=trials, refill=False),
+        DepletionConfig(DEPLETION_RATES, horizon=100, trials=trials, refill=False),
         rng,
     )
     ratio = refilled.mean / single.mean

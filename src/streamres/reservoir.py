@@ -18,12 +18,13 @@ standbys between an admission and the upgrade decision that resolves it.
 
 Every public operation opens with one guard, ``_enter``: the reservoir must
 be in the state the operation needs and ``now`` must not be behind the clock
-(a NaN ``now`` is refused too).  Either failure raises before any change.
-Every accepted call moves the clock to ``now``, even a call that changes
-nothing, so no later call can log behind it, but only after its last step
-that can raise (a health cycle's checker, a refill or reacquire sort).
-Operations name their state by the module constants ``_MAINTAIN`` and
-``_DEPLETED``, which skip the Enum lookup on this per-call path.
+(a NaN ``now`` is refused too).  Either failure raises before any change, as
+does a fill or refill round given a viable result whose latency is NaN or
+not a number.  Every accepted call moves the clock to ``now``, even a call
+that changes nothing, so no later call can log behind it, but only after its
+last step that can raise (a health cycle's checker, a round's latency check
+and sort).  Operations name their state by the module constants
+``_MAINTAIN`` and ``_DEPLETED``, which skip the Enum lookup on this per-call path.
 
 Every event is logged as a ``ReservoirEvent``, a named tuple, in an
 append-only list; ``transitions`` reads the state changes off it, one per
@@ -43,6 +44,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from math import isnan
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .probe import ProbeResult, StreamCandidate, sort_results
@@ -234,9 +236,11 @@ class Reservoir:
         self._enter(_MAINTAIN, now, commit=False)
         held = {slot.candidate.id for slot in self._slots}
         fresh = [r for r in fresh_results if r.viable and r.candidate.id not in held]
-        if len(fresh) > 1:
-            fresh.sort(key=_fresh_order)
-        self._clock = now  # the sort returned: commit the call
+        if fresh:
+            _check_latencies(fresh)
+            if len(fresh) > 1:
+                fresh.sort(key=_fresh_order)
+        self._clock = now  # the checks and the sort returned: commit the call
         if not fresh:
             return 0
         admitted = 0
@@ -336,6 +340,7 @@ class Reservoir:
         depleted, logs another re-acquisition request, and returns False.
         """
         self._enter(_DEPLETED, now, commit=False)
+        _check_latencies(probe_results)
         picked: dict[str, ProbeResult] = {}
         for result in sort_results(probe_results):
             if not result.viable or len(picked) == self.capacity:
@@ -380,6 +385,15 @@ class Reservoir:
 # Builds a ReservoirEvent from its four fields in one C call, without the
 # Python frame of the named tuple's generated __new__.
 _event = functools.partial(tuple.__new__, ReservoirEvent)
+
+
+def _check_latencies(results: Sequence[ProbeResult]) -> None:
+    # A viable result's latency ranks it.  isnan raises TypeError on one that
+    # is not a number; NaN compares false with every latency, so the
+    # fastest-first order would depend on list order.
+    for result in results:
+        if result.viable and isnan(result.latency_ms):
+            raise ValueError(f"latency_ms of {result.candidate.id!r} is NaN")
 
 
 def _fresh_order(result: ProbeResult) -> tuple[int, float]:

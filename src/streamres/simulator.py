@@ -12,15 +12,15 @@ one up/down row and, when a slot is vacant, one latency row, so a trial's
 stream is a sequence of rows, drawn in blocks of whole rows and read by
 offset in order.  Its refill round passes only the eligible providers that
 are up, since refill drops every non-viable result, and the draws stay the
-same.  A sweep builds its candidates once per config, not once per trial,
-and counts vacancies from the health cycle's and refill's returns.
+same.  A config builds what its trials share when it is made, so no state
+is kept between configs.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class DepletionConfig:
-    """Depletion experiment: slot_count slots with per-slot failure rates.
+    """Depletion experiment: one slot per failure rate.
 
     With refill=True each step is a fresh Bernoulli draw per slot (failed
     standbys are restored between steps), so the reservoir dies only when
@@ -57,25 +57,22 @@ class DepletionConfig:
     one.  Both are censored at the horizon.
     """
 
-    slot_count: int
     failure_rates: tuple[float, ...]
     horizon: int = 100
     trials: int = 5000
     refill: bool = True
 
     def __post_init__(self) -> None:
-        # Counts are integers (TypeError otherwise), checked here rather than
-        # deep inside numpy when the experiment runs.
-        if operator.index(self.slot_count) < 1:
-            raise ValueError("slot_count must be >= 1")
-        if len(self.failure_rates) != self.slot_count:
-            raise ValueError("need one failure rate per slot")
+        if len(self.failure_rates) < 1:
+            raise ValueError("at least one failure rate is required")
         if not all(math.isfinite(rate) for rate in self.failure_rates):
             raise ValueError("failure rates must be finite")
         if any(rate <= 0.0 for rate in self.failure_rates):
             raise ValueError("failure rates must be positive")
         if self.refill and any(rate > 1.0 for rate in self.failure_rates):
             raise ValueError("per-step failure probabilities must lie in (0, 1]")
+        # Counts are integers (TypeError otherwise), checked here rather than
+        # deep inside numpy when the experiment runs.
         if operator.index(self.horizon) < 1:
             raise ValueError("horizon must be >= 1")
         if operator.index(self.trials) < 1:
@@ -96,11 +93,17 @@ class MonotonicityConfig:
     steps: int = 100
     tau: float = 0.3
     slot_count: int = 3
+    # Built from the fields above for every trial to read: the candidates,
+    # each id's index, the read-only availabilities and the providers that
+    # clear tau.  Not in equality, hash or repr; replace() rebuilds them.
+    _candidates: tuple[StreamCandidate, ...] = field(init=False, compare=False, repr=False)
+    _index_of: dict[str, int] = field(init=False, compare=False, repr=False)
+    _availabilities: np.ndarray = field(init=False, compare=False, repr=False)
+    _eligible: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # Kept as a tuple of pairs, so a config is hashable (run_monotonicity
-        # caches its set-up by config) and a caller's list cannot change
-        # after it was checked.
+        # Kept as a tuple of pairs, so a caller's list cannot change after
+        # it was checked.
         object.__setattr__(self, "providers", tuple((q, a) for q, a in self.providers))
         if not self.providers:
             raise ValueError("at least one provider is required")
@@ -117,6 +120,14 @@ class MonotonicityConfig:
             raise ValueError("steps must be >= 1")
         if operator.index(self.slot_count) < 1:
             raise ValueError("slot_count must be >= 1")
+        candidates = tuple(_candidates("p", (q for q, _ in self.providers)))
+        availabilities = np.array([a for _, a in self.providers])
+        availabilities.flags.writeable = False
+        eligible = tuple(i for i, (_, a) in enumerate(self.providers) if a >= self.tau)
+        object.__setattr__(self, "_candidates", candidates)
+        object.__setattr__(self, "_index_of", {c.id: i for i, c in enumerate(candidates)})
+        object.__setattr__(self, "_availabilities", availabilities)
+        object.__setattr__(self, "_eligible", eligible)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,10 +154,11 @@ def run_depletion(config: DepletionConfig, rng: Rng) -> DepletionResult:
     inversion: refilled, min(Geometric(q), horizon) with q = prod(rates),
     the first step at which every slot fails; drained, the longest of the
     slots' exponential lifetimes, censored at the horizon.  Block b of
-    TRIAL_BLOCK trials draws from substream(refill, slot_count, b), so
-    configs of another shape never share draws.  Trials 2j and 2j+1 form an
-    antithetic pair: they invert the uniforms u and 1 - u, and every map is
-    monotone in u, so a pair's two times are negatively correlated.
+    TRIAL_BLOCK trials draws from substream(refill, slots, b), slots being
+    the number of failure rates, so configs of another shape never share
+    draws.  Trials 2j and 2j+1 form an antithetic pair: they invert the
+    uniforms u and 1 - u, and every map is monotone in u, so a pair's two
+    times are negatively correlated.
 
     stderr is the standard error of the mean over independent units, the
     pairs and, for an odd trial count, the lone last trial; it is 0.0 below
@@ -161,12 +173,13 @@ def run_depletion(config: DepletionConfig, rng: Rng) -> DepletionResult:
 def _depletion_times(config: DepletionConfig, rng: Rng) -> np.ndarray:
     """The depletion time of every trial, in trial order."""
     rates = np.array(config.failure_rates)
+    slots = len(config.failure_rates)
     q = math.prod(config.failure_rates)
-    width = 1 if config.refill else config.slot_count
+    width = 1 if config.refill else slots
     times = np.empty(config.trials)
     for block, lo in enumerate(range(0, config.trials, TRIAL_BLOCK)):
         hi = min(lo + TRIAL_BLOCK, config.trials)
-        gen = rng.substream(int(config.refill), config.slot_count, block)
+        gen = rng.substream(int(config.refill), slots, block)
         half = gen.random(((hi - lo + 1) // 2, width))
         uniforms = np.stack([half, 1.0 - half], axis=1).reshape(-1, width)[: hi - lo]
         # u == 1 (the partner of u == 0) gives an infinite exponential, which
@@ -208,34 +221,6 @@ def _candidates(prefix: str, qualities: Iterable[int]) -> list[StreamCandidate]:
         )
         for index, quality in enumerate(qualities)
     ]
-
-
-# A config's candidates, id -> index map, availabilities and eligible
-# provider indices: what every trial of a sweep shares.
-_Setup = tuple[
-    tuple[StreamCandidate, ...], dict[str, int], np.ndarray, tuple[int, ...]
-]
-# The set-ups of the configs swept lately, by config.
-_SETUPS: dict[MonotonicityConfig, _Setup] = {}
-_MAX_SETUPS = 8
-
-
-def _sweep_setup(config: MonotonicityConfig) -> _Setup:
-    """config's set-up, built on its first trial; no caller mutates it."""
-    setup = _SETUPS.get(config)
-    if setup is None:
-        candidates = tuple(_candidates("p", (q for q, _ in config.providers)))
-        availabilities = np.array([a for _, a in config.providers])
-        availabilities.flags.writeable = False
-        eligible = tuple(
-            i for i, (_, availability) in enumerate(config.providers)
-            if availability >= config.tau
-        )
-        if len(_SETUPS) == _MAX_SETUPS:
-            _SETUPS.clear()
-        index_of = {c.id: i for i, c in enumerate(candidates)}
-        setup = _SETUPS[config] = (candidates, index_of, availabilities, eligible)
-    return setup
 
 
 def _block(
@@ -287,14 +272,14 @@ def run_monotonicity(
     exactly the claim under test: the trajectory never steps down, and it
     ends at the best quality whose availability clears tau.
 
-    The trial first probes every provider once a step until some stream is
-    viable, then runs one maintain step a step: a health cycle, a refill
-    round when a slot is vacant, and an upgrade evaluation.  It counts the
-    vacant slots from what the health cycle and refill return, and records
-    a switch point (step, active quality) at acquisition and after each
-    upgrade evaluation that switches.
+    Each step reads an up/down row.  Until some stream is viable it probes
+    every provider, with a latency row; then it runs a health cycle, a
+    refill round (with a latency row) when a slot is vacant, and an upgrade
+    evaluation.  A switch point (step, active quality) is recorded at
+    acquisition and at each upgrade.
     """
-    candidates, index_of, availabilities, eligible = _sweep_setup(config)
+    candidates, index_of = config._candidates, config._index_of
+    availabilities, eligible = config._availabilities, config._eligible
     gen = rng.substream(trial)
     count = len(candidates)
     # The current block and the offset of its next unread row; a read at
@@ -307,9 +292,12 @@ def run_monotonicity(
         # Reads the current step's up row.
         return up[up_at + index_of[slot.candidate.id]]
 
-    # Initial acquisition probes every provider; repeat until some candidate
-    # is viable.
-    for acquired in range(config.steps + 1):
+    reservoir = None
+    # Only acquisition and an upgrade change the active stream.
+    switches: list[tuple[int, int]] = []
+    vacant = 0
+    for step in range(config.steps + 1):
+        now = float(step)
         # Provider i is up this step when up[up_at + i]; its latency is
         # latency[latency_at + i], from the next row.
         if at == end:
@@ -317,49 +305,35 @@ def run_monotonicity(
             at = 0
         up, up_at = ups, at
         at += count
-        if at == end:
-            ups, latencies = _block(gen, availabilities)
-            at = 0
-        latency, latency_at = latencies, at
-        at += count
-        reservoir = Reservoir.sprint_fill(
-            [
-                ProbeResult(candidate, up[up_at + i], latency[latency_at + i])
-                for i, candidate in enumerate(candidates)
-            ],
-            capacity=config.slot_count,
-            now=float(acquired),
-        )
         if reservoir is not None:
-            break
-    else:
-        return _summary([(config.steps, 0)])
-
-    health_cycle = reservoir.run_health_cycle
-    refill = reservoir.refill
-    evaluate_upgrade = reservoir.evaluate_upgrade
-    # Counted from the calls' returns: each failed standby opens a vacancy,
-    # and a refill round fills vacancies before it displaces anyone.
-    vacant = config.slot_count - len(reservoir.slots)
-    # Only an upgrade changes the active stream.
-    switches = [(acquired, reservoir.active.quality)]
-    for step in range(acquired + 1, config.steps + 1):
-        now = float(step)
-        if at == end:
-            ups, latencies = _block(gen, availabilities)
-            at = 0
-        up, up_at = ups, at
-        at += count
-        vacant += health_cycle(healthy, now)
-        if vacant:
-            # The round draws a latency for every provider, probed or not,
-            # but passes only the eligible providers that are up: refill
-            # drops non-viable results first.
+            vacant += health_cycle(healthy, now)
+        if reservoir is None or vacant:
+            # A round draws a latency for every provider, probed or not.
             if at == end:
                 ups, latencies = _block(gen, availabilities)
                 at = 0
             latency, latency_at = latencies, at
             at += count
+            if reservoir is None:
+                reservoir = Reservoir.sprint_fill(
+                    [
+                        ProbeResult(candidate, up[up_at + i], latency[latency_at + i])
+                        for i, candidate in enumerate(candidates)
+                    ],
+                    capacity=config.slot_count,
+                    now=now,
+                )
+                if reservoir is not None:
+                    health_cycle = reservoir.run_health_cycle
+                    refill = reservoir.refill
+                    evaluate_upgrade = reservoir.evaluate_upgrade
+                    # From here on each failed standby opens a vacancy, and
+                    # a refill round fills vacancies before it displaces.
+                    vacant = config.slot_count - len(reservoir.slots)
+                    switches.append((step, reservoir.active.quality))
+                continue
+            # Refill drops non-viable results first, so the round passes
+            # only the eligible providers that are up.
             admitted = refill(
                 [
                     _result((candidates[i], True, latency[latency_at + i], False, None))
@@ -372,6 +346,8 @@ def run_monotonicity(
         if evaluate_upgrade(now) is not None:
             switches.append((step, reservoir.active.quality))
 
+    if reservoir is None:
+        return _summary([(config.steps, 0)])
     if trace_sink is not None:
         trace_sink.extend(reservoir.trace_lines())
     return _summary(switches)

@@ -129,7 +129,7 @@ def test_criterion_5_oracle_equivalence():
         k = int(gen.integers(2, 6))
         rates = tuple(float(r) for r in gen.uniform(0.05, 0.35, size=k))
         config = DepletionConfig(
-            k, rates, horizon=600, trials=3000, refill=False
+            rates, horizon=600, trials=3000, refill=False
         )
         result = run_depletion(config, Rng(1000 + index))
         oracle = expected_max_exponential(rates)

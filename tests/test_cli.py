@@ -196,7 +196,7 @@ class TestUsageErrors:
         [("nan", "--refill"), ("nan", "--no-refill"), ("inf", "--no-refill")],
     )
     def test_non_finite_rate_is_usage_error(self, capsys, rate, refill):
-        argv = ["simulate", "depletion", "--k", "1", "--lambdas", rate, refill]
+        argv = ["simulate", "depletion", "--lambdas", rate, refill]
         code, out, err = run_cli([*argv, "--trials", "100"], capsys)
         assert (code, out) == (2, "")
         assert err == "error: failure rates must be finite\n"
@@ -334,6 +334,74 @@ class TestUsageErrors:
     def test_negative_integer_option_reaches_its_bound(self, capsys):
         code, out, err = run_cli(["simulate", "monotonicity", "--sweep", "-1"], capsys)
         assert (code, out, err) == (2, "", "error: sweep must be >= 1\n")
+
+    # float() alone takes underscores, surrounding spaces and non-ASCII
+    # digits: each of these once ran with the number it spells without them.
+    # A list entry's error names its option; an option's or a positional's
+    # comes from argparse.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["simulate", "depletion", "--lambdas", "0.1_0,0.12"],
+                "error: --lambdas: expected comma-separated numbers, "
+                "got '0.1_0,0.12'",
+            ),
+            (
+                ["simulate", "depletion", "--lambdas", "0.1, 0.12"],
+                "error: --lambdas: expected comma-separated numbers, "
+                "got '0.1, 0.12'",
+            ),
+            (
+                ["simulate", "monotonicity", "--providers", "720:0.9,1080:٠.٥"],
+                "error: --providers: expected comma-separated quality:availability "
+                "pairs, got '720:0.9,1080:٠.٥'",
+            ),
+            (
+                ["simulate", "monotonicity", "--tau", "0.3_0"],
+                "error: argument --tau: invalid float value: '0.3_0'",
+            ),
+            (
+                ["curves", "uptime", "--failure-rate", " 0.1"],
+                "error: argument --failure-rate: invalid float value: ' 0.1'",
+            ),
+            (
+                ["probe", "--urls", "urls.txt", "--timeout-ms", "1_000"],
+                "error: argument --timeout-ms: invalid float value: '1_000'",
+            ),
+            (
+                ["speedup", "12", "3", "0.4 "],
+                "error: argument f: invalid float value: '0.4 '",
+            ),
+            (
+                ["score", "7_20", "1080"],
+                "error: argument quality_active: invalid float value: '7_20'",
+            ),
+            (
+                ["score", "720", "1080\n"],
+                "error: argument quality_candidate: invalid float value: '1080\\n'",
+            ),
+            (
+                ["score", "720", "1080", "--alpha", "0.8_8"],
+                "error: argument --alpha: invalid float value: '0.8_8'",
+            ),
+        ],
+        ids=[
+            "lambdas-underscore", "lambdas-space", "providers", "tau",
+            "failure-rate", "timeout-ms", "speedup-f", "score-active",
+            "score-candidate", "prospect-override",
+        ],
+    )
+    def test_float_takes_ascii_without_underscores_or_spaces(
+        self, capsys, argv, message
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith(message + "\n")
 
     def test_url_line_with_extra_fields_is_usage_error(self, capsys, tmp_path):
         # A second quality was once dropped without a word.
@@ -476,8 +544,6 @@ class TestSimulate:
             [
                 "simulate",
                 "depletion",
-                "--k",
-                "1",
                 "--lambdas",
                 "0.10",
                 "--trials",
@@ -491,10 +557,28 @@ class TestSimulate:
         mean = float(out.split()[1])
         assert mean == pytest.approx(10.0, abs=0.6)
 
+    def test_depletion_takes_one_slot_per_rate(self, capsys, monkeypatch):
+        # Two rates are two slots: no slot count to pass, and the substreams
+        # are keyed by the rate count.
+        paths = []
+        substream = Rng.substream
+
+        def recording(self, *path):
+            paths.append(path)
+            return substream(self, *path)
+
+        monkeypatch.setattr(Rng, "substream", recording)
+        code, out, _ = run_cli(
+            ["simulate", "depletion", "--lambdas", "0.2,0.3", "--trials", "100"],
+            capsys,
+        )
+        assert code == 0 and out.startswith("mean ")
+        assert paths == [(1, 2, 0)]
+
     def test_depletion_matches_registry_numbers(self, capsys):
         # Same flags as the registry run reproduce T1.2's actual.
         _, out, _ = run_cli(
-            ["simulate", "depletion", "--k", "3", "--lambdas", "0.10,0.12,0.15"],
+            ["simulate", "depletion", "--lambdas", "0.10,0.12,0.15"],
             capsys,
         )
         mean = float(out.split()[1])
@@ -507,7 +591,7 @@ class TestSimulate:
         _, records, _ = run_cli(["verify", "--format", "records"], capsys)
         t12 = next(line for line in records.splitlines() if line.startswith("T1.2\t"))
         code, out, _ = run_cli(
-            ["simulate", "depletion", "--k", "3", "--lambdas", "0.10,0.12,0.15"], capsys
+            ["simulate", "depletion", "--lambdas", "0.10,0.12,0.15"], capsys
         )
         assert code == 0
         assert out.split()[1] == f"{float(t12.split()[2]):.1f}"
@@ -739,7 +823,6 @@ BOUNDED_OPTIONS = [
     ("verify", "trials", 100),
     ("simulate depletion", "seed", 0),
     ("simulate depletion", "trials", 100),
-    ("simulate depletion", "k", 1),
     ("simulate monotonicity", "seed", 0),
     ("simulate monotonicity", "k", 1),
     ("simulate monotonicity", "sweep", 1),
@@ -808,7 +891,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert dict(subcommand_options(build_parser())) == {
         "verify": {"--seed", "--trials", "--format"},
         "simulate depletion": {
-            "--seed", "--trials", "--k", "--lambdas", "--horizon", "--refill",
+            "--seed", "--trials", "--lambdas", "--horizon", "--refill",
             "--no-refill",
         },
         "simulate monotonicity": {

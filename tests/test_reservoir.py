@@ -700,6 +700,46 @@ class TestInputsThatRaiseMidCall:
         assert reservoir.reacquire([result("y", 720)], now=1.0)
 
 
+class TestLatencyThatCannotRank:
+    # Equal qualities: latency alone decides which results a round admits.
+    ROUND = [
+        result("a", 720, latency=5.0),
+        result("b", 720, latency=NAN),
+        result("c", 720, latency=1.0),
+    ]
+
+    # NaN compares false with every latency: the round once kept a, b in
+    # this order and c, b reversed.
+    @pytest.mark.parametrize("order", [1, -1], ids=["as-listed", "reversed"])
+    def test_nan_latency_is_refused_in_either_order(self, order):
+        with pytest.raises(ValueError, match="latency_ms of 'b' is NaN"):
+            Reservoir.sprint_fill(self.ROUND[::order], capacity=2)
+
+    def test_lone_none_latency_is_refused(self):
+        # A lone result is never compared, so it was once admitted.
+        reservoir = Reservoir(2)
+        before = full_snapshot(reservoir)
+        with pytest.raises(TypeError):
+            reservoir.reacquire([result("a", 720, latency=None)], now=1.0)
+        assert full_snapshot(reservoir) == before
+
+    def test_non_viable_result_may_carry_any_latency(self):
+        round_ = [result("dead", 1080, latency=NAN, viable=False), result("a", 720)]
+        reservoir = Reservoir.sprint_fill(round_, capacity=2)
+        assert reservoir is not None and slot_ids(reservoir) == {"a"}
+
+    @pytest.mark.parametrize("latency", [NAN, None, "5"])
+    def test_refill_refuses_and_changes_nothing(self, latency):
+        reservoir = Reservoir.sprint_fill([result("a", 720)], capacity=3)
+        assert reservoir is not None
+        before = full_snapshot(reservoir)
+        fresh = [result("x", 1080), result("y", 480, latency=latency)]
+        with pytest.raises((ValueError, TypeError)):
+            reservoir.refill(fresh, now=5.0)
+        assert full_snapshot(reservoir) == before
+        assert reservoir.refill(fresh[:1], now=1.0) == 1
+
+
 class TestHealthCycleBranches:
     def four_slots(self):
         reservoir = Reservoir.sprint_fill(

@@ -32,23 +32,23 @@ PROVIDERS = ((360, 0.3), (720, 0.5), (1080, 0.7), (2160, 0.9))
 
 
 class TestDepletionConfig:
-    def test_rate_count_must_match_slots(self):
-        with pytest.raises(ValueError):
-            DepletionConfig(2, (0.1,))
+    def test_failure_rates_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="at least one failure rate"):
+            DepletionConfig(())
 
     def test_refill_rates_are_probabilities(self):
         with pytest.raises(ValueError):
-            DepletionConfig(1, (1.5,), refill=True)
-        DepletionConfig(1, (1.5,), refill=False)  # rates, not probabilities
+            DepletionConfig((1.5,), refill=True)
+        DepletionConfig((1.5,), refill=False)  # rates, not probabilities
 
     def test_positive_rates(self):
         with pytest.raises(ValueError):
-            DepletionConfig(1, (0.0,))
+            DepletionConfig((0.0,))
 
-    @pytest.mark.parametrize("field", ["slot_count", "horizon", "trials"])
+    @pytest.mark.parametrize("field", ["horizon", "trials"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_count_below_one_raises(self, field, value):
-        fields = {"slot_count": 1, "failure_rates": (0.1,), field: value}
+        fields = {"failure_rates": (0.1,), field: value}
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             DepletionConfig(**fields)
 
@@ -56,36 +56,36 @@ class TestDepletionConfig:
     @pytest.mark.parametrize("refill", [True, False])
     def test_finite_rates(self, rate, refill):
         with pytest.raises(ValueError, match="finite"):
-            DepletionConfig(2, (0.1, rate), refill=refill)
+            DepletionConfig((0.1, rate), refill=refill)
 
     @pytest.mark.parametrize("value", [2.5, 3.0, math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["slot_count", "horizon", "trials"])
+    @pytest.mark.parametrize("field", ["horizon", "trials"])
     def test_non_integer_count_raises(self, field, value):
-        fields = {"slot_count": 1, "failure_rates": (0.1,), field: value}
+        fields = {"failure_rates": (0.1,), field: value}
         with pytest.raises(TypeError):
             DepletionConfig(**fields)
 
 
 class TestRunDepletion:
     def test_certain_failure_depletes_at_step_one(self):
-        config = DepletionConfig(1, (1.0,), horizon=50, trials=200, refill=True)
+        config = DepletionConfig((1.0,), horizon=50, trials=200, refill=True)
         result = run_depletion(config, Rng(1))
         assert result.mean == 1.0
         assert result.stderr == 0.0
 
     def test_censoring_at_horizon(self):
-        config = DepletionConfig(1, (1e-9,), horizon=25, trials=200, refill=True)
+        config = DepletionConfig((1e-9,), horizon=25, trials=200, refill=True)
         result = run_depletion(config, Rng(2))
         assert result.mean == 25.0
 
     def test_single_slot_geometric_mean(self):
-        config = DepletionConfig(1, (0.10,), horizon=100, trials=5000, refill=True)
+        config = DepletionConfig((0.10,), horizon=100, trials=5000, refill=True)
         result = run_depletion(config, Rng(42))
         assert result.mean == pytest.approx(10.0, abs=4 * result.stderr)
 
     def test_refill_mean_matches_joint_failure_probability(self):
         rates = (0.10, 0.12, 0.15)
-        config = DepletionConfig(3, rates, horizon=100, trials=5000, refill=True)
+        config = DepletionConfig(rates, horizon=100, trials=5000, refill=True)
         result = run_depletion(config, Rng(42))
         # Dies only when all three fail in one step: p = prod(rates).
         p_all = float(np.prod(rates))
@@ -94,18 +94,18 @@ class TestRunDepletion:
 
     def test_no_refill_mean_matches_max_exponential(self):
         rates = (0.10, 0.12, 0.15)
-        config = DepletionConfig(3, rates, horizon=400, trials=5000, refill=False)
+        config = DepletionConfig(rates, horizon=400, trials=5000, refill=False)
         result = run_depletion(config, Rng(42))
         assert result.mean == pytest.approx(
             expected_max_exponential(rates), abs=4 * result.stderr
         )
 
     def test_same_rng_same_result(self):
-        config = DepletionConfig(2, (0.2, 0.3), horizon=50, trials=500)
+        config = DepletionConfig((0.2, 0.3), horizon=50, trials=500)
         assert run_depletion(config, Rng(6)) == run_depletion(config, Rng(6))
 
     def test_tiny_joint_failure_censors_at_horizon(self):
-        config = DepletionConfig(3, (1e-3,) * 3, horizon=40, trials=600, refill=True)
+        config = DepletionConfig((1e-3,) * 3, horizon=40, trials=600, refill=True)
         assert run_depletion(config, Rng(3)) == DepletionResult(40.0, 0.0, 600)
 
 
@@ -125,11 +125,11 @@ class TestAntitheticEdges:
         "config, pair",
         [
             # u = 0 depletes at once; its partner u = 1 survives every step.
-            (DepletionConfig(2, (0.3, 0.4), horizon=30, trials=8), (1.0, 30.0)),
-            (DepletionConfig(1, (1.0,), horizon=30, trials=8), (1.0, 1.0)),
+            (DepletionConfig((0.3, 0.4), horizon=30, trials=8), (1.0, 30.0)),
+            (DepletionConfig((1.0,), horizon=30, trials=8), (1.0, 1.0)),
             # Lifetimes 0 and infinity, the latter censored.
             (
-                DepletionConfig(3, (0.1, 0.2, 0.3), horizon=30, trials=8, refill=False),
+                DepletionConfig((0.1, 0.2, 0.3), horizon=30, trials=8, refill=False),
                 (0.0, 30.0),
             ),
         ],
@@ -145,7 +145,7 @@ class TestAntitheticEdges:
 
     @pytest.mark.parametrize("trials", [5, TRIAL_BLOCK + 3])
     def test_odd_trial_count_adds_one_lone_unit(self, trials):
-        config = DepletionConfig(1, (0.5,), horizon=9, trials=trials)
+        config = DepletionConfig((0.5,), horizon=9, trials=trials)
         result = run_depletion(config, Rng(0))
         times = np.array([1.0, 9.0] * (trials // 2) + [1.0])
         assert result.trials == trials
@@ -157,7 +157,7 @@ class TestAntitheticEdges:
 
     @pytest.mark.parametrize("trials", [1, 2, 3])
     def test_fewer_than_two_pairs_have_no_stderr(self, trials):
-        config = DepletionConfig(1, (0.5,), horizon=9, trials=trials)
+        config = DepletionConfig((0.5,), horizon=9, trials=trials)
         assert run_depletion(config, Rng(0)).stderr == 0.0
 
 
@@ -168,8 +168,9 @@ def block_reference(config, rng):
     for index in range(config.trials):
         block, offset = divmod(index, TRIAL_BLOCK)
         size = min(TRIAL_BLOCK, config.trials - block * TRIAL_BLOCK)
-        width = 1 if config.refill else config.slot_count
-        gen = rng.substream(int(config.refill), config.slot_count, block)
+        slots = len(config.failure_rates)
+        width = 1 if config.refill else slots
+        gen = rng.substream(int(config.refill), slots, block)
         row = gen.random(((size + 1) // 2, width))[offset // 2]
         uniforms = row if offset % 2 == 0 else 1.0 - row
         if config.refill:
@@ -184,8 +185,8 @@ def block_reference(config, rng):
 
 class TestDepletionKeys:
     CONFIGS = {
-        "refill": DepletionConfig(2, (0.3, 0.4), horizon=40),
-        "drained": DepletionConfig(3, (0.10, 0.12, 0.15), horizon=30, refill=False),
+        "refill": DepletionConfig((0.3, 0.4), horizon=40),
+        "drained": DepletionConfig((0.10, 0.12, 0.15), horizon=30, refill=False),
     }
 
     @pytest.mark.parametrize("mode", list(CONFIGS))
@@ -207,7 +208,8 @@ class TestDepletionKeys:
         result = run_depletion(config, rng)
         # One substream per block, keyed by (refill, slot count, block).
         assert paths == [
-            (2, int(config.refill), config.slot_count, b) for b in range(blocks)
+            (2, int(config.refill), len(config.failure_rates), b)
+            for b in range(blocks)
         ]
         # numpy and math logarithms may differ in the last unit.
         times = simulator._depletion_times(config, rng)
@@ -225,7 +227,7 @@ class TestDepletionLaw:
     def test_refilled_pmf_is_geometric(self):
         rates = (0.5, 0.6)
         q = math.prod(rates)
-        config = DepletionConfig(2, rates, horizon=50, trials=self.TRIALS)
+        config = DepletionConfig(rates, horizon=50, trials=self.TRIALS)
         times = simulator._depletion_times(config, Rng(21))
         for t in range(1, 6):
             exact = q * (1.0 - q) ** (t - 1)
@@ -234,7 +236,7 @@ class TestDepletionLaw:
 
     def test_drained_cdf_is_interruption_probability(self):
         rates = (0.10, 0.12, 0.15)
-        config = DepletionConfig(3, rates, horizon=100, trials=self.TRIALS, refill=False)
+        config = DepletionConfig(rates, horizon=100, trials=self.TRIALS, refill=False)
         times = simulator._depletion_times(config, Rng(22))
         for t in (2.0, 5.0, 10.0, 20.0, 40.0):
             exact = interruption_probability(rates, t)
@@ -312,15 +314,34 @@ class TestRunMonotonicity:
         assert summary == TrialSummary(0, 0, 50, 0)
         assert trace == []
 
-    def test_trials_share_one_setup_and_the_cache_stays_small(self):
-        config = MonotonicityConfig(PROVIDERS, steps=5)
-        run_monotonicity(config, Rng(1), 0)
-        setup = simulator._SETUPS[config]
-        run_monotonicity(MonotonicityConfig(PROVIDERS, steps=5), Rng(1), 1)
-        assert simulator._SETUPS[config] is setup
-        for steps in range(6, 6 + 2 * simulator._MAX_SETUPS):
-            run_monotonicity(MonotonicityConfig(PROVIDERS, steps=steps), Rng(1), 0)
-        assert 1 <= len(simulator._SETUPS) <= simulator._MAX_SETUPS
+    def test_equal_configs_keep_their_own_candidates(self):
+        # Int and float qualities make configs that compare and hash equal,
+        # yet each trial names its own config's candidates, whichever ran
+        # first.
+        ints = MonotonicityConfig(((720, 0.9), (1080, 0.5)), steps=5)
+        floats = MonotonicityConfig(((720.0, 0.9), (1080.0, 0.5)), steps=5)
+        assert ints == floats and hash(ints) == hash(floats)
+        named_by = [
+            (ints, {"p0-720p", "p1-1080p"}),
+            (floats, {"p0-720.0p", "p1-1080.0p"}),
+        ]
+        for order in (named_by, named_by[::-1]):
+            for config, ids in order:
+                trace: list[str] = []
+                run_monotonicity(config, Rng(1), 0, trace_sink=trace)
+                named = {line.split("\t")[2] for line in trace} - {"-"}
+                assert named and named <= ids
+
+    def test_replace_rebuilds_the_setup_and_repr_shows_the_fields(self):
+        config = MonotonicityConfig(((720, 0.5), (1080, 0.9)), steps=5, tau=0.3)
+        assert repr(config) == (
+            "MonotonicityConfig(providers=((720, 0.5), (1080, 0.9)), "
+            "steps=5, tau=0.3, slot_count=3)"
+        )
+        # At tau 0.7 only the 1080p provider may refill a vacancy.
+        strict = dataclasses.replace(config, tau=0.7)
+        assert strict == MonotonicityConfig(config.providers, steps=5, tau=0.7)
+        assert strict._eligible == (1,) and config._eligible == (0, 1)
 
     def test_list_providers_are_kept_as_a_tuple(self):
         config = MonotonicityConfig([[720, 0.5], (1080, 0.9)], steps=5)
@@ -422,6 +443,35 @@ class TestMonotonicityPinned:
         reference = trial()
         monkeypatch.setattr(simulator, "_UNIFORM_CHUNK", chunk)
         assert trial() == reference
+
+
+# The two slow-convergence configs of the ROADMAP Baseline, whose best
+# eligible provider is often down: their trials refill often and cross block
+# edges.  One digest over every trial's summary and event log, pinned before
+# the sweep's set-up moved into the config.
+SLOW_CONVERGENCE = [
+    (((360, 0.95), (720, 0.6), (1080, 0.6), (2160, 0.35)), 0.3),
+    (((360, 0.95), (720, 0.6), (1080, 0.6), (2160, 0.45)), 0.5),
+]
+
+
+class TestSlowConvergencePinned:
+    def test_every_trial_matches_pinned_draws(self):
+        digest = hashlib.sha256()
+        for providers, tau in SLOW_CONVERGENCE:
+            config = MonotonicityConfig(providers, steps=300, tau=tau)
+            rng = Rng(42)
+            for trial in range(100):
+                trace: list[str] = []
+                s = run_monotonicity(config, rng, trial, trace_sink=trace)
+                digest.update(
+                    f"{s.monotone_violations} {s.final_quality} "
+                    f"{s.convergence_step} {s.switch_count}\n".encode()
+                )
+                digest.update(("\n".join(trace) + "\n").encode())
+        assert digest.hexdigest() == (
+            "1f0b01ed37dc76231c8e7c07db0002a81ca693acabac2443c9f8ba72843f8da2"
+        )
 
 
 class TestRegistrySweepWork:
@@ -620,11 +670,11 @@ class TestHarmonicRatio:
         rate = 0.1
         horizon = 400
         single = run_depletion(
-            DepletionConfig(1, (rate,), horizon=horizon, trials=6000, refill=False),
+            DepletionConfig((rate,), horizon=horizon, trials=6000, refill=False),
             Rng(11),
         )
         triple = run_depletion(
-            DepletionConfig(3, (rate,) * 3, horizon=horizon, trials=6000, refill=False),
+            DepletionConfig((rate,) * 3, horizon=horizon, trials=6000, refill=False),
             Rng(12),
         )
         assert triple.mean / single.mean == pytest.approx(

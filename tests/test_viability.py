@@ -47,7 +47,7 @@ class TestSubstreams:
         rng = Rng(seed, path)
         lo, hi = TRIAL_BLOCK - 3, TRIAL_BLOCK + 3
         rates = np.array([0.3, 0.4])
-        config = DepletionConfig(2, tuple(rates), horizon=1000, trials=hi, refill=False)
+        config = DepletionConfig(tuple(rates), horizon=1000, trials=hi, refill=False)
         times = _depletion_times(config, rng)
         # Trial i inverts row i // 2 of its block's scalar substream, or the
         # antithetic partner of that row for odd i.
@@ -67,4 +67,4 @@ class TestSubstreams:
         with pytest.raises(ValueError):
             Rng(-1).substream(0)
         with pytest.raises(ValueError):
-            run_depletion(DepletionConfig(1, (0.5,), trials=10), Rng(-1))
+            run_depletion(DepletionConfig((0.5,), trials=10), Rng(-1))
