@@ -11,6 +11,7 @@ large to allocate).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -440,7 +441,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout early (`... | head -2`).  Point stdout at
+        # devnull so the flush at exit cannot raise again, and exit 1 with
+        # nothing on stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

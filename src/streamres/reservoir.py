@@ -340,10 +340,13 @@ class Reservoir:
         depleted, logs another re-acquisition request, and returns False.
         """
         self._enter(_DEPLETED, now, commit=False)
-        _check_latencies(probe_results)
+        # Only viable results are ranked, so a dead result's latency, which
+        # may not compare, cannot refuse the round.
+        viable = [result for result in probe_results if result.viable]
+        _check_latencies(viable)
         picked: dict[str, ProbeResult] = {}
-        for result in sort_results(probe_results):
-            if not result.viable or len(picked) == self.capacity:
+        for result in sort_results(viable):
+            if len(picked) == self.capacity:
                 break
             picked.setdefault(result.candidate.id, result)
         self._clock = now  # the sort returned: commit the call
@@ -387,12 +390,12 @@ class Reservoir:
 _event = functools.partial(tuple.__new__, ReservoirEvent)
 
 
-def _check_latencies(results: Sequence[ProbeResult]) -> None:
+def _check_latencies(viable: Sequence[ProbeResult]) -> None:
     # A viable result's latency ranks it.  isnan raises TypeError on one that
     # is not a number; NaN compares false with every latency, so the
     # fastest-first order would depend on list order.
-    for result in results:
-        if result.viable and isnan(result.latency_ms):
+    for result in viable:
+        if isnan(result.latency_ms):
             raise ValueError(f"latency_ms of {result.candidate.id!r} is NaN")
 
 

@@ -11,9 +11,11 @@ Monotonicity draws its uniforms in rows of one per provider: a step takes
 one up/down row and, when a slot is vacant, one latency row, so a trial's
 stream is a sequence of rows, drawn in blocks of whole rows and read by
 offset in order.  Its refill round passes only the eligible providers that
-are up, since refill drops every non-viable result, and the draws stay the
-same.  A config builds what its trials share when it is made, so no state
-is kept between configs.
+are up and whose id holds no slot, since refill drops every non-viable or
+held result, and a vacant step with no such provider skips the round; its
+latency row is read either way, so the draws stay the same.  A config
+builds what its trials share when it is made, so no state is kept between
+configs.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ class DepletionConfig:
     refill: bool = True
 
     def __post_init__(self) -> None:
+        # Kept as a tuple, so a caller's list cannot change after it was
+        # checked.
+        object.__setattr__(self, "failure_rates", tuple(self.failure_rates))
         if len(self.failure_rates) < 1:
             raise ValueError("at least one failure rate is required")
         if not all(math.isfinite(rate) for rate in self.failure_rates):
@@ -274,8 +279,10 @@ def run_monotonicity(
 
     Each step reads an up/down row.  Until some stream is viable it probes
     every provider, with a latency row; then it runs a health cycle, a
-    refill round (with a latency row) when a slot is vacant, and an upgrade
-    evaluation.  A switch point (step, active quality) is recorded at
+    refill round when a slot is vacant, and an upgrade evaluation.  A
+    vacant step reads a latency row and passes the round the eligible
+    providers that are up and whose id holds no slot; when there are none
+    it skips the round, which would change nothing.  A switch point (step, active quality) is recorded at
     acquisition and at each upgrade.
     """
     candidates, index_of = config._candidates, config._index_of
@@ -332,17 +339,19 @@ def run_monotonicity(
                     vacant = config.slot_count - len(reservoir.slots)
                     switches.append((step, reservoir.active.quality))
                 continue
-            # Refill drops non-viable results first, so the round passes
-            # only the eligible providers that are up.
-            admitted = refill(
-                [
-                    _result((candidates[i], True, latency[latency_at + i], False, None))
-                    for i in eligible
-                    if up[up_at + i]
-                ],
-                now,
-            )
-            vacant = max(0, vacant - admitted)
+            # Refill drops non-viable and held results first, so the round
+            # passes only the eligible providers that are up and hold no
+            # slot, and a step with none skips the call: it would admit
+            # nothing, log nothing, and the health cycle has already moved
+            # the clock to now.
+            held = {slot.candidate.id for slot in reservoir.slots}
+            fresh = [
+                _result((candidates[i], True, latency[latency_at + i], False, None))
+                for i in eligible
+                if up[up_at + i] and candidates[i].id not in held
+            ]
+            if fresh:
+                vacant = max(0, vacant - refill(fresh, now))
         if evaluate_upgrade(now) is not None:
             switches.append((step, reservoir.active.quality))
 

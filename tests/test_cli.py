@@ -941,3 +941,24 @@ class TestPackageEntry:
         assert done.returncode == 0
         assert "24 checks: 24 passed" in done.stdout
         assert "RuntimeWarning" not in done.stderr
+
+    def test_reader_that_closes_early_gets_no_traceback(self):
+        # The first trial's 2000-step trace is about 114 KB, more than a pipe
+        # holds, so the command is still writing when its reader goes.
+        src = str(Path(streamres.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "streamres", "simulate", "monotonicity",
+                "--providers", "360:0.95,720:0.6,1080:0.6,2160:0.35",
+                "--tau", "0.3", "--sweep", "1", "--steps", "2000", "--trace",
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"violations 0\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""

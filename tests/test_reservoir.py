@@ -728,6 +728,18 @@ class TestLatencyThatCannotRank:
         reservoir = Reservoir.sprint_fill(round_, capacity=2)
         assert reservoir is not None and slot_ids(reservoir) == {"a"}
 
+    # A dead result's latency ranks nothing: None once failed the sort
+    # against a viable latency and refused the round.
+    @pytest.mark.parametrize("order", [1, -1], ids=["as-listed", "reversed"])
+    def test_dead_result_latency_does_not_refuse_the_round(self, order):
+        round_ = [
+            result("a", 720, latency=5.0),
+            result("b", 720, latency=None, viable=False),
+            result("c", 720, latency=3.0, viable=False),
+        ]
+        reservoir = Reservoir.sprint_fill(round_[::order], capacity=2)
+        assert reservoir is not None and slot_ids(reservoir) == {"a"}
+
     @pytest.mark.parametrize("latency", [NAN, None, "5"])
     def test_refill_refuses_and_changes_nothing(self, latency):
         reservoir = Reservoir.sprint_fill([result("a", 720)], capacity=3)

@@ -65,6 +65,18 @@ class TestDepletionConfig:
         with pytest.raises(TypeError):
             DepletionConfig(**fields)
 
+    def test_rates_are_copied_before_the_checks(self):
+        # A caller's list changed after the checks cannot add a slot or an
+        # unchecked rate, and the config hashes like any frozen one.
+        rates = [0.1, 0.2]
+        config = DepletionConfig(rates, trials=100)
+        rates.append(7.0)
+        assert config.failure_rates == (0.1, 0.2)
+        assert hash(config) == hash(DepletionConfig((0.1, 0.2), trials=100))
+        assert run_depletion(config, Rng(1)) == run_depletion(
+            DepletionConfig((0.1, 0.2), trials=100), Rng(1)
+        )
+
 
 class TestRunDepletion:
     def test_certain_failure_depletes_at_step_one(self):
@@ -510,7 +522,7 @@ class TestRegistrySweepWork:
         assert calls == {
             "sprint_fill": 202,
             "run_health_cycle": 19998,
-            "refill": 18503,
+            "refill": 7237,
             "evaluate_upgrade": 19998,
         }
         events = collections.Counter(e.kind for r in built for e in r.events)
@@ -532,9 +544,12 @@ class TestSweepVacancies:
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
     def test_refill_runs_exactly_when_a_slot_is_vacant(self, monkeypatch, capacity):
         # The sweep counts vacancies from the calls' returns; the reservoir's
-        # own slot count after each health cycle must agree.
-        vacant_steps: list[float] = []
-        refill_steps: list[float] = []
+        # own slot count after each health cycle must agree.  A vacant step
+        # whose up, eligible providers all hold a slot skips the round, so
+        # every round that runs has a result it may admit.
+        vacant_steps: list[tuple[int, float]] = []
+        refill_steps: list[tuple[int, float]] = []
+        rounds_with_new_ids: list[bool] = []
         displacing_rounds = 0
         health_cycle = Reservoir.run_health_cycle
         refill = Reservoir.refill
@@ -542,15 +557,17 @@ class TestSweepVacancies:
         def checking_health_cycle(self, checker, now):
             failures = health_cycle(self, checker, now)
             if len(self.slots) < self.capacity:
-                vacant_steps.append(now)
+                vacant_steps.append((trial, now))
             return failures
 
         def checking_refill(self, results, now):
             nonlocal displacing_rounds
             vacancies = self.capacity - len(self.slots)
+            held = {slot.candidate.id for slot in self.slots}
+            rounds_with_new_ids.append(any(r.candidate.id not in held for r in results))
             admitted = refill(self, results, now)
             displacing_rounds += admitted > vacancies
-            refill_steps.append(now)
+            refill_steps.append((trial, now))
             return admitted
 
         monkeypatch.setattr(Reservoir, "run_health_cycle", checking_health_cycle)
@@ -560,7 +577,8 @@ class TestSweepVacancies:
         )
         for trial in range(20):
             run_monotonicity(config, Rng(7), trial)
-        assert refill_steps == vacant_steps
+        assert set(refill_steps) <= set(vacant_steps)
+        assert all(rounds_with_new_ids)
         # Only the active slot at capacity 1: nothing fails, nothing refills.
         assert bool(refill_steps) == (capacity > 1)
         # At capacity 2 a round's one vacancy takes its best result, and no

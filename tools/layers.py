@@ -13,6 +13,7 @@ run times each layer once, after a warm-up run that is not recorded:
 - ``switch_score``, in us per call, the mean over SCORE_CALLS calls;
 - ``Rng.substream``, in us per stream, the mean over SUBSTREAMS streams,
   and the number of streams one ``run_verify`` at the defaults builds;
+- the number of ``Reservoir.refill`` calls in that ``run_verify``;
 - one ``probe_all`` round over PROBE_CANDIDATES candidates on
   ``SimTransport``, in ms, the mean over PROBE_ROUNDS rounds;
 - ``SimTransport.probe``, in us per probe, the mean over SIM_ROUNDS rounds
@@ -121,21 +122,30 @@ def _substream_us() -> float:
     return (time.perf_counter() - started) / SUBSTREAMS * 1e6
 
 
-def _substreams_per_verify() -> int:
-    substream = Rng.substream
-    calls = 0
+def _calls_per_verify() -> dict[str, int]:
+    # The Rng.substream and Reservoir.refill calls of one run_verify.
+    substream, refill = Rng.substream, Reservoir.refill
+    streams = refills = 0
 
-    def counting(self: Rng, *path: int):
-        nonlocal calls
-        calls += 1
+    def counting_substream(self: Rng, *path: int):
+        nonlocal streams
+        streams += 1
         return substream(self, *path)
 
-    Rng.substream = counting
+    def counting_refill(self: Reservoir, *args, **kwargs):
+        nonlocal refills
+        refills += 1
+        return refill(self, *args, **kwargs)
+
+    Rng.substream, Reservoir.refill = counting_substream, counting_refill
     try:
         registry.run_verify(registry.DEFAULT_SEED, registry.DEFAULT_TRIALS)
     finally:
-        Rng.substream = substream
-    return calls
+        Rng.substream, Reservoir.refill = substream, refill
+    return {
+        "viability.substreams_per_verify": streams,
+        "reservoir.refill_calls_per_verify": refills,
+    }
 
 
 def _probe_round_ms() -> float:
@@ -177,7 +187,7 @@ def one_run() -> dict[str, float]:
         "reservoir.maintain_step_us": _maintain_step_us(),
         "prospect.switch_score_us": _switch_score_us(),
         "viability.substream_us": _substream_us(),
-        "viability.substreams_per_verify": _substreams_per_verify(),
+        **_calls_per_verify(),
         "probe.probe_all_round_ms": _probe_round_ms(),
         "probe.sim_probe_us": _sim_probe_us(),
         "setup.import_streamres_ms": _import_ms(),
