@@ -282,8 +282,8 @@ def run_monotonicity(
     refill round when a slot is vacant, and an upgrade evaluation.  A
     vacant step reads a latency row and passes the round the eligible
     providers that are up and whose id holds no slot; when there are none
-    it skips the round, which would change nothing.  A switch point (step, active quality) is recorded at
-    acquisition and at each upgrade.
+    it skips the round, which would change nothing.  A switch point (step,
+    active quality) is recorded at acquisition and at each upgrade.
     """
     candidates, index_of = config._candidates, config._index_of
     availabilities, eligible = config._availabilities, config._eligible
@@ -339,11 +339,9 @@ def run_monotonicity(
                     vacant = config.slot_count - len(reservoir.slots)
                     switches.append((step, reservoir.active.quality))
                 continue
-            # Refill drops non-viable and held results first, so the round
-            # passes only the eligible providers that are up and hold no
-            # slot, and a step with none skips the call: it would admit
-            # nothing, log nothing, and the health cycle has already moved
-            # the clock to now.
+            # Refill drops non-viable and held results before anything else,
+            # so a round with none left would admit and log nothing, and the
+            # health cycle has already moved the clock to now.
             held = {slot.candidate.id for slot in reservoir.slots}
             fresh = [
                 _result((candidates[i], True, latency[latency_at + i], False, None))
