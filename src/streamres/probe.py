@@ -6,11 +6,12 @@ ranking, not just the first success.  The round runs on lanes: the calling
 thread is one, and at most max_in_flight - 1 short-lived helper threads are
 the rest (none for a one-lane round); each lane takes the next candidate in
 input order until none is left.  SimTransport draws deterministic verdicts
-from one substream per candidate, its attempts in sequence; HttpTransport
-sends real HEAD probes on the standard library, each bounded by one
-deadline, and never raises.  empirical_first_success_rounds estimates the
-mean time to a first viable probe of a batched and a concurrent scan, from
-one substream of uniforms.
+from one substream per candidate, its attempts in sequence, and locks only
+to draw a block (reads rely on CPython's GIL); HttpTransport sends real
+HEAD probes on the standard library, each bounded by one deadline, and
+never raises.  empirical_first_success_rounds estimates the mean time to a
+first viable probe of a batched and a concurrent scan, from one substream
+of uniforms.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Protocol, Sequence
 from urllib.parse import quote, urlsplit
 
 import numpy as np
@@ -120,7 +121,9 @@ class SimTransport:
     of each, so its n-th verdict does not depend on list order or thread
     scheduling.  Every id fails with the one failure_prob, which must lie in
     [0, 1], and latency is lognormal with a fixed median of 300 ms and
-    sigma 0.6.
+    sigma 0.6.  The lock guards only block draws: a probe takes its pair
+    with next() on a zip of two lists, which runs in C without releasing
+    CPython's GIL, so no two threads take one pair.
     """
 
     def __init__(self, rng: Rng, failure_prob: float = 0.0) -> None:
@@ -129,37 +132,35 @@ class SimTransport:
         self._rng = rng
         self._failure_prob = failure_prob
         self._streams: dict[str, np.random.Generator] = {}
-        # Per id, its undrawn (viable, normal) pairs, next one last.
-        self._pending: dict[str, list[tuple[bool, float]]] = {}
+        # Per id, an iterator over its block's undrawn (viable, normal) pairs.
+        self._pending: dict[str, Iterator[tuple[bool, float]]] = {}
         self._lock = threading.Lock()
 
     def probe(self, candidate: StreamCandidate, timeout_ms: float) -> ProbeResult:
-        # A maintain loop makes this call for every standby on every tick,
-        # so it takes the lock without a context manager and most calls
-        # just pop a pair; the lock keeps two threads from drawing one
-        # block twice.
         key = candidate.id
-        self._lock.acquire()
         try:
-            pending = self._pending.get(key)
-            if not pending:
-                pending = self._draw_block(key)
-            viable, normal = pending.pop()
-        finally:
-            self._lock.release()
+            viable, normal = next(self._pending[key])
+        except (KeyError, StopIteration):
+            # Look again under the lock: another thread may have drawn the
+            # block meanwhile.
+            with self._lock:
+                try:
+                    viable, normal = next(self._pending[key])
+                except (KeyError, StopIteration):
+                    viable, normal = next(self._draw_block(key))
         latency = _SIM_MEDIAN_MS * math.exp(_SIM_SIGMA * normal)
         return _result((candidate, viable, latency, False, None))
 
-    def _draw_block(self, key: str) -> list[tuple[bool, float]]:
+    def _draw_block(self, key: str) -> Iterator[tuple[bool, float]]:
         gen = self._streams.get(key)
         if gen is None:
             gen = self._streams[key] = self._rng.substream(zlib.crc32(key.encode()))
         # A uniform below failure_prob fails.  The block is stored only once
         # both draws are done, so a draw that raises leaves no half-built
         # block: the id's next probe draws a whole one.
-        viable = (gen.random(_BLOCK) >= self._failure_prob)[::-1].tolist()
-        normals = gen.standard_normal(_BLOCK)[::-1].tolist()
-        pending = self._pending[key] = list(zip(viable, normals))
+        viable = (gen.random(_BLOCK) >= self._failure_prob).tolist()
+        normals = gen.standard_normal(_BLOCK).tolist()
+        pending = self._pending[key] = zip(viable, normals)
         return pending
 
 

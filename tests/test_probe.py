@@ -248,6 +248,47 @@ class TestSimTransport:
             sys.setswitchinterval(interval)
         assert wide == per_id(1)
 
+    def test_threads_take_every_draw_once(self):
+        # Eight threads probe two ids at once across twenty block draws each;
+        # a pair lost or taken twice would change an id's multiset.
+        a, b = make_candidates(2)
+        count = 20 * probe_module._BLOCK + 7
+        threads = 8
+        transport = SimTransport(Rng(31), failure_prob=0.4)
+        start = threading.Barrier(threads)
+        seen = [[] for _ in range(threads)]
+
+        def lane(out):
+            start.wait(timeout=60)
+            for _ in range(count):
+                out.append(transport.probe(a, 1e9))
+                out.append(transport.probe(b, 1e9))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=lane, args=(out,)) for out in seen]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        serial = SimTransport(Rng(31), failure_prob=0.4)
+        for candidate in (a, b):
+            drawn = sorted(
+                (r.viable, r.latency_ms)
+                for out in seen
+                for r in out
+                if r.candidate == candidate
+            )
+            expected = sorted(
+                (r.viable, r.latency_ms)
+                for r in (serial.probe(candidate, 1e9) for _ in range(threads * count))
+            )
+            assert drawn == expected
+
     def test_failure_extremes(self):
         candidates = make_candidates(10)
         all_dead = probe_all(candidates, SimTransport(Rng(1), failure_prob=1.0))

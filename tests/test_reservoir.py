@@ -1,6 +1,7 @@
 """Reservoir lifecycle: sprint, maintain, failover, upgrade, reacquire."""
 
 import dataclasses
+import hashlib
 import math
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from fuzzutil import EVENT_KINDS
 from streamres import reservoir as reservoir_module
-from streamres.probe import ProbeResult, StreamCandidate
+from streamres.probe import ProbeResult, SimTransport, StreamCandidate
 from streamres.prospect import ProspectParams
 from streamres.reservoir import (
     ACTIVE_VERIFIED_CAP,
@@ -16,6 +17,7 @@ from streamres.reservoir import (
     ReservoirEvent,
     ReservoirState,
 )
+from streamres.viability import Rng
 
 
 def candidate(name, quality):
@@ -923,3 +925,91 @@ class TestLifecycle:
         assert reservoir is not None
         reservoir.refill([result("cand", 760)], now=1.0)
         assert reservoir.evaluate_upgrade(now=2.0) is not None
+
+
+class TestLiveSession:
+    """A live session on SimTransport, pinned end to end.
+
+    Each step is one maintain tick: a down provider kills the active stream
+    (failover), the standbys are health-checked through the transport, a
+    vacancy is refilled from a probe round of every line, and an upgrade is
+    evaluated; a depleted reservoir reacquires from a round every step.
+    Each provider is up or down by a two-state chain (Gilbert 1960) drawn
+    from the test's own substream, and one line of the round is listed twice.
+    """
+
+    STEPS = 2000
+    CAPACITY = 3
+    LADDER = (480, 720, 1080)
+    # Per-step up->down and down->up probabilities of each provider.
+    DOWN_PROB = (0.01, 0.02, 0.03)
+    UP_PROB = (0.05, 0.10, 0.15)
+    TIMEOUT_MS = 3000.0
+    # The trace and every probe's id, verdict and latency.  A change to the
+    # draws, the maintain loop or a live-path fast path moves it.
+    SESSION_SHA256 = (
+        "6ec128354d9092655a246d30658f984504bacaca86f2c99e23c148399fb1ce96"
+    )
+
+    def test_live_session_is_pinned(self):
+        lines = [
+            StreamCandidate(
+                id=f"p{p}/{quality}",
+                provider_id=f"p{p}",
+                quality=quality,
+                locator=f"sim://p{p}/{quality}",
+            )
+            for p in range(len(self.DOWN_PROB))
+            for quality in self.LADDER
+        ]
+        lines.append(lines[4])
+        rng = Rng(2024)
+        transport = SimTransport(rng.split(1), failure_prob=0.02)
+        draws = rng.split(2).substream(0).random((self.STEPS, len(self.DOWN_PROB)))
+        up = [True] * len(self.DOWN_PROB)
+        digest = hashlib.sha256()
+
+        def probe(candidate):
+            if not up[int(candidate.provider_id[1:])]:  # a down provider never answers
+                return ProbeResult(candidate, False, self.TIMEOUT_MS, timed_out=True)
+            result = transport.probe(candidate, self.TIMEOUT_MS)
+            record = (candidate.id, result.viable, repr(result.latency_ms))
+            digest.update(f"{record}\n".encode())
+            return result
+
+        def round_():
+            return [probe(candidate) for candidate in lines]
+
+        maintain, depleted = ReservoirState.MAINTAIN, ReservoirState.DEPLETED
+        reservoir = None
+        for step, row in enumerate(draws.tolist()):
+            up = [
+                u >= down if was_up else u < back
+                for u, was_up, down, back in zip(row, up, self.DOWN_PROB, self.UP_PROB)
+            ]
+            now = step * 10.0
+            if reservoir is None:
+                reservoir = Reservoir.sprint_fill(round_(), self.CAPACITY, now=now)
+                assert reservoir is not None
+            elif reservoir.state is depleted:
+                reservoir.reacquire(round_(), now)
+            else:
+                if not up[int(reservoir.active.candidate.provider_id[1:])]:
+                    reservoir.on_active_failure(now)
+                if reservoir.state is maintain:
+                    reservoir.run_health_cycle(lambda slot: probe(slot.candidate).viable, now)
+                    if len(reservoir.slots) < self.CAPACITY:
+                        reservoir.refill(round_(), now)
+                    reservoir.evaluate_upgrade(now)
+            slots = reservoir.slots
+            ids = [slot.candidate.id for slot in slots]
+            assert len(set(ids)) == len(ids)
+            assert len(slots) <= self.CAPACITY
+            keys = [(-s.quality, -s.verified_count, s.arrival) for s in slots[1:]]
+            assert keys == sorted(keys)
+            assert reservoir.state in (maintain, depleted)
+        kinds = {event.kind for event in reservoir.events}
+        assert {"failover", "depleted", "reacquire", "refill"} <= kinds
+        for line in reservoir.trace_lines():
+            digest.update(f"{line}\n".encode())
+        assert digest.hexdigest() == self.SESSION_SHA256

@@ -10,6 +10,11 @@ run times each layer once, after a warm-up run that is not recorded:
 - one reservoir maintain step (health cycle, refill of any vacancy,
   upgrade evaluation) on a 3-slot reservoir whose standbys keep failing,
   in us, the mean over MAINTAIN_STEPS steps;
+- one maintain tick of a live session on ``SimTransport`` (health cycle
+  probing each standby, refill from a 10-line round when a slot is vacant,
+  upgrade evaluation) on a 3-slot reservoir, in us, the mean over
+  MAINTAIN_STEPS ticks: the benchmark's ``session`` step without its
+  provider outages;
 - ``switch_score``, in us per call, the mean over SCORE_CALLS calls;
 - ``Rng.substream``, in us per stream, the mean over SUBSTREAMS streams,
   and the number of streams one ``run_verify`` at the defaults builds;
@@ -64,6 +69,7 @@ PROBE_CANDIDATES = 12
 PROBE_ROUNDS = 20
 SIM_IDS = 9
 SIM_ROUNDS = 2222
+TICK_FAILURE_PROB = 0.02  # the session workload's
 
 
 def _sections() -> dict[str, float]:
@@ -103,6 +109,33 @@ def _maintain_step_us() -> float:
         reservoir.run_health_cycle(checker, now)
         if len(reservoir.slots) < reservoir.capacity:
             reservoir.refill(results, now)
+        reservoir.evaluate_upgrade(now)
+    return (time.perf_counter() - started) / MAINTAIN_STEPS * 1e6
+
+
+def _sim_tick_us() -> float:
+    # Three providers x a 480/720/1080 ladder, and one line listed twice.
+    lines = [
+        StreamCandidate(f"t{p}/{quality}", f"p{p}", quality, f"sim://p{p}/{quality}")
+        for p in range(3)
+        for quality in (480, 720, 1080)
+    ]
+    lines.append(lines[4])
+    transport = SimTransport(Rng(registry.DEFAULT_SEED), failure_prob=TICK_FAILURE_PROB)
+
+    def round_() -> list[ProbeResult]:
+        return [transport.probe(candidate, 1e9) for candidate in lines]
+
+    def checker(slot) -> bool:
+        return transport.probe(slot.candidate, 1e9).viable
+
+    reservoir = Reservoir.sprint_fill(round_(), capacity=3)
+    started = time.perf_counter()
+    for step in range(1, MAINTAIN_STEPS + 1):
+        now = float(step)
+        reservoir.run_health_cycle(checker, now)
+        if len(reservoir.slots) < reservoir.capacity:
+            reservoir.refill(round_(), now)
         reservoir.evaluate_upgrade(now)
     return (time.perf_counter() - started) / MAINTAIN_STEPS * 1e6
 
@@ -185,6 +218,7 @@ def one_run() -> dict[str, float]:
     return {
         **_sections(),
         "reservoir.maintain_step_us": _maintain_step_us(),
+        "reservoir.sim_tick_us": _sim_tick_us(),
         "prospect.switch_score_us": _switch_score_us(),
         "viability.substream_us": _substream_us(),
         **_calls_per_verify(),
