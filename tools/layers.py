@@ -36,6 +36,7 @@ back to back on one machine.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -130,6 +131,10 @@ def _sim_tick_us() -> float:
         return transport.probe(slot.candidate, 1e9).viable
 
     reservoir = Reservoir.sprint_fill(round_(), capacity=3)
+    # A full collection of the heap the earlier layers left costs about a
+    # third of this layer's time: start from a clean one, so none lands
+    # inside only some of the samples.
+    gc.collect()
     started = time.perf_counter()
     for step in range(1, MAINTAIN_STEPS + 1):
         now = float(step)
