@@ -9,6 +9,7 @@ functions are the oracles they are checked against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -43,9 +44,9 @@ class SpeedupScenario:
     failure_prob: float
 
     def __post_init__(self) -> None:
-        if self.n_candidates < 1:
+        if operator.index(self.n_candidates) < 1:  # TypeError if not an integer
             raise ValueError("n_candidates must be >= 1")
-        if not 1 <= self.batch_size <= self.n_candidates:
+        if not 1 <= operator.index(self.batch_size) <= self.n_candidates:
             raise ValueError("batch_size must lie in [1, n_candidates]")
         if not 0.0 <= self.failure_prob < 1.0:
             raise ValueError("failure_prob must lie in [0, 1)")
@@ -59,9 +60,9 @@ def interruption_probability(failure_rates: Sequence[float], horizon: float) -> 
     """
     if len(failure_rates) == 0:
         raise ValueError("at least one failure rate is required")
-    if any(rate < 0.0 for rate in failure_rates):
+    if any(not rate >= 0.0 for rate in failure_rates):  # NaN fails too
         raise ValueError("failure rates must be non-negative")
-    if horizon < 0.0:
+    if not horizon >= 0.0:
         raise ValueError("horizon must be non-negative")
     prob = 1.0
     for rate in failure_rates:
@@ -88,7 +89,7 @@ def expected_max_exponential(failure_rates: Sequence[float]) -> float:
         raise ValueError("at least one failure rate is required")
     if k > MAX_EXACT_SLOTS:
         raise ValueError(f"exact evaluation is capped at {MAX_EXACT_SLOTS} slots")
-    if any(rate <= 0.0 for rate in failure_rates):
+    if any(not rate > 0.0 for rate in failure_rates):  # NaN fails too
         raise ValueError("failure rates must be positive")
     # The alternating series cancels heavily at large k; fsum keeps the
     # result exact to the last unit instead of drifting by ~1e-8 relative.
@@ -133,7 +134,7 @@ def censored_depletion_mean(step_fail_prob: float, horizon: int) -> float:
     """
     if not 0.0 < step_fail_prob <= 1.0:
         raise ValueError("step failure probability must lie in (0, 1]")
-    if horizon < 1:
+    if operator.index(horizon) < 1:  # TypeError if not an integer
         raise ValueError("horizon must be >= 1")
     if step_fail_prob == 1.0:
         return 1.0

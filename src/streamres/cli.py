@@ -225,9 +225,11 @@ def _cmd_uptime(args: argparse.Namespace) -> int:
 
 def _read_url_file(path: str) -> list[StreamCandidate]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:  # unreadable is a usage error
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:  # so is text that is not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
     candidates = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -17,6 +17,7 @@ of uniforms.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import socket
 import sys
@@ -355,11 +356,11 @@ def empirical_first_success_rounds(
     before all concurrent ones, so the estimate depends only on the seed and
     the trial count.
     """
-    if n_candidates < 1 or not 1 <= batch_size <= n_candidates:
+    if operator.index(n_candidates) < 1 or not 1 <= operator.index(batch_size) <= n_candidates:
         raise ValueError("need 1 <= batch_size <= n_candidates")
     if not 0.0 <= failure_prob < MAX_FAILURE_PROB:  # NaN fails too
         raise ValueError(f"failure_prob must lie in [0, {MAX_FAILURE_PROB})")
-    if trials < 1:
+    if operator.index(trials) < 1:
         raise ValueError("trials must be >= 1")
     gen = rng.substream(0)
     # One buffer holds each scan's round counts in turn.

@@ -206,7 +206,7 @@ class VerifyReport:
 def _depletion(rng: Rng, trials: int) -> dict[str, float]:
     # Same namespace as `simulate depletion`, so the registry numbers can be
     # reproduced manually with the matching flags.  Each config's shape keys
-    # its substreams, so the three runs never share draws.
+    # its substream, so the three runs never share draws.
     single = run_depletion(
         DepletionConfig((0.10,), horizon=100, trials=trials, refill=True), rng
     )

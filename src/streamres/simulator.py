@@ -3,10 +3,9 @@
 Three experiment families: depletion horizons under slot failure (with and
 without refill), quality convergence under lazy refill from providers of
 unequal availability, and switch-thrash counting under persistent standbys.
-Depletion draws one substream per block of TRIAL_BLOCK trials, the speedup
-estimate one substream for all its trials and monotonicity one per trial,
-so results never depend on how trials are scheduled.  Depletion samples
-each trial from the exact law of its depletion time, in antithetic pairs.
+A depletion run and the speedup estimate each draw from one substream, a
+monotonicity trial from its own.  Depletion samples each trial from the
+exact law of its depletion time, in antithetic pairs.
 Monotonicity draws its uniforms in rows of one per provider: a step takes
 one up/down row and, when a slot is vacant, one latency row, so a trial's
 stream is a sequence of rows, drawn in blocks of whole rows and read by
@@ -30,10 +29,11 @@ import numpy as np
 from .probe import ProbeResult, StreamCandidate, _result, empirical_first_success_rounds
 from .reservoir import Reservoir, Slot
 from .analytics import SpeedupScenario
-from .viability import TRIAL_BLOCK, Rng
+from .viability import Rng
 
-# Uniforms a monotonicity trial draws per generator call, rounded down to
-# whole rows of one per provider (at least one row).
+# Uniforms a depletion run or a monotonicity trial draws per generator call,
+# rounded down to whole rows (at least one row).  random() spends one 64-bit
+# output per double, so the values are those of one long call whatever this is.
 _UNIFORM_CHUNK = 1024
 
 __all__ = [
@@ -158,12 +158,12 @@ def run_depletion(config: DepletionConfig, rng: Rng) -> DepletionResult:
     Each trial is drawn from the exact law of its depletion time by
     inversion: refilled, min(Geometric(q), horizon) with q = prod(rates),
     the first step at which every slot fails; drained, the longest of the
-    slots' exponential lifetimes, censored at the horizon.  Block b of
-    TRIAL_BLOCK trials draws from substream(refill, slots, b), slots being
-    the number of failure rates, so configs of another shape never share
-    draws.  Trials 2j and 2j+1 form an antithetic pair: they invert the
-    uniforms u and 1 - u, and every map is monotone in u, so a pair's two
-    times are negatively correlated.
+    slots' exponential lifetimes, censored at the horizon.  The run draws
+    from substream(refill, slots), slots being the number of failure rates,
+    so configs of another shape never share draws.  Trials 2j and 2j+1 form
+    an antithetic pair: they invert row j of uniforms, u and 1 - u, and
+    every map is monotone in u, so a pair's two times are negatively
+    correlated.
 
     stderr is the standard error of the mean over independent units, the
     pairs and, for an odd trial count, the lone last trial; it is 0.0 below
@@ -181,10 +181,12 @@ def _depletion_times(config: DepletionConfig, rng: Rng) -> np.ndarray:
     slots = len(config.failure_rates)
     q = math.prod(config.failure_rates)
     width = 1 if config.refill else slots
+    gen = rng.substream(int(config.refill), slots)
+    # Trials per chunk: whole antithetic pairs, one row of width uniforms each.
+    chunk = 2 * max(1, _UNIFORM_CHUNK // width)
     times = np.empty(config.trials)
-    for block, lo in enumerate(range(0, config.trials, TRIAL_BLOCK)):
-        hi = min(lo + TRIAL_BLOCK, config.trials)
-        gen = rng.substream(int(config.refill), slots, block)
+    for lo in range(0, config.trials, chunk):
+        hi = min(lo + chunk, config.trials)
         half = gen.random(((hi - lo + 1) // 2, width))
         uniforms = np.stack([half, 1.0 - half], axis=1).reshape(-1, width)[: hi - lo]
         # u == 1 (the partner of u == 0) gives an infinite exponential, which
@@ -237,10 +239,9 @@ def _block(
     read as up/down verdicts (uniform < availability), or latencies[lo:lo +
     providers] read as latencies (uniform * 1000 ms); the caller reads
     whichever it needs.  A block is max(1, _UNIFORM_CHUNK // providers)
-    rows, and random() spends one 64-bit output per double, so the values
-    are those of one long random(n) call whatever the block size.  A block
-    allocates only its two flat lists: a list per row would keep hundreds
-    alive per trial and set off extra young-generation garbage collections.
+    rows.  It allocates only its two flat lists: a list per row would keep
+    hundreds alive per trial and set off extra young-generation garbage
+    collections.
     """
     count = len(availabilities)
     block = gen.random((max(1, _UNIFORM_CHUNK // count), count))

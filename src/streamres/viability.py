@@ -1,9 +1,8 @@
 """Reproducible random substreams.
 
 Rng hands out path-addressed substreams, so a draw depends on the seed and
-the path alone, never on how work is scheduled.  Depletion keys one
-substream per TRIAL_BLOCK trials, the speedup estimate one for all its
-trials, monotonicity one per trial and SimTransport one per candidate.
+the path alone.  A depletion run and the speedup estimate each key one
+substream, monotonicity one per trial and SimTransport one per candidate.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Rng", "TRIAL_BLOCK"]
-
-# Trials per depletion substream.  Even, so antithetic pairs never straddle
-# two blocks.
-TRIAL_BLOCK = 256
+__all__ = ["Rng"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,9 +19,8 @@ class Rng:
     """Root of a splittable random stream.
 
     substream(i, j, ...) derives an independent generator addressed purely
-    by the integer path, so trial i draws identically whether trials run
-    serially, threaded, or in any order.  split() extends the path prefix,
-    giving each experiment its own namespace under one seed.
+    by the integer path.  split() extends the path prefix, giving each
+    experiment its own namespace under one seed.
     """
 
     seed: int

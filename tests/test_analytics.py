@@ -68,6 +68,11 @@ class TestInterruptionProbability:
             interruption_probability([0.1, -0.2], 1.0)
         with pytest.raises(ValueError, match="horizon must be non-negative"):
             interruption_probability([0.1], -1.0)
+        # NaN fails too, rather than returning NaN.
+        with pytest.raises(ValueError, match="non-negative"):
+            interruption_probability([math.nan], 1.0)
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            interruption_probability([0.1], math.nan)
 
 
 class TestHarmonic:
@@ -110,6 +115,8 @@ class TestExpectedMaxExponential:
             expected_max_exponential([0.1, 0.0])
         with pytest.raises(ValueError):
             expected_max_exponential([0.1] * 21)
+        with pytest.raises(ValueError, match="positive"):
+            expected_max_exponential([math.nan, 0.1])
 
 
 class TestSpeedup:
@@ -160,6 +167,11 @@ class TestSpeedup:
         with pytest.raises(ValueError):
             SpeedupScenario(5, 2, 1.0)
 
+    @pytest.mark.parametrize("n, b", [(12.5, 3), (12.0, 3), (12, 3.0)])
+    def test_fractional_counts_raise(self, n, b):
+        with pytest.raises(TypeError):
+            SpeedupScenario(n, b, 0.4)
+
 
 class TestCensoredDepletionMean:
     def test_against_direct_sum(self):
@@ -185,6 +197,13 @@ class TestCensoredDepletionMean:
             censored_depletion_mean(0.0, 100)
         with pytest.raises(ValueError):
             censored_depletion_mean(0.5, 0)
+
+    @pytest.mark.parametrize("horizon", [2.5, 2.0, math.nan])
+    def test_fractional_horizon_raises(self, horizon):
+        # min(G, 2.5) has mean 1.625 at p = 0.5; the closed form assumes an
+        # integer horizon, so a float is refused.
+        with pytest.raises(TypeError):
+            censored_depletion_mean(0.5, horizon)
 
 
 class TestBounds:

@@ -23,11 +23,11 @@ from streamres.viability import Rng
 # substream of uniforms inverted to round counts for the speedup estimate
 # (T2.4).
 DEFAULT_RECORDS = (
-    "T1.1\t10\t10.0704\t0.3\tpass\n"
-    "T1.2\t91.4\t91.723\t1.5\tpass\n"
-    "T1.3\t9.15\t9.108178424\t0.2\tpass\n"
-    "T1.4\t1.833333333\t9.108178424\t0\tpass\n"
-    "T1.5\t15.45354445\t15.63028138\t0.5\tpass\n"
+    "T1.1\t10\t10.19\t0.3\tpass\n"
+    "T1.2\t91.4\t91.6768\t1.5\tpass\n"
+    "T1.3\t9.15\t8.996741904\t0.2\tpass\n"
+    "T1.4\t1.833333333\t8.996741904\t0\tpass\n"
+    "T1.5\t15.45354445\t15.41229647\t0.5\tpass\n"
     "T2.1\t4.27\t4.273432576\t0.01\tpass\n"
     "T2.2\t4.01\t4.009743677\t0.01\tpass\n"
     "T2.3\t5.31\t5.3125\t0.01\tpass\n"
@@ -53,11 +53,11 @@ DEFAULT_RECORDS = (
 # `verify --format records --seed 7 --trials 300`: a second seed for every
 # sampling scheme; the rows run at --trials widen by sqrt(5000 / 300).
 SEED7_RECORDS = (
-    "T1.1\t10\t9.61\t1.224744871\tpass\n"
-    "T1.2\t91.4\t94.45333333\t6.123724357\tpass\n"
-    "T1.3\t9.15\t9.828650711\t0.8164965809\tpass\n"
-    "T1.4\t1.833333333\t9.828650711\t0\tpass\n"
-    "T1.5\t15.45354445\t15.01227642\t2.041241452\tpass\n"
+    "T1.1\t10\t9.98\t1.224744871\tpass\n"
+    "T1.2\t91.4\t91.75333333\t6.123724357\tpass\n"
+    "T1.3\t9.15\t9.193720775\t0.8164965809\tpass\n"
+    "T1.4\t1.833333333\t9.193720775\t0\tpass\n"
+    "T1.5\t15.45354445\t14.68565786\t2.041241452\tpass\n"
     "T2.1\t4.27\t4.273432576\t0.01\tpass\n"
     "T2.2\t4.01\t4.009743677\t0.01\tpass\n"
     "T2.3\t5.31\t5.3125\t0.01\tpass\n"
@@ -461,6 +461,16 @@ class TestConfigFile:
         assert out == ""
         assert err == f"error: {path}: {reason}\n"
 
+    def test_file_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "urls.txt"
+        path.write_bytes(b"http://127.0.0.1:9/a.m3u8\n\xff\n")
+        code, out, err = run_cli(["probe", "--urls", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 26: "
+            "invalid start byte\n"
+        )
+
 
 class TestScore:
     def test_switch_verdict(self, capsys):
@@ -558,8 +568,8 @@ class TestSimulate:
         assert mean == pytest.approx(10.0, abs=0.6)
 
     def test_depletion_takes_one_slot_per_rate(self, capsys, monkeypatch):
-        # Two rates are two slots: no slot count to pass, and the substreams
-        # are keyed by the rate count.
+        # Two rates are two slots: no slot count to pass, and the substream
+        # is keyed by the rate count.
         paths = []
         substream = Rng.substream
 
@@ -573,7 +583,7 @@ class TestSimulate:
             capsys,
         )
         assert code == 0 and out.startswith("mean ")
-        assert paths == [(1, 2, 0)]
+        assert paths == [(1, 2)]
 
     def test_depletion_matches_registry_numbers(self, capsys):
         # Same flags as the registry run reproduce T1.2's actual.
@@ -586,18 +596,24 @@ class TestSimulate:
         t12 = next(check for check in report.checks if check.id == "T1.2")
         assert mean == pytest.approx(t12.actual, abs=0.05)
 
-    def test_depletion_reproduces_t12_record(self, capsys):
-        # README "Determinism": the default depletion run is T1.2's run.
+    @pytest.mark.parametrize(
+        "check, flags",
+        [
+            ("T1.1", ["--lambdas", "0.10"]),
+            ("T1.2", ["--lambdas", "0.10,0.12,0.15"]),
+            ("T1.5", ["--no-refill"]),
+        ],
+    )
+    def test_depletion_reproduces_registry_record(self, capsys, check, flags):
+        # README "Determinism": each registry depletion run is a simulate run.
         _, records, _ = run_cli(["verify", "--format", "records"], capsys)
-        t12 = next(line for line in records.splitlines() if line.startswith("T1.2\t"))
-        code, out, _ = run_cli(
-            ["simulate", "depletion", "--lambdas", "0.10,0.12,0.15"], capsys
-        )
+        line = next(line for line in records.splitlines() if line.startswith(check + "\t"))
+        code, out, _ = run_cli(["simulate", "depletion", *flags], capsys)
         assert code == 0
-        assert out.split()[1] == f"{float(t12.split()[2]):.1f}"
+        assert out.split()[1] == f"{float(line.split()[2]):.1f}"
 
     def test_registry_depletion_runs_never_share_a_substream(self, monkeypatch):
-        # One substream per block per run: 300 trials are two blocks.
+        # One substream per run, keyed by its shape.
         runs = []
         substream = Rng.substream
 
@@ -615,11 +631,7 @@ class TestSimulate:
 
         monkeypatch.setattr(registry, "run_depletion", recorded)
         run_verify(seed=42, trials=300)
-        assert runs == [
-            [(1, 1, 0), (1, 1, 1)],
-            [(1, 3, 0), (1, 3, 1)],
-            [(0, 3, 0), (0, 3, 1)],
-        ]
+        assert runs == [[(1, 1)], [(1, 3)], [(0, 3)]]
 
     def test_thrash_defaults(self, capsys):
         code, out, _ = run_cli(["simulate", "thrash"], capsys)

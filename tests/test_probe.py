@@ -594,6 +594,11 @@ class TestEmpiricalFirstSuccess:
         with pytest.raises(ValueError):
             empirical_first_success_rounds(3, 1, 0.1, 0, Rng(1))
 
+    @pytest.mark.parametrize("n, b, trials", [(12.5, 3, 100), (12, 3.0, 100), (12, 3, 100.0)])
+    def test_fractional_counts_raise(self, n, b, trials):
+        with pytest.raises(TypeError):
+            empirical_first_success_rounds(n, b, 0.4, trials, Rng(1))
+
     def test_nan_failure_prob_is_refused(self):
         # Inversion would turn a NaN into NaN round counts, not an error.
         with pytest.raises(ValueError, match=r"failure_prob must lie in \[0, 0.999\)"):

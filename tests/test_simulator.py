@@ -26,7 +26,7 @@ from streamres.simulator import (
     run_monotonicity,
     run_thrash,
 )
-from streamres.viability import TRIAL_BLOCK, Rng
+from streamres.viability import Rng
 
 PROVIDERS = ((360, 0.3), (720, 0.5), (1080, 0.7), (2160, 0.9))
 
@@ -155,7 +155,7 @@ class TestAntitheticEdges:
         # Every pair sums alike, so the pairs carry no spread.
         assert result == DepletionResult(sum(pair) / 2, 0.0, 8)
 
-    @pytest.mark.parametrize("trials", [5, TRIAL_BLOCK + 3])
+    @pytest.mark.parametrize("trials", [5, 259])
     def test_odd_trial_count_adds_one_lone_unit(self, trials):
         config = DepletionConfig((0.5,), horizon=9, trials=trials)
         result = run_depletion(config, Rng(0))
@@ -173,18 +173,19 @@ class TestAntitheticEdges:
         assert run_depletion(config, Rng(0)).stderr == 0.0
 
 
-def block_reference(config, rng):
-    """Depletion times trial by trial from the documented keys and inversions."""
+def trial_reference(config, rng):
+    """Depletion times trial by trial from the documented key and inversions."""
     q = math.prod(config.failure_rates)
+    slots = len(config.failure_rates)
+    width = 1 if config.refill else slots
+    # One random() call for the whole run: row j feeds trials 2j and 2j + 1.
+    rows = rng.substream(int(config.refill), slots).random(
+        ((config.trials + 1) // 2, width)
+    )
     times = []
     for index in range(config.trials):
-        block, offset = divmod(index, TRIAL_BLOCK)
-        size = min(TRIAL_BLOCK, config.trials - block * TRIAL_BLOCK)
-        slots = len(config.failure_rates)
-        width = 1 if config.refill else slots
-        gen = rng.substream(int(config.refill), slots, block)
-        row = gen.random(((size + 1) // 2, width))[offset // 2]
-        uniforms = row if offset % 2 == 0 else 1.0 - row
+        row = rows[index // 2]
+        uniforms = row if index % 2 == 0 else 1.0 - row
         if config.refill:
             depleted = math.floor(math.log1p(-uniforms[0]) / math.log1p(-q)) + 1
         else:
@@ -202,13 +203,16 @@ class TestDepletionKeys:
     }
 
     @pytest.mark.parametrize("mode", list(CONFIGS))
-    @pytest.mark.parametrize("blocks", [1, 3])
-    def test_equals_per_trial_reference(self, monkeypatch, mode, blocks):
-        # Full blocks and then an odd tail of 45 trials.
-        trials = (blocks - 1) * TRIAL_BLOCK + 45
-        config = dataclasses.replace(self.CONFIGS[mode], trials=trials)
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_equals_per_trial_reference(self, monkeypatch, mode, chunks):
+        # Full chunks of whole pairs, one row of width uniforms each, and then
+        # an odd tail of 45 trials.
+        config = self.CONFIGS[mode]
+        width = 1 if config.refill else len(config.failure_rates)
+        trials = (chunks - 1) * 2 * (simulator._UNIFORM_CHUNK // width) + 45
+        config = dataclasses.replace(config, trials=trials)
         rng = Rng(13).split(2)
-        expected = block_reference(config, rng)
+        expected = trial_reference(config, rng)
         paths = []
         substream = Rng.substream
 
@@ -218,16 +222,23 @@ class TestDepletionKeys:
 
         monkeypatch.setattr(Rng, "substream", recording)
         result = run_depletion(config, rng)
-        # One substream per block, keyed by (refill, slot count, block).
-        assert paths == [
-            (2, int(config.refill), len(config.failure_rates), b)
-            for b in range(blocks)
-        ]
+        # One substream per run, keyed by (refill, slot count).
+        assert paths == [(2, int(config.refill), len(config.failure_rates))]
         # numpy and math logarithms may differ in the last unit.
         times = simulator._depletion_times(config, rng)
         assert np.allclose(times, expected, rtol=1e-12, atol=0)
         assert result.mean == pytest.approx(expected.mean(), rel=1e-12)
         assert result.trials == config.trials
+
+    @pytest.mark.parametrize("mode", list(CONFIGS))
+    @pytest.mark.parametrize("chunk", [1, 7, 10**6])
+    def test_uniform_chunk_size_changes_no_draw(self, monkeypatch, mode, chunk):
+        # A chunk of 1 or 7 uniforms rounds up to one whole row; 10**6 holds
+        # the whole run.  The odd count ends on a lone trial.
+        config = dataclasses.replace(self.CONFIGS[mode], trials=2001)
+        reference = simulator._depletion_times(config, Rng(17))
+        monkeypatch.setattr(simulator, "_UNIFORM_CHUNK", chunk)
+        assert simulator._depletion_times(config, Rng(17)).tobytes() == reference.tobytes()
 
 
 class TestDepletionLaw:

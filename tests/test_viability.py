@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from streamres import simulator
 from streamres.simulator import DepletionConfig, _depletion_times, run_depletion
-from streamres.viability import TRIAL_BLOCK, Rng
+from streamres.viability import Rng
 
 
 class TestRng:
@@ -39,27 +40,28 @@ class TestRng:
 
 
 class TestSubstreams:
-    """The block-keyed substreams depletion draws, one per TRIAL_BLOCK trials."""
+    """The one substream a depletion run draws, read in chunks of pairs."""
 
     @pytest.mark.parametrize("seed", [0, 42, 2**32 + 5, 2**128 + 7])
     @pytest.mark.parametrize("path", [(), (31,), (2**32 + 1, 3)])
     def test_equal_scalar_substreams_across_a_block_edge(self, seed, path):
         rng = Rng(seed, path)
-        lo, hi = TRIAL_BLOCK - 3, TRIAL_BLOCK + 3
+        # Two drained slots read rows of two uniforms, so a chunk of
+        # _UNIFORM_CHUNK uniforms covers that many trials.
+        edge = 2 * (simulator._UNIFORM_CHUNK // 2)
+        lo, hi = edge - 3, edge + 3
         rates = np.array([0.3, 0.4])
         config = DepletionConfig(tuple(rates), horizon=1000, trials=hi, refill=False)
         times = _depletion_times(config, rng)
-        # Trial i inverts row i // 2 of its block's scalar substream, or the
+        # Trial i inverts row i // 2 of the run's scalar substream, or the
         # antithetic partner of that row for odd i.
-        first = rng.substream(0, 2, 0).random((TRIAL_BLOCK // 2, 2))
-        second = rng.substream(0, 2, 1).random((2, 2))
+        rows = rng.substream(0, 2).random(((hi + 1) // 2, 2))
         for index in range(lo, hi):
-            block, offset = divmod(index, TRIAL_BLOCK)
-            row = (first, second)[block][offset // 2]
-            uniforms = row if offset % 2 == 0 else 1.0 - row
+            row = rows[index // 2]
+            uniforms = row if index % 2 == 0 else 1.0 - row
             expected = min((-np.log1p(-uniforms) / rates).max(), config.horizon)
             assert times[index] == pytest.approx(expected, rel=1e-12, abs=0)
-        # A shorter run draws a prefix of the same substreams.
+        # A shorter run draws a prefix of the same substream.
         shorter = _depletion_times(replace(config, trials=lo), rng)
         assert np.array_equal(shorter, times[:lo])
 
