@@ -596,19 +596,19 @@ class TestSimulate:
         t12 = next(check for check in report.checks if check.id == "T1.2")
         assert mean == pytest.approx(t12.actual, abs=0.05)
 
-    @pytest.mark.parametrize(
-        "check, flags",
-        [
-            ("T1.1", ["--lambdas", "0.10"]),
-            ("T1.2", ["--lambdas", "0.10,0.12,0.15"]),
-            ("T1.5", ["--no-refill"]),
-        ],
-    )
-    def test_depletion_reproduces_registry_record(self, capsys, check, flags):
+    # The simulate flags of each registry depletion run.
+    DEPLETION_FLAGS = {
+        "T1.1": ["--lambdas", "0.10"],
+        "T1.2": ["--lambdas", "0.10,0.12,0.15"],
+        "T1.5": ["--no-refill"],
+    }
+
+    @pytest.mark.parametrize("check", list(DEPLETION_FLAGS))
+    def test_depletion_reproduces_registry_record(self, capsys, check):
         # README "Determinism": each registry depletion run is a simulate run.
         _, records, _ = run_cli(["verify", "--format", "records"], capsys)
         line = next(line for line in records.splitlines() if line.startswith(check + "\t"))
-        code, out, _ = run_cli(["simulate", "depletion", *flags], capsys)
+        code, out, _ = run_cli(["simulate", "depletion", *self.DEPLETION_FLAGS[check]], capsys)
         assert code == 0
         assert out.split()[1] == f"{float(line.split()[2]):.1f}"
 
