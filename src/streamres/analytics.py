@@ -64,6 +64,10 @@ def interruption_probability(failure_rates: Sequence[float], horizon: float) -> 
         raise ValueError("failure rates must be non-negative")
     if not horizon >= 0.0:
         raise ValueError("horizon must be non-negative")
+    if horizon == 0.0 or 0.0 in failure_rates:
+        # No time to fail in, or a slot that never fails: rate * horizon
+        # would be 0 * inf, NaN, where the other factor is infinite.
+        return 0.0
     prob = 1.0
     for rate in failure_rates:
         prob *= 1.0 - math.exp(-rate * horizon)

@@ -16,15 +16,18 @@ every slot takes its place by ``bisect.insort`` on it, and a health cycle
 credits all surviving standbys equally.  The active slot may trail its
 standbys between an admission and the upgrade decision that resolves it.
 
-Every public operation opens with one guard, ``_enter``: the reservoir must
-be in the state the operation needs and ``now`` must not be behind the clock
-(a NaN ``now`` is refused too).  Either failure raises before any change, as
-does a fill or refill round given a viable result whose latency is NaN or
-not a number.  Every accepted call moves the clock to ``now``, even a call
-that changes nothing, so no later call can log behind it, but only after its
+Every public operation opens with one guard: the reservoir must be in the
+state the operation needs and ``now`` must not be behind the clock (a NaN
+``now`` is refused too).  ``_enter`` checks both; the three maintain-loop
+operations, called every step, test the same condition inline and call
+``_enter`` only to raise.  Either failure raises before any change, as does
+a fill or refill round given a viable result whose latency is NaN or not a
+number.  Every accepted call moves the clock to ``now``, even a call that
+changes nothing, so no later call can log behind it, but only after its
 last step that can raise (a health cycle's checker, a round's latency check
 and sort).  Operations name their state by the module constants
-``_MAINTAIN`` and ``_DEPLETED``, which skip the Enum lookup on this per-call path.
+``_MAINTAIN`` and ``_DEPLETED``, which skip the Enum lookup on this per-call
+path.
 
 Every event is logged as a ``ReservoirEvent``, a named tuple, in an
 append-only list; ``transitions`` reads the state changes off it, one per
@@ -152,11 +155,7 @@ class Reservoir:
 
     def _admit(self, result: ProbeResult, lo: int) -> None:
         # lo=1 places the slot among the standbys, leaving the active alone.
-        slot = Slot(
-            candidate=result.candidate,
-            verified_count=FRESH_VERIFICATIONS,
-            arrival=self._arrival_seq,
-        )
+        slot = Slot(result.candidate, FRESH_VERIFICATIONS, self._arrival_seq)
         self._arrival_seq += 1
         bisect.insort(self._slots, slot, lo=lo, key=_slot_order)
 
@@ -197,7 +196,8 @@ class Reservoir:
         Returns the number of standbys that failed (each one is an open
         refill request).
         """
-        self._enter(_MAINTAIN, now, commit=False)
+        if self.state is not _MAINTAIN or not now >= self._clock:
+            self._enter(_MAINTAIN, now)  # raises
         slots = self._slots
         standbys = slots[1:]
         verdicts = [bool(checker(slot)) for slot in standbys]
@@ -233,7 +233,8 @@ class Reservoir:
         dropped.  A candidate holding a slot when the round begins, or
         admitted earlier in it, is never admitted again in that round.
         """
-        self._enter(_MAINTAIN, now, commit=False)
+        if self.state is not _MAINTAIN or not now >= self._clock:
+            self._enter(_MAINTAIN, now)  # raises
         held = {slot.candidate.id for slot in self._slots}
         fresh = [r for r in fresh_results if r.viable and r.candidate.id not in held]
         if fresh:
@@ -281,7 +282,9 @@ class Reservoir:
         positive score wins (ties go to the lower slot index).  Returns the
         pre-swap standby index and its score, or None for no switch.
         """
-        self._enter(_MAINTAIN, now)
+        if self.state is not _MAINTAIN or not now >= self._clock:
+            self._enter(_MAINTAIN, now)  # raises
+        self._clock = now
         slots = self._slots
         active_quality = slots[0].candidate.quality
         if len(slots) < 2 or slots[1].candidate.quality <= active_quality:

@@ -9,18 +9,22 @@ exact law of its depletion time, in antithetic pairs.
 Monotonicity draws its uniforms in rows of one per provider: a step takes
 one up/down row and, when a slot is vacant, one latency row, so a trial's
 stream is a sequence of rows, drawn in blocks of whole rows and read by
-offset in order.  Its refill round passes only the eligible providers that
-are up and whose id holds no slot, since refill drops every non-viable or
-held result, and a vacant step with no such provider skips the round; its
-latency row is read either way, so the draws stay the same.  A config
-builds what its trials share when it is made, so no state is kept between
-configs.
+offset in order.  A block holds at most the two rows per step that a trial
+can read, so a short trial draws one block no larger than it needs, and
+keeps its latencies as an array of doubles, so only the latencies a trial
+reads become Python floats.  Its refill round passes only the eligible
+providers that are up and whose id holds no slot, since refill drops every
+non-viable or held result, and a vacant step with no such provider skips
+the round; its latency row is read either way, so the draws stay the same.
+A config builds what its trials share when it is made, so no state is kept
+between configs.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -32,8 +36,9 @@ from .analytics import SpeedupScenario
 from .viability import Rng
 
 # Uniforms a depletion run or a monotonicity trial draws per generator call,
-# rounded down to whole rows (at least one row).  random() spends one 64-bit
-# output per double, so the values are those of one long call whatever this is.
+# rounded down to whole rows (at least one row); a monotonicity trial draws
+# fewer when it can read fewer.  random() spends one 64-bit output per double,
+# so the values are those of one long call whatever this is.
 _UNIFORM_CHUNK = 1024
 
 __all__ = [
@@ -230,22 +235,28 @@ def _candidates(prefix: str, qualities: Iterable[int]) -> list[StreamCandidate]:
     ]
 
 
+def _block_rows(config: MonotonicityConfig) -> int:
+    """Rows per block of a monotonicity trial: a chunk's worth, but never
+    more than the trial can read, an up/down row and a latency row per step."""
+    return min(max(1, _UNIFORM_CHUNK // len(config.providers)), 2 * (config.steps + 1))
+
+
 def _block(
-    gen: np.random.Generator, availabilities: np.ndarray
-) -> tuple[list[bool], list[float]]:
+    gen: np.random.Generator, availabilities: np.ndarray, rows: int
+) -> tuple[list[bool], array]:
     """The next block of a trial's uniforms, rows of one per provider.
 
     Returns (ups, latencies): the row at offset lo is ups[lo:lo + providers]
     read as up/down verdicts (uniform < availability), or latencies[lo:lo +
     providers] read as latencies (uniform * 1000 ms); the caller reads
-    whichever it needs.  A block is max(1, _UNIFORM_CHUNK // providers)
-    rows.  It allocates only its two flat lists: a list per row would keep
-    hundreds alive per trial and set off extra young-generation garbage
-    collections.
+    whichever it needs.  ups is a flat list of bools, latencies a flat
+    array of doubles copied from numpy's buffer in one go: a list would box
+    every float, and a trial reads few of them.  No object is allocated per
+    row: a list per row would keep hundreds alive per trial and set off
+    extra young-generation garbage collections.
     """
-    count = len(availabilities)
-    block = gen.random((max(1, _UNIFORM_CHUNK // count), count))
-    return (block < availabilities).ravel().tolist(), (block * 1000.0).ravel().tolist()
+    block = gen.random((rows, len(availabilities)))
+    return (block < availabilities).ravel().tolist(), array("d", (block * 1000.0).tobytes())
 
 
 def _summary(switches: list[tuple[int, int]]) -> TrialSummary:
@@ -290,10 +301,11 @@ def run_monotonicity(
     availabilities, eligible = config._availabilities, config._eligible
     gen = rng.substream(trial)
     count = len(candidates)
+    rows = _block_rows(config)
     # The current block and the offset of its next unread row; a read at
     # the block's end draws the next block first.  A row is read as its
     # block and offset, since the step's next read may draw a new block.
-    end = max(1, _UNIFORM_CHUNK // count) * count
+    end = rows * count
     at = end
 
     def healthy(slot: Slot) -> bool:
@@ -309,7 +321,7 @@ def run_monotonicity(
         # Provider i is up this step when up[up_at + i]; its latency is
         # latency[latency_at + i], from the next row.
         if at == end:
-            ups, latencies = _block(gen, availabilities)
+            ups, latencies = _block(gen, availabilities, rows)
             at = 0
         up, up_at = ups, at
         at += count
@@ -318,7 +330,7 @@ def run_monotonicity(
         if reservoir is None or vacant:
             # A round draws a latency for every provider, probed or not.
             if at == end:
-                ups, latencies = _block(gen, availabilities)
+                ups, latencies = _block(gen, availabilities, rows)
                 at = 0
             latency, latency_at = latencies, at
             at += count

@@ -8,6 +8,7 @@ the speedup table against frozen values recomputed from the formula.
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from streamres.analytics import (
@@ -23,6 +24,13 @@ from streamres.analytics import (
 )
 
 TABLE_RATES = (0.10, 0.12, 0.15)
+
+# Any rate or horizon the analytics accept, with 0 and inf drawn often: the
+# two meet in a product that is NaN.
+NON_NEGATIVE = st.one_of(
+    st.sampled_from([0.0, math.inf]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=True),
+)
 
 
 def quad_max_exponential(rates):
@@ -52,6 +60,24 @@ class TestInterruptionProbability:
 
     def test_zero_horizon(self):
         assert interruption_probability([0.1, 0.2], 0.0) == 0.0
+
+    def test_zero_horizon_is_zero_at_an_infinite_rate(self):
+        # As at every finite rate: no time, no failure.
+        assert interruption_probability([math.inf], 0.0) == 0.0
+        assert interruption_probability([0.1, math.inf], 0.0) == 0.0
+
+    def test_zero_rate_is_zero_at_an_infinite_horizon(self):
+        # A slot that never fails is never lost, however long the session.
+        assert interruption_probability([0.0], math.inf) == 0.0
+        assert interruption_probability([0.2, 0.0], math.inf) == 0.0
+
+    @given(
+        st.lists(NON_NEGATIVE, min_size=1, max_size=5),
+        NON_NEGATIVE,
+    )
+    def test_is_a_probability(self, rates, horizon):
+        prob = interruption_probability(rates, horizon)
+        assert 0.0 <= prob <= 1.0  # false for NaN too
 
     def test_each_slot_helps(self):
         horizon = 20.0

@@ -750,10 +750,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
+# One server for the module, as in test_probe.py, polling every 10 ms:
+# shutdown() waits out a poll, 0.5 s at serve_forever's default.
+@pytest.fixture(scope="module")
 def local_server():
     with socketserver.TCPServer(("127.0.0.1", 0), _Handler) as server:
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
         yield f"http://127.0.0.1:{server.server_address[1]}"
         server.shutdown()
 

@@ -623,7 +623,8 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture(scope="module")
 def local_server():
     with socketserver.TCPServer(("127.0.0.1", 0), _Handler) as server:
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # Polls every 10 ms: shutdown() waits out a poll, 0.5 s by default.
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
         thread.start()
         yield f"http://127.0.0.1:{server.server_address[1]}"
         server.shutdown()
@@ -724,7 +725,8 @@ class _RawServer(socketserver.ThreadingTCPServer):
 @pytest.fixture(scope="module")
 def raw_server():
     with _RawServer(("127.0.0.1", 0), _RawHandler) as server:
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # Polls every 10 ms: shutdown() waits out a poll, 0.5 s by default.
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
         thread.start()
         yield f"http://127.0.0.1:{server.server_address[1]}"
         server.shutdown()

@@ -651,6 +651,26 @@ class TestHealthCycleGuarantee:
         # The clock did not move to 1.0: an earlier time is still accepted.
         assert reservoir.run_health_cycle(lambda slot: True, now=0.5) == 0
 
+    def test_verdict_whose_bool_raises_changes_nothing(self):
+        # Standbys b, c: b fails, and c's verdict raises only when read as a
+        # bool, so the cycle must read every verdict before it commits.
+        class Unreadable:
+            def __bool__(self):
+                raise RuntimeError("verdict unreadable")
+
+        reservoir = Reservoir.sprint_fill(
+            [result("a", 1080, 10.0), result("b", 720, 20.0), result("c", 480, 30.0)],
+            capacity=3,
+        )
+        assert reservoir is not None
+        before = full_snapshot(reservoir)
+        with pytest.raises(RuntimeError, match="unreadable"):
+            reservoir.run_health_cycle(
+                lambda slot: Unreadable() if slot.candidate.id == "c" else False, now=1.0
+            )
+        assert full_snapshot(reservoir) == before
+        assert reservoir.run_health_cycle(lambda slot: True, now=0.5) == 0
+
 
 class TestInputsThatRaiseMidCall:
     def test_quality_past_the_largest_float_is_refused(self):

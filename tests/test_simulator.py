@@ -467,6 +467,54 @@ class TestMonotonicityPinned:
         monkeypatch.setattr(simulator, "_UNIFORM_CHUNK", chunk)
         assert trial() == reference
 
+    @pytest.mark.parametrize("chunk", [1, 7, 808, 10**6])
+    @pytest.mark.parametrize(
+        "providers, tau, key",
+        [
+            (registry.REFERENCE_PROVIDERS, 0.3, 31),
+            (registry.REFERENCE_PROVIDERS, 0.7, 34),
+            (((360, 0.95), (720, 0.6), (1080, 0.6), (2160, 0.35)), 0.3, None),
+        ],
+        ids=["T3-low", "T3-high", "slow"],
+    )
+    def test_sweep_block_size_changes_no_draw(self, monkeypatch, providers, tau, key, chunk):
+        # The two T3 sweep configs, drawn as the registry draws them, and the
+        # slow-convergence config as the CLI draws it.  Four providers at 100
+        # steps read at most 202 rows, 808 uniforms: a chunk of 1 or 7 takes
+        # one row per block, 808 exactly the trial's cap, and 10**6 is cut
+        # down to that cap.
+        config = MonotonicityConfig(providers, steps=100, tau=tau, slot_count=3)
+        rng = Rng(42) if key is None else Rng(42).split(key)
+
+        def sweep():
+            runs = []
+            for trial in range(10):
+                trace: list[str] = []
+                summary = run_monotonicity(config, rng, trial, trace_sink=trace)
+                runs.append((repr(summary), "\n".join(trace).encode()))
+            return runs
+
+        reference = sweep()
+        monkeypatch.setattr(simulator, "_UNIFORM_CHUNK", chunk)
+        assert sweep() == reference
+
+    def test_sweep_trial_draws_one_block_of_every_readable_row(self, monkeypatch):
+        # A T3 trial of 100 steps reads at most 202 rows: it draws them in one
+        # block, never a second one and never a row more.
+        config = MonotonicityConfig(registry.REFERENCE_PROVIDERS, steps=100, tau=0.3)
+        block = simulator._block
+        drawn: list[int] = []
+
+        def recording_block(gen, availabilities, rows):
+            drawn.append(rows)
+            return block(gen, availabilities, rows)
+
+        monkeypatch.setattr(simulator, "_block", recording_block)
+        for trial in range(20):
+            drawn.clear()
+            run_monotonicity(config, Rng(42).split(31), trial)
+            assert drawn == [202]
+
 
 # The two slow-convergence configs of the ROADMAP Baseline, whose best
 # eligible provider is often down: their trials refill often and cross block

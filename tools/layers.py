@@ -7,6 +7,8 @@ run times each layer once, after a warm-up run that is not recorded:
 
 - each registry section at the ``verify`` defaults (seed 42, 5000 trials:
   depletion, speedup, monotonicity, prospect), in s;
+- one ``_block`` draw of a T3 sweep trial (the reference providers at 100
+  steps), in us, the mean over SWEEP_BLOCKS draws;
 - one reservoir maintain step (health cycle, refill of any vacancy,
   upgrade evaluation) on a 3-slot reservoir whose standbys keep failing,
   in us, the mean over MAINTAIN_STEPS steps;
@@ -51,7 +53,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from streamres import registry  # noqa: E402
+from streamres import registry, simulator  # noqa: E402
 from streamres.probe import (  # noqa: E402
     ProbeResult,
     SimTransport,
@@ -66,6 +68,7 @@ MIN_RUNS = 5
 MAINTAIN_STEPS = 5000
 SCORE_CALLS = 20000
 SUBSTREAMS = 2000
+SWEEP_BLOCKS = 2000
 PROBE_CANDIDATES = 12
 PROBE_ROUNDS = 20
 SIM_IDS = 9
@@ -88,6 +91,18 @@ def _sections() -> dict[str, float]:
         section()
         seconds[f"registry.{name}_s"] = time.perf_counter() - started
     return seconds
+
+
+def _sweep_block_us() -> float:
+    # A block as a T3 trial draws it; at the registry's 100 steps one block
+    # holds every row the trial can read.
+    config = simulator.MonotonicityConfig(registry.REFERENCE_PROVIDERS, steps=100)
+    rows = simulator._block_rows(config)
+    gen = Rng(registry.DEFAULT_SEED).substream(0)
+    started = time.perf_counter()
+    for _ in range(SWEEP_BLOCKS):
+        simulator._block(gen, config._availabilities, rows)
+    return (time.perf_counter() - started) / SWEEP_BLOCKS * 1e6
 
 
 def _maintain_step_us() -> float:
@@ -222,6 +237,7 @@ def _import_ms() -> float:
 def one_run() -> dict[str, float]:
     return {
         **_sections(),
+        "simulator.sweep_block_us": _sweep_block_us(),
         "reservoir.maintain_step_us": _maintain_step_us(),
         "reservoir.sim_tick_us": _sim_tick_us(),
         "prospect.switch_score_us": _switch_score_us(),
