@@ -376,10 +376,11 @@ class Reservoir:
     # -- internals ---------------------------------------------------------
 
     def _enter(self, state: ReservoirState, now: float, commit: bool = True) -> None:
-        # Every public operation calls this before its first change, so a
-        # wrong state or a backward (or NaN) clock raises with the reservoir
-        # exactly as it was.  commit=False leaves moving the clock to the
-        # caller.
+        # Every public operation calls this before its first change (the
+        # maintain-loop ones only once their inline test of the same
+        # condition fails), so a wrong state or a backward (or NaN) clock
+        # raises with the reservoir exactly as it was.  commit=False leaves
+        # moving the clock to the caller.
         if self.state is not state:
             raise RuntimeError(f"operation requires {state.value}, got {self.state.value}")
         if not now >= self._clock:
