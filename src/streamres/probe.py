@@ -9,15 +9,13 @@ input order until none is left.  SimTransport draws deterministic verdicts
 from one substream per candidate, its attempts in sequence, and locks only
 to draw a block (reads rely on CPython's GIL); HttpTransport sends real
 HEAD probes on the standard library, each bounded by one deadline, and
-never raises.  empirical_first_success_rounds estimates the mean time to a
-first viable probe of a batched and a concurrent scan, from one substream
-of uniforms.
+never raises.  The module runs on the standard library alone: SimTransport
+takes its numpy generators from the Rng its caller passes.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 import socket
 import sys
@@ -29,12 +27,12 @@ from functools import cache, partial
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Protocol, Sequence
 from urllib.parse import quote, urlsplit
 
-import numpy as np
-
-from .viability import Rng
-
 if TYPE_CHECKING:
     import ssl
+
+    import numpy as np
+
+    from .viability import Rng
 
 __all__ = [
     "StreamCandidate",
@@ -44,7 +42,6 @@ __all__ = [
     "HttpTransport",
     "probe_all",
     "sort_results",
-    "empirical_first_success_rounds",
 ]
 
 DEFAULT_TIMEOUT_MS = 3000.0
@@ -66,10 +63,6 @@ _SIM_SIGMA = 0.6
 # SimTransport probes per block of draws, per candidate.  A larger block
 # makes each refill long enough to show in a session's tail latency.
 _BLOCK = 64
-
-# Geometric round counts explode as the per-probe failure probability
-# approaches 1; reject anything at or beyond this.
-MAX_FAILURE_PROB = 0.999
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +117,9 @@ class SimTransport:
     [0, 1], and latency is lognormal with a fixed median of 300 ms and
     sigma 0.6.  The lock guards only block draws: a probe takes its pair
     with next() on a zip of two lists, which runs in C without releasing
-    CPython's GIL, so no two threads take one pair.
+    CPython's GIL, so no two threads take one pair.  A free-threaded build
+    (sys._is_gil_enabled() false) has no such guarantee: there two threads
+    probing one id at once may take one draw.
     """
 
     def __init__(self, rng: Rng, failure_prob: float = 0.0) -> None:
@@ -337,44 +332,13 @@ def sort_results(results: Iterable[ProbeResult]) -> list[ProbeResult]:
     return sorted(results, key=lambda r: (not r.viable, r.latency_ms))
 
 
-def empirical_first_success_rounds(
-    n_candidates: int,
-    batch_size: int,
-    failure_prob: float,
-    trials: int,
-    rng: Rng,
-) -> tuple[float, float]:
-    """Monte Carlo mean time to first success: (batched, concurrent).
 
-    Each round of the batched scan probes batch_size candidates and the scan
-    walks n/b batches, so a trial costs (n/b) * rounds-to-first-success; the
-    concurrent scan probes everything at once and costs just its round count.
-    A scan whose rounds all fail with probability q takes G rounds, drawn by
-    inversion from a uniform U as G = max(1, ceil(log(1 - U) / log(q))), or 1
-    when q is 0; random() is stable across numpy versions, unlike
-    geometric().  Every trial draws from substream(0), all batched counts
-    before all concurrent ones, so the estimate depends only on the seed and
-    the trial count.
-    """
-    if operator.index(n_candidates) < 1 or not 1 <= operator.index(batch_size) <= n_candidates:
-        raise ValueError("need 1 <= batch_size <= n_candidates")
-    if not 0.0 <= failure_prob < MAX_FAILURE_PROB:  # NaN fails too
-        raise ValueError(f"failure_prob must lie in [0, {MAX_FAILURE_PROB})")
-    if operator.index(trials) < 1:
-        raise ValueError("trials must be >= 1")
-    gen = rng.substream(0)
-    # One buffer holds each scan's round counts in turn.
-    rounds = np.empty(trials)
-    means = []
-    for q in (failure_prob**batch_size, failure_prob**n_candidates):
-        gen.random(out=rounds)
-        if q > 0.0:
-            np.log1p(np.negative(rounds, out=rounds), out=rounds)
-            np.divide(rounds, math.log(q), out=rounds)
-            np.ceil(rounds, out=rounds)
-            np.maximum(rounds, 1.0, out=rounds)  # U = 0 gives 0 rounds
-        else:
-            rounds.fill(1.0)
-        means.append(float(rounds.mean()))
-    batched, concurrent = means
-    return n_candidates / batch_size * batched, concurrent
+def __getattr__(name: str) -> object:
+    # The benchmark's tracer still hooks the speedup estimate under its old
+    # name here; this alias goes once that hook moves to
+    # simulator.run_speedup_empirical (ROADMAP item 9).
+    if name == "empirical_first_success_rounds":
+        from .simulator import run_speedup_empirical
+
+        return run_speedup_empirical
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

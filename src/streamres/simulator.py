@@ -1,11 +1,12 @@
-"""Seeded Monte Carlo experiments over the reservoir.
+"""Seeded Monte Carlo experiments over the reservoir and the acquisition scan.
 
-Three experiment families: depletion horizons under slot failure (with and
+Four experiment families: depletion horizons under slot failure (with and
 without refill), quality convergence under lazy refill from providers of
-unequal availability, and switch-thrash counting under persistent standbys.
-A depletion run and the speedup estimate each draw from one substream, a
-monotonicity trial from its own.  Depletion samples each trial from the
-exact law of its depletion time, in antithetic pairs.
+unequal availability, switch-thrash counting under persistent standbys, and
+the mean rounds to a first viable probe of a batched and a concurrent scan
+(the speedup estimate).  A depletion run and the speedup estimate each draw
+from one substream, a monotonicity trial from its own.  Depletion samples
+each trial from the exact law of its depletion time, in antithetic pairs.
 Monotonicity draws its uniforms in rows of one per provider: a step takes
 one up/down row and, when a slot is vacant, one latency row, so a trial's
 stream is a sequence of rows, drawn in blocks of whole rows and read by
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .probe import ProbeResult, StreamCandidate, _result, empirical_first_success_rounds
+from .probe import ProbeResult, StreamCandidate, _result
 from .reservoir import Reservoir, Slot
 from .analytics import SpeedupScenario
 from .viability import Rng
@@ -40,6 +41,10 @@ from .viability import Rng
 # fewer when it can read fewer.  random() spends one 64-bit output per double,
 # so the values are those of one long call whatever this is.
 _UNIFORM_CHUNK = 1024
+
+# Geometric round counts explode as the per-probe failure probability
+# approaches 1; the speedup estimate rejects anything at or beyond this.
+MAX_FAILURE_PROB = 0.999
 
 __all__ = [
     "DepletionConfig",
@@ -418,11 +423,38 @@ def run_thrash(
 def run_speedup_empirical(
     scenario: SpeedupScenario, trials: int, rng: Rng
 ) -> tuple[float, float]:
-    """Monte Carlo (batched_mean, concurrent_mean) for an acquisition scan."""
-    return empirical_first_success_rounds(
-        scenario.n_candidates,
-        scenario.batch_size,
-        scenario.failure_prob,
-        trials,
-        rng,
-    )
+    """Monte Carlo mean time to first success: (batched, concurrent).
+
+    Each round of the batched scan probes batch_size candidates and the scan
+    walks n/b batches, so a trial costs (n/b) * rounds-to-first-success; the
+    concurrent scan probes everything at once and costs just its round count.
+    A scan whose rounds all fail with probability q takes G rounds, drawn by
+    inversion from a uniform U as G = max(1, ceil(log(1 - U) / log(q))), or 1
+    when q is 0; random() is stable across numpy versions, unlike
+    geometric().  Every trial draws from substream(0), all batched counts
+    before all concurrent ones, so the estimate depends only on the seed and
+    the trial count.  The scenario has checked n, b and the failure
+    probability's [0, 1) range; the estimate also needs it below
+    MAX_FAILURE_PROB.
+    """
+    n, b, failure_prob = scenario.n_candidates, scenario.batch_size, scenario.failure_prob
+    if not failure_prob < MAX_FAILURE_PROB:
+        raise ValueError(f"failure_prob must lie in [0, {MAX_FAILURE_PROB})")
+    if operator.index(trials) < 1:
+        raise ValueError("trials must be >= 1")
+    gen = rng.substream(0)
+    # One buffer holds each scan's round counts in turn.
+    rounds = np.empty(trials)
+    means = []
+    for q in (failure_prob**b, failure_prob**n):
+        gen.random(out=rounds)
+        if q > 0.0:
+            np.log1p(np.negative(rounds, out=rounds), out=rounds)
+            np.divide(rounds, math.log(q), out=rounds)
+            np.ceil(rounds, out=rounds)
+            np.maximum(rounds, 1.0, out=rounds)  # U = 0 gives 0 rounds
+        else:
+            rounds.fill(1.0)
+        means.append(float(rounds.mean()))
+    batched, concurrent = means
+    return n / b * batched, concurrent

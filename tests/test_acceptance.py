@@ -18,13 +18,13 @@ from streamres.analytics import (
     harmonic_number,
 )
 from streamres.cli import run_verify
-from streamres.probe import empirical_first_success_rounds
 from streamres.prospect import switch_score, value, weight
 from streamres.simulator import (
     DepletionConfig,
     MonotonicityConfig,
     run_depletion,
     run_monotonicity,
+    run_speedup_empirical,
     run_thrash,
 )
 from streamres.viability import Rng
@@ -68,8 +68,8 @@ def test_criterion_2_speedup_table_reproduction():
     )
     for scenario, expected in rows:
         assert abs(batched_speedup(scenario) - expected) <= 0.01
-    batched, concurrent = empirical_first_success_rounds(
-        12, 3, 0.4, 100_000, Rng(42).split(24)
+    batched, concurrent = run_speedup_empirical(
+        SpeedupScenario(12, 3, 0.4), 100_000, Rng(42).split(24)
     )
     empirical = batched / concurrent
     closed = batched_speedup(SpeedupScenario(12, 3, 0.4))

@@ -12,6 +12,8 @@ import pytest
 from fuzzutil import run_fuzz_sequence
 from streamres import registry, simulator
 from streamres.analytics import (
+    SpeedupScenario,
+    batched_speedup,
     expected_max_exponential,
     harmonic_number,
     interruption_probability,
@@ -24,6 +26,7 @@ from streamres.simulator import (
     TrialSummary,
     run_depletion,
     run_monotonicity,
+    run_speedup_empirical,
     run_thrash,
 )
 from streamres.viability import Rng
@@ -757,3 +760,110 @@ class TestHarmonicRatio:
         assert triple.mean / single.mean == pytest.approx(
             harmonic_number(3), rel=0.05
         )
+
+
+class CountingRng:
+    """An Rng that records the path of every substream it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.paths = []
+
+    def substream(self, *path):
+        self.paths.append(path)
+        return self.rng.substream(*path)
+
+
+class TestEmpiricalFirstSuccess:
+    def test_matches_closed_form(self):
+        scenario = SpeedupScenario(12, 3, 0.4)
+        trials = 40_000
+        batched, concurrent = run_speedup_empirical(scenario, trials, Rng(42))
+        assert batched / concurrent == pytest.approx(
+            batched_speedup(scenario), abs=0.05
+        )
+
+    def test_means_match_geometric_expectations(self):
+        trials = 40_000
+        batched, concurrent = run_speedup_empirical(
+            SpeedupScenario(8, 2, 0.5), trials, Rng(7)
+        )
+        # batched mean = (n/b) / (1 - f**b); concurrent = 1 / (1 - f**n)
+        exp_batched = 4.0 / (1.0 - 0.25)
+        exp_concurrent = 1.0 / (1.0 - 0.5**8)
+        assert batched == pytest.approx(exp_batched, rel=0.02)
+        assert concurrent == pytest.approx(exp_concurrent, rel=0.02)
+
+    def test_reproducible(self):
+        scenario = SpeedupScenario(12, 3, 0.4)
+        a = run_speedup_empirical(scenario, 500, Rng(9))
+        b = run_speedup_empirical(scenario, 500, Rng(9))
+        assert a == b
+
+    def test_one_substream_batched_first(self):
+        # Every trial draws from substream(0): 257 uniforms for the batched
+        # round counts, then 257 for the concurrent ones, each inverted.
+        rng = CountingRng(Rng(5))
+        batched, concurrent = run_speedup_empirical(SpeedupScenario(12, 3, 0.4), 257, rng)
+        assert rng.paths == [(0,)]
+        uniforms = Rng(5).substream(0).random(2 * 257).tolist()
+
+        def mean_rounds(us, q):
+            counts = [max(1, math.ceil(math.log1p(-u) / math.log(q))) for u in us]
+            return sum(counts) / len(counts)
+
+        assert batched == 4.0 * mean_rounds(uniforms[:257], 0.4**3)
+        assert concurrent == mean_rounds(uniforms[257:], 0.4**12)
+
+    def test_verify_draws_t24_from_one_substream(self, monkeypatch):
+        # T2.4 runs 20 x 5000 = 100 000 trials at the defaults, all from
+        # one substream.
+        recorders = []
+
+        def recorded(scenario, trials, rng):
+            recorders.append(CountingRng(rng))
+            return run_speedup_empirical(scenario, trials, recorders[-1])
+
+        monkeypatch.setattr(registry, "run_speedup_empirical", recorded)
+        registry.run_verify(seed=42, trials=5000)
+        assert [recorder.paths for recorder in recorders] == [[(0,)]]
+
+    @pytest.mark.parametrize("failure_prob", [0.0, 1e-200])
+    def test_certain_success_takes_one_round(self, failure_prob):
+        # 1e-200 ** 3 underflows to 0: every probe round succeeds.
+        scenario = SpeedupScenario(12, 3, failure_prob)
+        assert run_speedup_empirical(scenario, 1000, Rng(3)) == (4.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "n, b, f", [(12, 3, 0.4), (20, 5, 0.3), (6, 1, 0.9)]
+    )
+    def test_round_counts_follow_the_geometric_law(self, n, b, f):
+        # A scan whose rounds all fail with probability q takes a
+        # Geometric(1 - q) number of rounds: mean 1/(1 - q), variance
+        # q/(1 - q)**2.
+        trials = 40_000
+        batched, concurrent = run_speedup_empirical(SpeedupScenario(n, b, f), trials, Rng(11))
+        for mean, q in ((batched * b / n, f**b), (concurrent, f**n)):
+            stderr = math.sqrt(q / trials) / (1.0 - q)
+            assert abs(mean - 1.0 / (1.0 - q)) <= 4.0 * stderr
+
+    def test_validation(self):
+        # n < b is refused by the scenario; a failure probability in
+        # [0.999, 1) and a trial count below 1 by the estimate.
+        with pytest.raises(ValueError):
+            run_speedup_empirical(SpeedupScenario(3, 4, 0.1), 10, Rng(1))
+        with pytest.raises(ValueError):
+            run_speedup_empirical(SpeedupScenario(3, 1, 0.9995), 10, Rng(1))
+        with pytest.raises(ValueError):
+            run_speedup_empirical(SpeedupScenario(3, 1, 0.1), 0, Rng(1))
+
+    @pytest.mark.parametrize("n, b, trials", [(12.5, 3, 100), (12, 3.0, 100), (12, 3, 100.0)])
+    def test_fractional_counts_raise(self, n, b, trials):
+        with pytest.raises(TypeError):
+            run_speedup_empirical(SpeedupScenario(n, b, 0.4), trials, Rng(1))
+
+    def test_nan_failure_prob_is_refused(self):
+        # Inversion would turn a NaN into NaN round counts, not an error;
+        # the scenario refuses it before the estimate runs.
+        with pytest.raises(ValueError, match=r"failure_prob must lie in \[0, 1\)"):
+            run_speedup_empirical(SpeedupScenario(12, 3, math.nan), 10, Rng(1))

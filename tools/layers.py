@@ -27,6 +27,10 @@ run times each layer once, after a warm-up run that is not recorded:
   that each probe SIM_IDS ids once on the calling thread;
 - ``import streamres`` in a fresh interpreter, in ms.
 
+Once per invocation, outside the timed runs, it also times the Tier-1
+suite (``suite.tier1_s``): SUITE_RUNS runs of pytest over ``tests/`` in a
+fresh interpreter at ``--hypothesis-seed=0``, in s of process wall time.
+
 The file holds each layer's median, quartiles and samples, and the
 machine's core count, the Python and numpy versions, the git commit of
 the checkout and whether its tracked files differ from that commit (both
@@ -74,6 +78,10 @@ PROBE_ROUNDS = 20
 SIM_IDS = 9
 SIM_ROUNDS = 2222
 TICK_FAILURE_PROB = 0.02  # the session workload's
+SUITE_RUNS = 3
+# The Tier-1 command, at one fixed hypothesis seed so every run draws the
+# same examples.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--hypothesis-seed=0"]
 
 
 def _sections() -> dict[str, float]:
@@ -234,6 +242,21 @@ def _import_ms() -> float:
     return float(out.stdout) * 1e3
 
 
+def _tier1_s() -> list[float]:
+    """Process wall time of each of SUITE_RUNS Tier-1 runs; a failing run raises."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    samples = []
+    for _ in range(SUITE_RUNS):
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True, text=True
+        )
+        samples.append(time.perf_counter() - started)
+        if done.returncode != 0:
+            raise RuntimeError(f"Tier-1 suite failed:\n{done.stdout[-4000:]}")
+    return samples
+
+
 def one_run() -> dict[str, float]:
     return {
         **_sections(),
@@ -279,6 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--runs must be >= {MIN_RUNS}")
     one_run()  # warm-up: lazy imports and first-call costs
     runs = [one_run() for _ in range(args.runs)]
+    layers = {name: summary([run[name] for run in runs]) for name in runs[0]}
+    layers["suite.tier1_s"] = summary(_tier1_s())
     report = {
         "machine": {
             "cores": os.cpu_count(),
@@ -288,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
             **_commit(),
         },
         "runs": args.runs,
-        "layers": {name: summary([run[name] for run in runs]) for name in runs[0]},
+        "layers": layers,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for name, layer in report["layers"].items():
