@@ -5,54 +5,20 @@ standbys, refill lazily as they fail, and switch the active stream only when
 a prospect-weighted score says the upgrade is worth the interruption.  Ships
 with closed-form reliability analytics, seeded Monte Carlo experiments, and
 a CLI verification registry.
+
+Each module's ``__all__`` is its public API, and the package re-exports all
+of them.
 """
 
 from typing import TYPE_CHECKING
 
-from .analytics import (
-    SpeedupScenario,
-    batched_speedup,
-    censored_depletion_mean,
-    expected_max_exponential,
-    expected_time_batched,
-    expected_time_concurrent,
-    harmonic_number,
-    interruption_probability,
-    utility_estimate,
-)
-from .probe import (
-    HttpTransport,
-    ProbeResult,
-    SimTransport,
-    StreamCandidate,
-    probe_all,
-    sort_results,
-)
-from .prospect import (
-    DEFAULT_PARAMS,
-    ProspectParams,
-    confidence,
-    switch_score,
-    value,
-    weight,
-)
-from .reservoir import (
-    Reservoir,
-    ReservoirEvent,
-    ReservoirState,
-    Slot,
-)
-from .simulator import (
-    DepletionConfig,
-    DepletionResult,
-    MonotonicityConfig,
-    TrialSummary,
-    run_depletion,
-    run_monotonicity,
-    run_speedup_empirical,
-    run_thrash,
-)
-from .viability import Rng
+from . import analytics, probe, prospect, reservoir, simulator, viability
+from .analytics import *  # noqa: F403
+from .probe import *  # noqa: F403
+from .prospect import *  # noqa: F403
+from .reservoir import *  # noqa: F403
+from .simulator import *  # noqa: F403
+from .viability import *  # noqa: F403
 
 if TYPE_CHECKING:
     from .cli import main
@@ -63,7 +29,7 @@ __version__ = "0.1.0"
 # Loaded on first access (PEP 562), so `import streamres` loads neither the
 # registry nor the CLI, and `python -m streamres.cli` does not find the CLI
 # module already imported by its own package.
-_REGISTRY_NAMES = frozenset({"CheckResult", "VerifyReport", "run_verify"})
+_REGISTRY_NAMES = ("CheckResult", "VerifyReport", "run_verify")
 
 
 def __getattr__(name: str) -> object:
@@ -79,43 +45,13 @@ def __getattr__(name: str) -> object:
 
 
 __all__ = [
-    "CheckResult",
-    "DEFAULT_PARAMS",
-    "DepletionConfig",
-    "DepletionResult",
-    "HttpTransport",
-    "MonotonicityConfig",
-    "ProbeResult",
-    "ProspectParams",
-    "Reservoir",
-    "ReservoirEvent",
-    "ReservoirState",
-    "Rng",
-    "SimTransport",
-    "Slot",
-    "SpeedupScenario",
-    "StreamCandidate",
-    "TrialSummary",
-    "VerifyReport",
-    "batched_speedup",
-    "censored_depletion_mean",
-    "confidence",
-    "expected_max_exponential",
-    "expected_time_batched",
-    "expected_time_concurrent",
-    "harmonic_number",
-    "interruption_probability",
+    *analytics.__all__,
+    *probe.__all__,
+    *prospect.__all__,
+    *reservoir.__all__,
+    *simulator.__all__,
+    *viability.__all__,
+    *_REGISTRY_NAMES,
     "main",
-    "probe_all",
-    "run_depletion",
-    "run_monotonicity",
-    "run_speedup_empirical",
-    "run_thrash",
-    "run_verify",
-    "sort_results",
-    "switch_score",
-    "utility_estimate",
-    "value",
-    "weight",
     "__version__",
 ]

@@ -31,6 +31,7 @@ from .prospect import ProspectParams, switch_score, value, weight
 from .registry import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    DEPLETION_RATES,
     MIN_TRIALS,
     REFERENCE_PROVIDERS,
     THRASH_LEVELS,
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dep.add_argument(
         "--lambdas",
         dest="rates",
-        default="0.10,0.12,0.15",
+        default=",".join(str(rate) for rate in DEPLETION_RATES),
         help="comma-separated failure rates, one per slot",
     )
     p_dep.add_argument("--horizon", type=_int, default=100)

@@ -16,18 +16,17 @@ every slot takes its place by ``bisect.insort`` on it, and a health cycle
 credits all surviving standbys equally.  The active slot may trail its
 standbys between an admission and the upgrade decision that resolves it.
 
-Every public operation opens with one guard: the reservoir must be in the
-state the operation needs and ``now`` must not be behind the clock (a NaN
-``now`` is refused too).  ``_enter`` checks both; the three maintain-loop
-operations, called every step, test the same condition inline and call
-``_enter`` only to raise.  Either failure raises before any change, as does
-a fill or refill round given a viable result whose latency is NaN or not a
-number.  Every accepted call moves the clock to ``now``, even a call that
-changes nothing, so no later call can log behind it, but only after its
-last step that can raise (a health cycle's checker, a round's latency check
-and sort).  Operations name their state by the module constants
-``_MAINTAIN`` and ``_DEPLETED``, which skip the Enum lookup on this per-call
-path.
+Every public operation opens with one guard of one shape: the reservoir
+must be in the state the operation needs and ``now`` must not be behind the
+clock (a NaN ``now`` is refused too).  Each operation tests both inline and
+calls ``_refuse`` only when the test fails, to raise the matching error.
+Either failure raises before any change, as does a fill or refill round
+given a viable result whose latency is NaN or not a number.  Every accepted
+call moves the clock to ``now`` itself, even a call that changes nothing, so
+no later call can log behind it, but only after its last step that can raise
+(a health cycle's checker, a round's latency check and sort).  Operations
+name their state by the module constants ``_MAINTAIN`` and ``_DEPLETED``,
+which skip the Enum lookup on this per-call path.
 
 Every event is logged as a ``ReservoirEvent``, a named tuple, in an
 append-only list; ``transitions`` reads the state changes off it, one per
@@ -48,7 +47,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import isnan
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .probe import ProbeResult, StreamCandidate, sort_results
 from .prospect import DEFAULT_PARAMS, ProspectParams, switch_score
@@ -197,7 +196,7 @@ class Reservoir:
         refill request).
         """
         if self.state is not _MAINTAIN or not now >= self._clock:
-            self._enter(_MAINTAIN, now)  # raises
+            self._refuse(_MAINTAIN)
         slots = self._slots
         standbys = slots[1:]
         verdicts = [bool(checker(slot)) for slot in standbys]
@@ -234,7 +233,7 @@ class Reservoir:
         admitted earlier in it, is never admitted again in that round.
         """
         if self.state is not _MAINTAIN or not now >= self._clock:
-            self._enter(_MAINTAIN, now)  # raises
+            self._refuse(_MAINTAIN)
         held = {slot.candidate.id for slot in self._slots}
         fresh = [r for r in fresh_results if r.viable and r.candidate.id not in held]
         if fresh:
@@ -283,7 +282,7 @@ class Reservoir:
         pre-swap standby index and its score, or None for no switch.
         """
         if self.state is not _MAINTAIN or not now >= self._clock:
-            self._enter(_MAINTAIN, now)  # raises
+            self._refuse(_MAINTAIN)
         self._clock = now
         slots = self._slots
         active_quality = slots[0].candidate.quality
@@ -323,7 +322,9 @@ class Reservoir:
         reservoir is depleted and asks for re-acquisition instead.
         Returns the new active slot, or None when depleted.
         """
-        self._enter(_MAINTAIN, now)
+        if self.state is not _MAINTAIN or not now >= self._clock:
+            self._refuse(_MAINTAIN)
+        self._clock = now
         failed = self._slots.pop(0)
         self._events.append(_event(("failover", failed.candidate.id, now, None)))
         if self._slots:
@@ -342,7 +343,8 @@ class Reservoir:
         enters MAINTAIN and returns True.  On a fruitless round it stays
         depleted, logs another re-acquisition request, and returns False.
         """
-        self._enter(_DEPLETED, now, commit=False)
+        if self.state is not _DEPLETED or not now >= self._clock:
+            self._refuse(_DEPLETED)
         # Only viable results are ranked, so a dead result's latency, which
         # may not compare, cannot refuse the round.
         viable = [result for result in probe_results if result.viable]
@@ -375,18 +377,13 @@ class Reservoir:
 
     # -- internals ---------------------------------------------------------
 
-    def _enter(self, state: ReservoirState, now: float, commit: bool = True) -> None:
-        # Every public operation calls this before its first change (the
-        # maintain-loop ones only once their inline test of the same
-        # condition fails), so a wrong state or a backward (or NaN) clock
-        # raises with the reservoir exactly as it was.  commit=False leaves
-        # moving the clock to the caller.
+    def _refuse(self, state: ReservoirState) -> NoReturn:
+        # Called by a public operation whose guard failed, before any change,
+        # so a wrong state or a backward (or NaN) clock raises with the
+        # reservoir exactly as it was.
         if self.state is not state:
             raise RuntimeError(f"operation requires {state.value}, got {self.state.value}")
-        if not now >= self._clock:
-            raise ValueError("event timestamps must be non-decreasing")
-        if commit:
-            self._clock = now
+        raise ValueError("event timestamps must be non-decreasing")
 
 
 # Builds a ReservoirEvent from its four fields in one C call, without the

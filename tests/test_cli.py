@@ -949,6 +949,23 @@ class TestPackageEntry:
         with pytest.raises(AttributeError):
             streamres.no_such_name
 
+    def test_package_exports_every_module_name_once(self):
+        from streamres import (
+            analytics, probe, prospect, reservoir, simulator, viability,
+        )
+
+        home = {
+            name: module
+            for module in (analytics, probe, prospect, reservoir, simulator, viability)
+            for name in module.__all__
+        }
+        home.update(dict.fromkeys(("CheckResult", "VerifyReport", "run_verify"), registry))
+        home.update(main=cli, __version__=streamres)
+        assert len(streamres.__all__) == len(set(streamres.__all__))
+        assert set(streamres.__all__) == set(home)
+        for name, module in home.items():
+            assert getattr(streamres, name) is getattr(module, name)
+
     @pytest.mark.parametrize("module", ["streamres", "streamres.cli"])
     def test_run_as_module(self, module):
         done = self.python("-m", module, "verify", "--trials", "100")

@@ -36,7 +36,11 @@ machine's core count, the Python and numpy versions, the git commit of
 the checkout and whether its tracked files differ from that commit (both
 null outside one).  Wall times on a shared host move by
 10-40% from minute to minute, so compare two commits only in runs made
-back to back on one machine.
+back to back on one machine.  ``machine.calibration_us`` is the median
+cost of the benchmark's calibration snippet (``perfbench/speed.py``'s
+``calibration_cost``, which runs no package code), measured before and
+after the timed runs: two files whose layers differ by about the ratio of
+their calibration costs show host drift, not a code change.
 """
 
 from __future__ import annotations
@@ -54,8 +58,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
+from speed import calibration_cost  # noqa: E402
 
 from streamres import registry, simulator  # noqa: E402
 from streamres.probe import (  # noqa: E402
@@ -300,8 +306,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.runs < MIN_RUNS:
         parser.error(f"--runs must be >= {MIN_RUNS}")
+    calibration_s = [calibration_cost()]
     one_run()  # warm-up: lazy imports and first-call costs
     runs = [one_run() for _ in range(args.runs)]
+    calibration_s.append(calibration_cost())
     layers = {name: summary([run[name] for run in runs]) for name in runs[0]}
     layers["suite.tier1_s"] = summary(_tier1_s())
     report = {
@@ -310,6 +318,7 @@ def main(argv: list[str] | None = None) -> int:
             "usable_cores": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "calibration_us": statistics.median(calibration_s) * 1e6,
             **_commit(),
         },
         "runs": args.runs,
