@@ -194,9 +194,11 @@ class HttpTransport:
 def _head_status(url: str, deadline: float) -> int:
     """Send HEAD for url and return the status code of the response head.
 
-    Every blocking step after name lookup waits at most until deadline (a
-    perf_counter value) and raises TimeoutError past it.  Malformed URLs and
-    heads raise ValueError; network and TLS failures raise OSError.
+    Every blocking step waits at most until deadline (a perf_counter value)
+    and raises TimeoutError past it, except the lookup of a DNS name: that
+    one step the deadline does not bound.  An IPv4 or IPv6 literal host
+    needs no lookup and is connected to directly.  Malformed URLs and heads
+    raise ValueError; network and TLS failures raise OSError.
     """
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -211,8 +213,7 @@ def _head_status(url: str, deadline: float) -> int:
         f"HEAD {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
         "User-Agent: streamres\r\nAccept: */*\r\nConnection: close\r\n\r\n"
     ).encode("ascii")
-    # Each address of the host may wait for what is left of the deadline.
-    sock = socket.create_connection((parts.hostname, port), _remaining(deadline))
+    sock = _connect(parts.hostname, port, deadline)
     try:
         if parts.scheme == "https":
             sock.settimeout(_remaining(deadline))
@@ -234,6 +235,30 @@ def _head_status(url: str, deadline: float) -> int:
     if status_line is None:
         raise ValueError("malformed status line")
     return int(status_line[1])
+
+
+def _connect(host: str, port: int, deadline: float) -> socket.socket:
+    """A TCP connection to host, made before deadline.
+
+    An IPv4 or IPv6 literal is connected to without getaddrinfo.  A DNS name
+    or a zone-scoped address goes through socket.create_connection, whose
+    lookup the deadline does not bound; each address the lookup returns may
+    wait for what is left of the deadline.
+    """
+    for family in (socket.AF_INET, socket.AF_INET6):
+        try:
+            socket.inet_pton(family, host)
+        except OSError:
+            continue
+        sock = socket.socket(family, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(_remaining(deadline))
+            sock.connect((host, port))
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+    return socket.create_connection((host, port), _remaining(deadline))
 
 
 def _remaining(deadline: float) -> float:

@@ -12,7 +12,12 @@ seed and trial count, so reports diff cleanly.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 import time
+import warnings
 from dataclasses import dataclass
 
 from . import analytics
@@ -21,6 +26,7 @@ from .prospect import DEFAULT_PARAMS, switch_score, value, weight
 from .simulator import (
     DepletionConfig,
     MonotonicityConfig,
+    TrialSummary,
     run_depletion,
     run_monotonicity,
     run_speedup_empirical,
@@ -251,18 +257,96 @@ def _speedup(rng: Rng, trials: int) -> dict[str, float]:
 def _monotonicity(rng: Rng) -> dict[str, float]:
     low = MonotonicityConfig(REFERENCE_PROVIDERS, steps=100, tau=0.3, slot_count=3)
     high = MonotonicityConfig(REFERENCE_PROVIDERS, steps=100, tau=0.7, slot_count=3)
-    low_runs = [
-        run_monotonicity(low, rng.split(31), trial) for trial in range(SWEEP_SEEDS)
-    ]
-    high_runs = [
-        run_monotonicity(high, rng.split(34), trial) for trial in range(SWEEP_SEEDS)
-    ]
+    low_rng, high_rng = rng.split(31), rng.split(34)
+    runs = _sweep(
+        [(low, low_rng, trial) for trial in range(SWEEP_SEEDS)]
+        + [(high, high_rng, trial) for trial in range(SWEEP_SEEDS)]
+    )
+    low_runs, high_runs = runs[:SWEEP_SEEDS], runs[SWEEP_SEEDS:]
     return {
         "T3.1": float(sum(r.monotone_violations for r in low_runs)),
         "T3.2": float(min(r.final_quality for r in low_runs)),
         "T3.3": sum(r.convergence_step for r in low_runs) / len(low_runs),
         "T3.4": sum(r.convergence_step for r in high_runs) / len(high_runs),
     }
+
+
+def _fork_pays() -> bool:
+    """Whether a forked child can share the sweep.
+
+    It can where a second CPU is ours to use and no other Python thread
+    runs: the child would inherit such a thread's locks, perhaps held.
+    """
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _sweep(jobs: list[tuple[MonotonicityConfig, Rng, int]]) -> list[TrialSummary]:
+    """run_monotonicity(*job) for every job, in job order.
+
+    Where _fork_pays, a forked child runs the jobs at odd positions while
+    this process runs the rest, and sends its summaries back pickled through
+    a pipe.  Every trial draws from its own substream, so where it runs
+    cannot change a summary.  A trial that raises in the child raises
+    RuntimeError here with the child's traceback.
+    """
+    if not _fork_pays():
+        return [run_monotonicity(*job) for job in jobs]
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # CPython 3.12+ warns on fork whenever the process has another OS
+            # thread, and numpy's BLAS pool is one.  That pool runs no Python
+            # and the child calls no BLAS; Python threads were ruled out above.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:  # no process to spare: run every job here
+        os.close(read_fd)
+        os.close(write_fd)
+        return [run_monotonicity(*job) for job in jobs]
+    if pid == 0:
+        # The child ends in os._exit on every path, so it never flushes the
+        # stdio buffers it inherited or runs the caller's exit handlers.  It
+        # exits 0 once its whole message is written.
+        exit_code = 1
+        try:
+            os.close(read_fd)
+            try:
+                message = (True, [run_monotonicity(*job) for job in jobs[1::2]])
+            except BaseException:
+                import traceback
+
+                message = (False, traceback.format_exc())
+            data = memoryview(pickle.dumps(message))
+            while data:
+                data = data[os.write(write_fd, data):]
+            exit_code = 0
+        finally:
+            os._exit(exit_code)
+    try:
+        with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+            writer.close()  # the child's end: the read below ends when it exits
+            own = [run_monotonicity(*job) for job in jobs[::2]]
+            payload = reader.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError(f"the sweep's child process failed (wait status {status})")
+    ok, theirs = pickle.loads(payload)
+    if not ok:
+        raise RuntimeError(f"a sweep trial failed in the child process:\n{theirs}")
+    runs = own + theirs  # a list of the right length, interleaved below
+    runs[::2], runs[1::2] = own, theirs
+    return runs
 
 
 def _prospect() -> dict[str, float]:
@@ -313,9 +397,12 @@ def run_verify(
 ) -> VerifyReport:
     """Run the full 24-check registry and return the report.
 
-    workers must be >= 1 and has no effect: every experiment draws from
-    fixed substreams in a fixed order.  It stays in the signature only
-    because existing callers, the committed benchmark among them, pass it.
+    Where this process may use two or more CPUs and runs no other Python
+    thread, the T3 sweep runs half its trials in a forked child; the
+    records are identical either way, because every trial draws from its
+    own substream.  workers must be >= 1 and has no effect.  It stays in the
+    signature only because existing callers, the committed benchmark among
+    them, pass it.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")

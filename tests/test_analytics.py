@@ -5,7 +5,9 @@ function, censored_depletion_mean against a direct probability-mass sum, and
 the speedup table against frozen values recomputed from the formula.
 """
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -128,6 +130,21 @@ class TestExpectedMaxExponential:
             assert expected_max_exponential(rates) == pytest.approx(
                 quad_max_exponential(rates), rel=1e-9
             )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 10, 11, 12, 14])
+    def test_equals_the_combinations_form_bit_for_bit(self, k):
+        # The reference: every subset from itertools.combinations, summed by
+        # sum() and added up by fsum.  Past 10 rates the subset sums are
+        # built in chunks, so 11-14 cross that boundary.
+        gen = random.Random(k)
+        for _ in range(3):
+            rates = [gen.uniform(0.01, 3.0) for _ in range(k)]
+            reference = math.fsum(
+                (1.0 if size % 2 == 1 else -1.0) / sum(subset)
+                for size in range(1, k + 1)
+                for subset in itertools.combinations(rates, size)
+            )
+            assert expected_max_exponential(rates) == reference
 
     def test_table_rates_frozen(self):
         assert expected_max_exponential(TABLE_RATES) == pytest.approx(

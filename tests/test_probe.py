@@ -4,6 +4,7 @@ import hashlib
 import http.server
 import math
 import os
+import socket
 import socketserver
 import subprocess
 import sys
@@ -661,18 +662,57 @@ class TestHttpHead:
         assert result.status is None
 
     def test_connects_to_the_port_the_url_names(self, monkeypatch):
-        # An explicit port 0 is passed on, not replaced by the default.
+        # An explicit port 0 is passed on, not replaced by the default, both
+        # to a literal address's direct connect and through a name lookup.
         addresses = []
 
-        def refuse(address, timeout):
+        def refuse(address, timeout=None):
             addresses.append(address)
             raise ConnectionRefusedError
 
         monkeypatch.setattr(probe_module.socket, "create_connection", refuse)
-        for url in ("http://127.0.0.1:0/x", "http://127.0.0.1/x", "https://127.0.0.1/x"):
-            with pytest.raises(OSError):
-                probe_module._head_status(url, time.perf_counter() + 1.0)
-        assert addresses == [("127.0.0.1", 0), ("127.0.0.1", 80), ("127.0.0.1", 443)]
+        monkeypatch.setattr(probe_module.socket.socket, "connect", lambda sock, a: refuse(a))
+        for host in ("127.0.0.1", "localhost"):
+            for url in (f"http://{host}:0/x", f"http://{host}/x", f"https://{host}/x"):
+                with pytest.raises(OSError):
+                    probe_module._head_status(url, time.perf_counter() + 1.0)
+        assert addresses == [
+            (host, port) for host in ("127.0.0.1", "localhost") for port in (0, 80, 443)
+        ]
+
+    def test_literal_host_needs_no_name_lookup(self, local_server, monkeypatch):
+        def no_lookup(*args, **kwargs):
+            raise socket.gaierror("name lookup is off")
+
+        monkeypatch.setattr(socket, "getaddrinfo", no_lookup)
+        result, _ = timed_probe(f"{local_server}/ok", 2000.0)
+        assert result.viable
+        assert result.status == 200
+        # A DNS name still goes through the lookup.
+        result, _ = timed_probe(f"{local_server.replace('127.0.0.1', 'localhost')}/ok", 2000.0)
+        assert not result.viable
+        assert not result.timed_out
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "::1"])
+    def test_silent_literal_host_times_out_at_the_deadline(self, monkeypatch, host):
+        # The listener's backlog completes the handshake, and nothing ever
+        # accepts or answers, so only the deadline ends the probe.
+        def no_lookup(*args, **kwargs):
+            raise socket.gaierror("name lookup is off")
+
+        try:
+            listener = socket.create_server(
+                (host, 0), family=socket.AF_INET6 if ":" in host else socket.AF_INET
+            )
+        except OSError:
+            pytest.skip(f"cannot listen on {host}")
+        with listener:
+            monkeypatch.setattr(socket, "getaddrinfo", no_lookup)
+            netloc = f"[{host}]" if ":" in host else host
+            result, wall_ms = timed_probe(f"http://{netloc}:{listener.getsockname()[1]}/x", 100.0)
+        assert result.timed_out
+        assert not result.viable
+        assert wall_ms < 150.0
 
     def test_failed_tls_handshake_is_dead(self, local_server):
         # A plain-HTTP server cannot complete a TLS handshake.

@@ -4,6 +4,8 @@ import collections
 import dataclasses
 import hashlib
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -552,7 +554,9 @@ class TestRegistrySweepWork:
     def test_sweep_runs_every_reservoir_call(self, monkeypatch):
         # The T3.1-T3.4 sweep is evidence only because every step of every
         # trial really runs the reservoir: pinned calls and events catch a
-        # speedup that skips some of them.
+        # speedup that skips some of them.  The calls are counted in this
+        # process, so the sweep runs here, not half of it in a child.
+        monkeypatch.setattr(registry, "_fork_pays", lambda: False)
         calls: collections.Counter[str] = collections.Counter()
         built: list[Reservoir] = []
 
@@ -596,6 +600,129 @@ class TestRegistrySweepWork:
             "upgrade": 22,
             "reacquire": 2,
         }
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_left(fds: int) -> None:
+    # No zombie to reap and no pipe end left open.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSweepProcesses:
+    # Where a second CPU is free, the T3 sweep runs every other trial in a
+    # forked child.  Both paths must give the same summaries, in job order,
+    # and the child must leave nothing behind.
+
+    @staticmethod
+    def sweep(monkeypatch, seed: int, fork: bool):
+        forks = 0
+        runs: list[TrialSummary] = []
+        real_fork, real_sweep = os.fork, registry._sweep
+
+        def counting_fork():
+            nonlocal forks
+            forks += 1
+            return real_fork()
+
+        def recording_sweep(jobs):
+            runs.extend(real_sweep(jobs))
+            return runs
+
+        with monkeypatch.context() as patch:
+            patch.setattr(registry, "_fork_pays", lambda: fork)
+            patch.setattr(os, "fork", counting_fork)
+            patch.setattr(registry, "_sweep", recording_sweep)
+            actuals = registry._monotonicity(Rng(seed))
+        assert forks == int(fork)
+        return runs, actuals
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_forked_and_in_process_summaries_are_equal(self, monkeypatch, seed):
+        fds = open_fds()
+        forked = self.sweep(monkeypatch, seed, fork=True)
+        in_process = self.sweep(monkeypatch, seed, fork=False)
+        # Both configs, 100 trials each.
+        assert len(forked[0]) == 2 * registry.SWEEP_SEEDS
+        assert forked == in_process
+        assert_no_child_left(fds)
+
+    def test_child_trial_error_raises_in_parent(self, monkeypatch):
+        def failing(config, rng, trial):
+            if trial == 1:  # job 1: the child's first
+                raise ValueError("trial 1 exploded")
+            return run_monotonicity(config, rng, trial)
+
+        monkeypatch.setattr(registry, "_fork_pays", lambda: True)
+        monkeypatch.setattr(registry, "run_monotonicity", failing)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match="ValueError: trial 1 exploded"):
+            registry._monotonicity(Rng(42))
+        assert_no_child_left(fds)
+
+    def test_child_that_dies_without_a_message_raises_in_parent(self, monkeypatch):
+        def dying(config, rng, trial):
+            if trial == 1:  # job 1: the child's first
+                os._exit(3)
+            return run_monotonicity(config, rng, trial)
+
+        monkeypatch.setattr(registry, "_fork_pays", lambda: True)
+        monkeypatch.setattr(registry, "run_monotonicity", dying)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match="child process failed"):
+            registry._monotonicity(Rng(42))
+        assert_no_child_left(fds)
+
+    def test_parent_interrupt_kills_and_reaps_child(self, monkeypatch):
+        def interrupted(config, rng, trial):
+            if trial == 2 and config.tau == 0.7:  # job 102: the parent's
+                raise KeyboardInterrupt
+            return run_monotonicity(config, rng, trial)
+
+        monkeypatch.setattr(registry, "_fork_pays", lambda: True)
+        monkeypatch.setattr(registry, "run_monotonicity", interrupted)
+        fds = open_fds()
+        with pytest.raises(KeyboardInterrupt):
+            registry._monotonicity(Rng(42))
+        assert_no_child_left(fds)
+
+    def test_failed_fork_runs_every_trial_here(self, monkeypatch):
+        expected = self.sweep(monkeypatch, 42, fork=False)
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(registry, "_fork_pays", lambda: True)
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = open_fds()
+        assert registry._monotonicity(Rng(42)) == expected[1]
+        assert open_fds() == fds
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        expected = self.sweep(monkeypatch, 42, fork=False)[1]
+
+        def fail_fork():
+            pytest.fail("forked while another Python thread was alive")
+
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10.0,))
+        waiter.start()
+        try:
+            monkeypatch.setattr(os, "fork", fail_fork)
+            assert registry._monotonicity(Rng(42)) == expected
+        finally:
+            release.set()
+            waiter.join(10.0)
+        assert not waiter.is_alive()
+
+    def test_no_fork_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not registry._fork_pays()
 
 
 class TestSweepVacancies:

@@ -20,7 +20,9 @@ run times each layer once, after a warm-up run that is not recorded:
 - ``switch_score``, in us per call, the mean over SCORE_CALLS calls;
 - ``Rng.substream``, in us per stream, the mean over SUBSTREAMS streams,
   and the number of streams one ``run_verify`` at the defaults builds;
-- the number of ``Reservoir.refill`` calls in that ``run_verify``;
+- the number of ``Reservoir.refill`` calls in that ``run_verify``; both
+  counts are taken with the whole T3 sweep in this process, since a forked
+  child's calls would go uncounted;
 - one ``probe_all`` round over PROBE_CANDIDATES candidates on
   ``SimTransport``, in ms, the mean over PROBE_ROUNDS rounds;
 - ``SimTransport.probe``, in us per probe, the mean over SIM_ROUNDS rounds
@@ -190,8 +192,9 @@ def _substream_us() -> float:
 
 
 def _calls_per_verify() -> dict[str, int]:
-    # The Rng.substream and Reservoir.refill calls of one run_verify.
-    substream, refill = Rng.substream, Reservoir.refill
+    # The Rng.substream and Reservoir.refill calls of one run_verify, all
+    # made in this process: the counters do not reach a forked child.
+    fork_pays, substream, refill = registry._fork_pays, Rng.substream, Reservoir.refill
     streams = refills = 0
 
     def counting_substream(self: Rng, *path: int):
@@ -204,11 +207,12 @@ def _calls_per_verify() -> dict[str, int]:
         refills += 1
         return refill(self, *args, **kwargs)
 
+    registry._fork_pays = lambda: False
     Rng.substream, Reservoir.refill = counting_substream, counting_refill
     try:
         registry.run_verify(registry.DEFAULT_SEED, registry.DEFAULT_TRIALS)
     finally:
-        Rng.substream, Reservoir.refill = substream, refill
+        registry._fork_pays, Rng.substream, Reservoir.refill = fork_pays, substream, refill
     return {
         "viability.substreams_per_verify": streams,
         "reservoir.refill_calls_per_verify": refills,
@@ -307,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < MIN_RUNS:
         parser.error(f"--runs must be >= {MIN_RUNS}")
     calibration_s = [calibration_cost()]
+    forked = registry._fork_pays()
     one_run()  # warm-up: lazy imports and first-call costs
     runs = [one_run() for _ in range(args.runs)]
     calibration_s.append(calibration_cost())
@@ -318,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
             "usable_cores": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "monotonicity_forked": forked,
             "calibration_us": statistics.median(calibration_s) * 1e6,
             **_commit(),
         },
