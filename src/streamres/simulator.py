@@ -5,18 +5,18 @@ without refill), quality convergence under lazy refill from providers of
 unequal availability, switch-thrash counting under persistent standbys, and
 the mean rounds to a first viable probe of a batched and a concurrent scan
 (the speedup estimate).  A depletion run and the speedup estimate each draw
-from one substream, a monotonicity trial from its own.  Depletion samples
-each trial from the exact law of its depletion time, in antithetic pairs.
-Monotonicity draws its uniforms in rows of one per provider: a step takes
-one up/down row and, when a slot is vacant, one latency row, so a trial's
-stream is a sequence of rows, drawn in blocks of whole rows and read by
-offset in order.  A block holds at most the two rows per step that a trial
-can read, so a short trial draws one block no larger than it needs, and
-keeps its latencies as an array of doubles, so only the latencies a trial
-reads become Python floats.  Its refill round passes only the eligible
-providers that are up and whose id holds no slot, since refill drops every
-non-viable or held result, and a vacant step with no such provider skips
-the round; its latency row is read either way, so the draws stay the same.
+from one substream, a monotonicity trial from its own.  Depletion and
+monotonicity read their substream through one reader, _uniform_rows: rows
+of one uniform per slot or provider, drawn in blocks of whole rows, so the
+values are those of one long draw whatever the block size.  Depletion
+samples each trial from the exact law of its depletion time, one antithetic
+pair per row.  A monotonicity step takes one up/down row and, when a slot
+is vacant, one latency row; it reads a trial's rows as Python lists and
+compares or scales only the values it uses.  Its refill round passes only
+the eligible providers that are up and whose id holds no slot, since
+refill drops every non-viable or held result, and a vacant step with no
+such provider skips the round; its latency row is read either way, so the
+draws stay the same.
 A config builds what its trials share when it is made, so no state is kept
 between configs.
 """
@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 import operator
-from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,10 +36,9 @@ from .reservoir import Reservoir, Slot
 from .analytics import SpeedupScenario
 from .viability import Rng
 
-# Uniforms a depletion run or a monotonicity trial draws per generator call,
-# rounded down to whole rows (at least one row); a monotonicity trial draws
-# fewer when it can read fewer.  random() spends one 64-bit output per double,
-# so the values are those of one long call whatever this is.
+# Uniforms _uniform_rows draws per generator call, rounded down to whole rows
+# (at least one row).  random() spends one 64-bit output per double, so the
+# values are those of one long call whatever this is.
 _UNIFORM_CHUNK = 1024
 
 # Geometric round counts explode as the per-probe failure probability
@@ -109,11 +108,11 @@ class MonotonicityConfig:
     tau: float = 0.3
     slot_count: int = 3
     # Built from the fields above for every trial to read: the candidates,
-    # each id's index, the read-only availabilities and the providers that
-    # clear tau.  Not in equality, hash or repr; replace() rebuilds them.
+    # each id's index, the availabilities and the providers that clear tau.
+    # Not in equality, hash or repr; replace() rebuilds them.
     _candidates: tuple[StreamCandidate, ...] = field(init=False, compare=False, repr=False)
     _index_of: dict[str, int] = field(init=False, compare=False, repr=False)
-    _availabilities: np.ndarray = field(init=False, compare=False, repr=False)
+    _availabilities: tuple[float, ...] = field(init=False, compare=False, repr=False)
     _eligible: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -136,8 +135,7 @@ class MonotonicityConfig:
         if operator.index(self.slot_count) < 1:
             raise ValueError("slot_count must be >= 1")
         candidates = tuple(_candidates("p", (q for q, _ in self.providers)))
-        availabilities = np.array([a for _, a in self.providers])
-        availabilities.flags.writeable = False
+        availabilities = tuple(float(a) for _, a in self.providers)
         eligible = tuple(i for i, (_, a) in enumerate(self.providers) if a >= self.tau)
         object.__setattr__(self, "_candidates", candidates)
         object.__setattr__(self, "_index_of", {c.id: i for i, c in enumerate(candidates)})
@@ -192,13 +190,14 @@ def _depletion_times(config: DepletionConfig, rng: Rng) -> np.ndarray:
     q = math.prod(config.failure_rates)
     width = 1 if config.refill else slots
     gen = rng.substream(int(config.refill), slots)
-    # Trials per chunk: whole antithetic pairs, one row of width uniforms each.
-    chunk = 2 * max(1, _UNIFORM_CHUNK // width)
     times = np.empty(config.trials)
-    for lo in range(0, config.trials, chunk):
-        hi = min(lo + chunk, config.trials)
-        half = gen.random(((hi - lo + 1) // 2, width))
-        uniforms = np.stack([half, 1.0 - half], axis=1).reshape(-1, width)[: hi - lo]
+    lo = 0
+    for half in _uniform_rows(gen, width, (config.trials + 1) // 2):
+        # Each row and its antithetic partner, in trial order; an odd count
+        # drops the last partner.
+        uniforms = np.stack([half, 1.0 - half], axis=1).reshape(-1, width)
+        uniforms = uniforms[: config.trials - lo]
+        hi = lo + len(uniforms)
         # u == 1 (the partner of u == 0) gives an infinite exponential, which
         # the horizon censors.
         with np.errstate(divide="ignore", over="ignore"):
@@ -209,6 +208,7 @@ def _depletion_times(config: DepletionConfig, rng: Rng) -> np.ndarray:
                 times[lo:hi] = np.floor(exponentials[:, 0] / -math.log1p(-q)) + 1.0
             else:
                 times[lo:hi] = 1.0  # every slot fails at the first step
+        lo = hi
     return np.minimum(times, config.horizon, out=times)
 
 
@@ -240,28 +240,15 @@ def _candidates(prefix: str, qualities: Iterable[int]) -> list[StreamCandidate]:
     ]
 
 
-def _block_rows(config: MonotonicityConfig) -> int:
-    """Rows per block of a monotonicity trial: a chunk's worth, but never
-    more than the trial can read, an up/down row and a latency row per step."""
-    return min(max(1, _UNIFORM_CHUNK // len(config.providers)), 2 * (config.steps + 1))
+def _uniform_rows(gen: np.random.Generator, width: int, rows: int) -> Iterator[np.ndarray]:
+    """Draw rows rows of width uniforms from gen, yielded in blocks of whole rows.
 
-
-def _block(
-    gen: np.random.Generator, availabilities: np.ndarray, rows: int
-) -> tuple[list[bool], array]:
-    """The next block of a trial's uniforms, rows of one per provider.
-
-    Returns (ups, latencies): the row at offset lo is ups[lo:lo + providers]
-    read as up/down verdicts (uniform < availability), or latencies[lo:lo +
-    providers] read as latencies (uniform * 1000 ms); the caller reads
-    whichever it needs.  ups is a flat list of bools, latencies a flat
-    array of doubles copied from numpy's buffer in one go: a list would box
-    every float, and a trial reads few of them.  No object is allocated per
-    row: a list per row would keep hundreds alive per trial and set off
-    extra young-generation garbage collections.
+    A block holds max(1, _UNIFORM_CHUNK // width) rows and the last one is
+    shorter, so no block is larger than what is left to read.
     """
-    block = gen.random((rows, len(availabilities)))
-    return (block < availabilities).ravel().tolist(), array("d", (block * 1000.0).tobytes())
+    block = max(1, _UNIFORM_CHUNK // width)
+    for lo in range(0, rows, block):
+        yield gen.random((min(block, rows - lo), width))
 
 
 def _summary(switches: list[tuple[int, int]]) -> TrialSummary:
@@ -304,18 +291,20 @@ def run_monotonicity(
     """
     candidates, index_of = config._candidates, config._index_of
     availabilities, eligible = config._availabilities, config._eligible
-    gen = rng.substream(trial)
-    count = len(candidates)
-    rows = _block_rows(config)
-    # The current block and the offset of its next unread row; a read at
-    # the block's end draws the next block first.  A row is read as its
-    # block and offset, since the step's next read may draw a new block.
-    end = rows * count
-    at = end
+    # Every row the trial can read, an up/down row and a latency row per
+    # step; provider i is up when up[i] < availabilities[i], and its latency
+    # is latency[i] * 1000.0 ms.
+    rows = chain.from_iterable(
+        block.tolist()
+        for block in _uniform_rows(
+            rng.substream(trial), len(candidates), 2 * (config.steps + 1)
+        )
+    )
 
     def healthy(slot: Slot) -> bool:
         # Reads the current step's up row.
-        return up[up_at + index_of[slot.candidate.id]]
+        i = index_of[slot.candidate.id]
+        return up[i] < availabilities[i]
 
     reservoir = None
     # Only acquisition and an upgrade change the active stream.
@@ -323,27 +312,17 @@ def run_monotonicity(
     vacant = 0
     for step in range(config.steps + 1):
         now = float(step)
-        # Provider i is up this step when up[up_at + i]; its latency is
-        # latency[latency_at + i], from the next row.
-        if at == end:
-            ups, latencies = _block(gen, availabilities, rows)
-            at = 0
-        up, up_at = ups, at
-        at += count
+        up = next(rows)
         if reservoir is not None:
             vacant += health_cycle(healthy, now)
         if reservoir is None or vacant:
             # A round draws a latency for every provider, probed or not.
-            if at == end:
-                ups, latencies = _block(gen, availabilities, rows)
-                at = 0
-            latency, latency_at = latencies, at
-            at += count
+            latency = next(rows)
             if reservoir is None:
                 reservoir = Reservoir.sprint_fill(
                     [
-                        ProbeResult(candidate, up[up_at + i], latency[latency_at + i])
-                        for i, candidate in enumerate(candidates)
+                        ProbeResult(candidate, u < a, ms * 1000.0)
+                        for candidate, u, a, ms in zip(candidates, up, availabilities, latency)
                     ],
                     capacity=config.slot_count,
                     now=now,
@@ -362,9 +341,9 @@ def run_monotonicity(
             # health cycle has already moved the clock to now.
             held = {slot.candidate.id for slot in reservoir.slots}
             fresh = [
-                _result((candidates[i], True, latency[latency_at + i], False, None))
+                _result((candidates[i], True, latency[i] * 1000.0, False, None))
                 for i in eligible
-                if up[up_at + i] and candidates[i].id not in held
+                if up[i] < availabilities[i] and candidates[i].id not in held
             ]
             if fresh:
                 vacant = max(0, vacant - refill(fresh, now))

@@ -153,6 +153,20 @@ class TestVerify:
         for check in soft:
             assert check.passed
 
+    def test_claims_table_names_every_check_once(self):
+        # README "Claims": the Rows column of each line, as comma-separated
+        # ids or a dash.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Claims\n", 1)[1].split("\n## ", 1)[0]
+        lines = [line for line in section.splitlines() if line.startswith("| ")]
+        assert lines[0].startswith("| Claim | Rows |")
+        named = []
+        for line in lines[1:]:
+            rows = line.split("|")[2].strip()
+            if rows != "—":
+                named.extend(row.strip() for row in rows.split(","))
+        assert sorted(named) == sorted(check.id for check in registry.CHECKS)
+
     def test_run_verify_validation(self):
         with pytest.raises(ValueError):
             run_verify(trials=10)

@@ -246,6 +246,29 @@ class TestDepletionKeys:
         assert simulator._depletion_times(config, Rng(17)).tobytes() == reference.tobytes()
 
 
+class TestUniformRows:
+    @pytest.mark.parametrize(
+        "width, rows",
+        [
+            (4, 1000),  # 3 blocks of 256 rows, then 232
+            (3, 2 * (simulator._UNIFORM_CHUNK // 3) + 5),
+            (simulator._UNIFORM_CHUNK + 1, 3),  # one row per block
+            (2, 1),
+            (simulator._UNIFORM_CHUNK + 1, 1),
+        ],
+    )
+    def test_blocks_are_one_long_draw(self, width, rows):
+        blocks = list(simulator._uniform_rows(Rng(5).substream(1), width, rows))
+        per_block = max(1, simulator._UNIFORM_CHUNK // width)
+        # Whole rows, full blocks but the last, which may be shorter.
+        assert [len(block) for block in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= per_block
+        drawn = np.concatenate(blocks)
+        expected = Rng(5).substream(1).random((rows, width))
+        assert drawn.shape == expected.shape
+        assert drawn.tobytes() == expected.tobytes()
+
+
 class TestDepletionLaw:
     TRIALS = 20_000
 
@@ -507,14 +530,15 @@ class TestMonotonicityPinned:
         # A T3 trial of 100 steps reads at most 202 rows: it draws them in one
         # block, never a second one and never a row more.
         config = MonotonicityConfig(registry.REFERENCE_PROVIDERS, steps=100, tau=0.3)
-        block = simulator._block
+        uniform_rows = simulator._uniform_rows
         drawn: list[int] = []
 
-        def recording_block(gen, availabilities, rows):
-            drawn.append(rows)
-            return block(gen, availabilities, rows)
+        def recording_rows(gen, width, rows):
+            for block in uniform_rows(gen, width, rows):
+                drawn.append(len(block))
+                yield block
 
-        monkeypatch.setattr(simulator, "_block", recording_block)
+        monkeypatch.setattr(simulator, "_uniform_rows", recording_rows)
         for trial in range(20):
             drawn.clear()
             run_monotonicity(config, Rng(42).split(31), trial)

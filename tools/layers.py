@@ -7,8 +7,10 @@ run times each layer once, after a warm-up run that is not recorded:
 
 - each registry section at the ``verify`` defaults (seed 42, 5000 trials:
   depletion, speedup, monotonicity, prospect), in s;
-- one ``_block`` draw of a T3 sweep trial (the reference providers at 100
-  steps), in us, the mean over SWEEP_BLOCKS draws;
+- one block of a T3 sweep trial's rows, as the trial reads it: a
+  ``_uniform_rows`` block of the reference providers at 100 steps (202 rows
+  of four uniforms, every row the trial can read) and its ``.tolist()``, in
+  us, the mean over SWEEP_BLOCKS blocks;
 - one reservoir maintain step (health cycle, refill of any vacancy,
   upgrade evaluation) on a 3-slot reservoir whose standbys keep failing,
   in us, the mean over MAINTAIN_STEPS steps;
@@ -38,11 +40,7 @@ machine's core count, the Python and numpy versions, the git commit of
 the checkout and whether its tracked files differ from that commit (both
 null outside one).  Wall times on a shared host move by
 10-40% from minute to minute, so compare two commits only in runs made
-back to back on one machine.  ``machine.calibration_us`` is the median
-cost of the benchmark's calibration snippet (``perfbench/speed.py``'s
-``calibration_cost``, which runs no package code), measured before and
-after the timed runs: two files whose layers differ by about the ratio of
-their calibration costs show host drift, not a code change.
+back to back on one machine.
 """
 
 from __future__ import annotations
@@ -60,10 +58,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(1, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
-from speed import calibration_cost  # noqa: E402
 
 from streamres import registry, simulator  # noqa: E402
 from streamres.probe import (  # noqa: E402
@@ -110,14 +106,13 @@ def _sections() -> dict[str, float]:
 
 
 def _sweep_block_us() -> float:
-    # A block as a T3 trial draws it; at the registry's 100 steps one block
-    # holds every row the trial can read.
-    config = simulator.MonotonicityConfig(registry.REFERENCE_PROVIDERS, steps=100)
-    rows = simulator._block_rows(config)
+    # A block as a T3 trial draws and reads it; at the registry's 100 steps
+    # one block holds every row the trial can read.
+    providers = len(registry.REFERENCE_PROVIDERS)
     gen = Rng(registry.DEFAULT_SEED).substream(0)
     started = time.perf_counter()
     for _ in range(SWEEP_BLOCKS):
-        simulator._block(gen, config._availabilities, rows)
+        next(simulator._uniform_rows(gen, providers, 2 * (100 + 1))).tolist()
     return (time.perf_counter() - started) / SWEEP_BLOCKS * 1e6
 
 
@@ -310,11 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.runs < MIN_RUNS:
         parser.error(f"--runs must be >= {MIN_RUNS}")
-    calibration_s = [calibration_cost()]
     forked = registry._fork_pays()
     one_run()  # warm-up: lazy imports and first-call costs
     runs = [one_run() for _ in range(args.runs)]
-    calibration_s.append(calibration_cost())
     layers = {name: summary([run[name] for run in runs]) for name in runs[0]}
     layers["suite.tier1_s"] = summary(_tier1_s())
     report = {
@@ -324,7 +317,6 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "monotonicity_forked": forked,
-            "calibration_us": statistics.median(calibration_s) * 1e6,
             **_commit(),
         },
         "runs": args.runs,
