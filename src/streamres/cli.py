@@ -29,6 +29,7 @@ from .probe import (
 )
 from .prospect import ProspectParams, switch_score, value, weight
 from .registry import (
+    CHECKS,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     DEPLETION_RATES,
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run the 24-check registry")
+    p_verify = sub.add_parser("verify", help=f"run the {len(CHECKS)}-check registry")
     _add_seed(p_verify)
     _add_trials(p_verify)
     p_verify.add_argument(

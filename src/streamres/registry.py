@@ -1,4 +1,4 @@
-"""The verification registry: 24 seeded checks of the library's behaviour.
+"""The verification registry: seeded checks of the library's behaviour.
 
 The checks span the closed forms, the Monte Carlo experiments and the
 deterministic switching calculus.  CHECKS is the table: one row per check,
@@ -137,21 +137,16 @@ CHECKS: tuple[Check, ...] = (
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
-    """Outcome of one registry check: its row's fields plus what was measured.
+    """Outcome of one registry check: its row plus what was measured.
 
     tolerance is the row's, widened when the run had fewer trials than the
     baseline.  A soft check that misses passes and carries a warning.
     """
 
-    id: str
-    description: str
-    expected: float
+    check: Check
     actual: float
     tolerance: float
     passed: bool
-    provenance: str
-    comparison: str = "within"
-    soft: bool = False
     warning: str | None = None
 
 
@@ -177,8 +172,8 @@ class VerifyReport:
     def records(self) -> str:
         """One check per line: id, expected, actual, tolerance, passed."""
         lines = [
-            f"{c.id}\t{c.expected:.10g}\t{c.actual:.10g}\t{c.tolerance:.10g}\t"
-            f"{'pass' if c.passed else 'fail'}"
+            f"{c.check.id}\t{c.check.expected:.10g}\t{c.actual:.10g}\t"
+            f"{c.tolerance:.10g}\t{'pass' if c.passed else 'fail'}"
             for c in self.checks
         ]
         return "\n".join(lines) + "\n"
@@ -190,8 +185,8 @@ class VerifyReport:
             if c.warning is not None:
                 status = "warn"
             rows.append(
-                f"{c.id:<6} {c.expected:>12.6g} {c.actual:>12.6g} "
-                f"{c.tolerance:>10.6g}  {status:<4}  {c.description}"
+                f"{c.check.id:<6} {c.check.expected:>12.6g} {c.actual:>12.6g} "
+                f"{c.tolerance:>10.6g}  {status:<4}  {c.check.description}"
             )
         header = (
             f"{'check':<6} {'expected':>12} {'actual':>12} {'tolerance':>10}"
@@ -379,15 +374,10 @@ def _judge(check: Check, actual: float, widen: float) -> CheckResult:
     else:
         raise ValueError(f"unknown comparison {check.comparison!r}")
     return CheckResult(
-        id=check.id,
-        description=check.description,
-        expected=check.expected,
+        check=check,
         actual=actual,
         tolerance=tolerance,
         passed=ok or check.soft,
-        provenance=check.provenance,
-        comparison=check.comparison,
-        soft=check.soft,
         warning="outside tolerance (soft check)" if check.soft and not ok else None,
     )
 
@@ -395,7 +385,7 @@ def _judge(check: Check, actual: float, widen: float) -> CheckResult:
 def run_verify(
     seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS, workers: int = 1
 ) -> VerifyReport:
-    """Run the full 24-check registry and return the report.
+    """Run every check in CHECKS and return the report.
 
     Where this process may use two or more CPUs and runs no other Python
     thread, the T3 sweep runs half its trials in a forked child; the

@@ -126,7 +126,6 @@ class Reservoir:
         self.capacity = capacity
         self.params = params
         self.state = _DEPLETED
-        self.switch_count = 0
         self._slots: list[Slot] = []
         self._events: list[ReservoirEvent] = []
         self._arrival_seq = 0
@@ -308,7 +307,6 @@ class Reservoir:
         demoted = slots[0]
         slots[0] = promoted
         bisect.insort(slots, demoted, lo=1, key=_slot_order)
-        self.switch_count += 1
         self._events.append(_event(("upgrade", promoted.candidate.id, now, best_score)))
         return best_index, best_score
 

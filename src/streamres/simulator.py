@@ -17,15 +17,16 @@ the eligible providers that are up and whose id holds no slot, since
 refill drops every non-viable or held result, and a vacant step with no
 such provider skips the round; its latency row is read either way, so the
 draws stay the same.
-A config builds what its trials share when it is made, so no state is kept
-between configs.
+A config stores only its fields: each trial builds its candidates from them
+and asks its reservoir for vacancies, so no state is kept between trials.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -107,13 +108,6 @@ class MonotonicityConfig:
     steps: int = 100
     tau: float = 0.3
     slot_count: int = 3
-    # Built from the fields above for every trial to read: the candidates,
-    # each id's index, the availabilities and the providers that clear tau.
-    # Not in equality, hash or repr; replace() rebuilds them.
-    _candidates: tuple[StreamCandidate, ...] = field(init=False, compare=False, repr=False)
-    _index_of: dict[str, int] = field(init=False, compare=False, repr=False)
-    _availabilities: tuple[float, ...] = field(init=False, compare=False, repr=False)
-    _eligible: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Kept as a tuple of pairs, so a caller's list cannot change after
@@ -122,8 +116,9 @@ class MonotonicityConfig:
         if not self.providers:
             raise ValueError("at least one provider is required")
         for quality, availability in self.providers:
-            if quality <= 0:
-                raise ValueError("provider quality must be positive")
+            # A trial's StreamCandidate would refuse it; NaN fails too.
+            if not 0 < quality <= sys.float_info.max:
+                raise ValueError("quality must be positive and at most the largest float")
             if not 0.0 <= availability <= 1.0:
                 raise ValueError("availability must lie in [0, 1]")
         if not 0.0 <= self.tau <= 1.0:
@@ -134,13 +129,6 @@ class MonotonicityConfig:
             raise ValueError("steps must be >= 1")
         if operator.index(self.slot_count) < 1:
             raise ValueError("slot_count must be >= 1")
-        candidates = tuple(_candidates("p", (q for q, _ in self.providers)))
-        availabilities = tuple(float(a) for _, a in self.providers)
-        eligible = tuple(i for i, (_, a) in enumerate(self.providers) if a >= self.tau)
-        object.__setattr__(self, "_candidates", candidates)
-        object.__setattr__(self, "_index_of", {c.id: i for i, c in enumerate(candidates)})
-        object.__setattr__(self, "_availabilities", availabilities)
-        object.__setattr__(self, "_eligible", eligible)
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,16 +269,19 @@ def run_monotonicity(
     exactly the claim under test: the trajectory never steps down, and it
     ends at the best quality whose availability clears tau.
 
-    Each step reads an up/down row.  Until some stream is viable it probes
-    every provider, with a latency row; then it runs a health cycle, a
-    refill round when a slot is vacant, and an upgrade evaluation.  A
-    vacant step reads a latency row and passes the round the eligible
-    providers that are up and whose id holds no slot; when there are none
-    it skips the round, which would change nothing.  A switch point (step,
-    active quality) is recorded at acquisition and at each upgrade.
+    The trial builds its candidates from config.providers.  Each step reads
+    an up/down row.  Until some stream is viable it probes every provider,
+    with a latency row; then it runs a health cycle, a refill round when the
+    reservoir has a vacant slot, and an upgrade evaluation.  A vacant step
+    reads a latency row and passes the round the eligible providers that
+    are up and whose id holds no slot; when there are none it skips the
+    round, which would change nothing.  A switch point (step, active
+    quality) is recorded at acquisition and at each upgrade.
     """
-    candidates, index_of = config._candidates, config._index_of
-    availabilities, eligible = config._availabilities, config._eligible
+    candidates = _candidates("p", (q for q, _ in config.providers))
+    index_of = {c.id: i for i, c in enumerate(candidates)}
+    availabilities = [float(a) for _, a in config.providers]
+    eligible = [i for i, a in enumerate(availabilities) if a >= config.tau]
     # Every row the trial can read, an up/down row and a latency row per
     # step; provider i is up when up[i] < availabilities[i], and its latency
     # is latency[i] * 1000.0 ms.
@@ -309,13 +300,13 @@ def run_monotonicity(
     reservoir = None
     # Only acquisition and an upgrade change the active stream.
     switches: list[tuple[int, int]] = []
-    vacant = 0
     for step in range(config.steps + 1):
         now = float(step)
         up = next(rows)
         if reservoir is not None:
-            vacant += health_cycle(healthy, now)
-        if reservoir is None or vacant:
+            reservoir.run_health_cycle(healthy, now)
+            slots = reservoir.slots
+        if reservoir is None or len(slots) < config.slot_count:
             # A round draws a latency for every provider, probed or not.
             latency = next(rows)
             if reservoir is None:
@@ -328,26 +319,20 @@ def run_monotonicity(
                     now=now,
                 )
                 if reservoir is not None:
-                    health_cycle = reservoir.run_health_cycle
-                    refill = reservoir.refill
-                    evaluate_upgrade = reservoir.evaluate_upgrade
-                    # From here on each failed standby opens a vacancy, and
-                    # a refill round fills vacancies before it displaces.
-                    vacant = config.slot_count - len(reservoir.slots)
                     switches.append((step, reservoir.active.quality))
                 continue
             # Refill drops non-viable and held results before anything else,
             # so a round with none left would admit and log nothing, and the
             # health cycle has already moved the clock to now.
-            held = {slot.candidate.id for slot in reservoir.slots}
+            held = {slot.candidate.id for slot in slots}
             fresh = [
                 _result((candidates[i], True, latency[i] * 1000.0, False, None))
                 for i in eligible
                 if up[i] < availabilities[i] and candidates[i].id not in held
             ]
             if fresh:
-                vacant = max(0, vacant - refill(fresh, now))
-        if evaluate_upgrade(now) is not None:
+                reservoir.refill(fresh, now)
+        if reservoir.evaluate_upgrade(now) is not None:
             switches.append((step, reservoir.active.quality))
 
     if reservoir is None:

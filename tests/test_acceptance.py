@@ -41,7 +41,7 @@ def report42():
 
 
 def check_by_id(report, check_id):
-    return next(check for check in report.checks if check.id == check_id)
+    return next(result for result in report.checks if result.check.id == check_id)
 
 
 def test_criterion_1_depletion_table_reproduction(report42):

@@ -141,17 +141,17 @@ class TestVerify:
         report = run_verify(seed=42, trials=200)
         assert len(report.checks) == 24
         assert report.all_passed
-        ids = [check.id for check in report.checks]
+        ids = [result.check.id for result in report.checks]
         assert ids == sorted(ids, key=lambda s: (s.split(".")[0], int(s.split(".")[1])))
-        for check in report.checks:
-            assert check.provenance in ("closed-form", "monte-carlo", "deterministic")
+        for result in report.checks:
+            assert result.check.provenance in ("closed-form", "monte-carlo", "deterministic")
 
     def test_soft_checks_warn_but_pass(self):
         report = run_verify(seed=42, trials=200)
-        soft = [check for check in report.checks if check.soft]
-        assert {check.id for check in soft} == {"T3.3", "T3.4"}
-        for check in soft:
-            assert check.passed
+        soft = [result for result in report.checks if result.check.soft]
+        assert {result.check.id for result in soft} == {"T3.3", "T3.4"}
+        for result in soft:
+            assert result.passed
 
     def test_claims_table_names_every_check_once(self):
         # README "Claims": the Rows column of each line, as comma-separated
@@ -607,7 +607,7 @@ class TestSimulate:
         )
         mean = float(out.split()[1])
         report = run_verify(seed=42, trials=5000)
-        t12 = next(check for check in report.checks if check.id == "T1.2")
+        t12 = next(result for result in report.checks if result.check.id == "T1.2")
         assert mean == pytest.approx(t12.actual, abs=0.05)
 
     # The simulate flags of each registry depletion run.
@@ -890,14 +890,18 @@ def test_option_below_its_bound_fails_before_output(
 
 class TestCheckResult:
     def test_comparison_modes(self):
-        within = CheckResult("x", "d", 1.0, 1.05, 0.1, True, "deterministic")
-        assert within.comparison == "within"
+        within = CheckResult(registry.Check("x", "d", 1.0, 0.1, "deterministic"), 1.05, 0.1, True)
+        assert within.check.comparison == "within"
 
     def test_parser_exists_for_all_subcommands(self):
         parser = build_parser()
         text = parser.format_help()
         for name in ("verify", "simulate", "score", "speedup", "probe", "curves"):
             assert name in text
+
+    def test_verify_help_counts_the_registry_rows(self):
+        text = build_parser().format_help()
+        assert f"run the {len(registry.CHECKS)}-check registry" in text
 
 
 def subcommand_options(parser, command=()):

@@ -30,6 +30,10 @@ def slot_ids(reservoir):
     return {slot.candidate.id for slot in reservoir.slots}
 
 
+def upgrades(reservoir):
+    return sum(1 for event in reservoir.events if event.kind == "upgrade")
+
+
 def result(name, quality, latency=100.0, viable=True):
     return ProbeResult(
         candidate=candidate(name, quality), viable=viable, latency_ms=latency
@@ -298,7 +302,7 @@ class TestUpgrade:
         assert index == 1
         assert score > 0.0
         assert reservoir.active.candidate.id == "uhd"
-        assert reservoir.switch_count == 1
+        assert upgrades(reservoir) == 1
         assert reservoir.state is ReservoirState.MAINTAIN
 
     def test_demoted_active_becomes_prefetched_standby(self):
@@ -332,7 +336,7 @@ class TestUpgrade:
         for step in range(1, 20):
             reservoir.run_health_cycle(lambda slot: True, now=float(step))
             assert reservoir.evaluate_upgrade(now=float(step)) is None
-        assert reservoir.switch_count == 0
+        assert upgrades(reservoir) == 0
 
     def test_low_confidence_blocks_marginal_upgrade(self):
         # 720 -> 1080 is positive only once the candidate has a few passes.
@@ -480,7 +484,7 @@ def snapshot(reservoir):
         [(slot.candidate.id, slot.verified_count) for slot in reservoir.slots],
         reservoir.state,
         reservoir.events,
-        reservoir.switch_count,
+        upgrades(reservoir),
     )
 
 
@@ -823,7 +827,7 @@ class TestNoOpTicks:
         assert len(reservoir.slots) == len(slots)
         assert [slot.verified_count for slot in reservoir.slots] == counts
         assert reservoir.events == events
-        assert reservoir.switch_count == 0
+        assert upgrades(reservoir) == 0
         assert reservoir._clock == now
 
     def test_refill_of_held_and_dead_results_admits_nothing(self):

@@ -308,6 +308,17 @@ class TestMonotonicityConfig:
         with pytest.raises(ValueError, match="steps must be >= 1"):
             MonotonicityConfig(PROVIDERS, steps=0)
 
+    @pytest.mark.parametrize(
+        "quality", [math.nan, math.inf, 1e309, 10**400], ids=["nan", "inf", "1e309", "10**400"]
+    )
+    def test_quality_past_the_largest_float_raises_at_construction(self, quality):
+        # Trials build the candidates, so the config checks what a
+        # StreamCandidate would refuse when it is made.
+        with pytest.raises(
+            ValueError, match="quality must be positive and at most the largest float"
+        ):
+            MonotonicityConfig(((quality, 0.5),))
+
     @pytest.mark.parametrize("slot_count", [2.5, 3.0, math.nan, math.inf])
     def test_non_integer_slot_count_raises(self, slot_count):
         with pytest.raises(TypeError):
@@ -389,10 +400,15 @@ class TestRunMonotonicity:
             "MonotonicityConfig(providers=((720, 0.5), (1080, 0.9)), "
             "steps=5, tau=0.3, slot_count=3)"
         )
-        # At tau 0.7 only the 1080p provider may refill a vacancy.
+        # At tau 0.7 only the 1080p provider may refill a vacancy; at tau
+        # 0.3, on the same draws, the 720p provider refills one.
         strict = dataclasses.replace(config, tau=0.7)
         assert strict == MonotonicityConfig(config.providers, steps=5, tau=0.7)
-        assert strict._eligible == (1,) and config._eligible == (0, 1)
+        for tau_config, refills in ((strict, 0), (config, 1)):
+            trace: list[str] = []
+            run_monotonicity(tau_config, Rng(1), 0, trace_sink=trace)
+            kinds_and_ids = [line.split("\t")[1:3] for line in trace]
+            assert kinds_and_ids.count(["refill", "p0-720p"]) == refills
 
     def test_list_providers_are_kept_as_a_tuple(self):
         config = MonotonicityConfig([[720, 0.5], (1080, 0.9)], steps=5)
@@ -756,8 +772,8 @@ class TestSweepVacancies:
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
     def test_refill_runs_exactly_when_a_slot_is_vacant(self, monkeypatch, capacity):
-        # The sweep counts vacancies from the calls' returns; the reservoir's
-        # own slot count after each health cycle must agree.  A vacant step
+        # The sweep asks the reservoir for vacancies after each health cycle,
+        # so a round runs only on a step that left a slot open.  A vacant step
         # whose up, eligible providers all hold a slot skips the round, so
         # every round that runs has a result it may admit.
         vacant_steps: list[tuple[int, float]] = []
