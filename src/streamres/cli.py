@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -234,7 +235,8 @@ def _read_url_file(path: str) -> list[StreamCandidate]:
         raise ValueError(f"{path}: {exc}") from None
     candidates = []
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # Only a '#' at the start or after whitespace opens a comment.
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         parts = line.split()

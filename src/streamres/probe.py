@@ -357,11 +357,10 @@ def sort_results(results: Iterable[ProbeResult]) -> list[ProbeResult]:
     return sorted(results, key=lambda r: (not r.viable, r.latency_ms))
 
 
-
 def __getattr__(name: str) -> object:
     # The benchmark's tracer still hooks the speedup estimate under its old
     # name here; this alias goes once that hook moves to
-    # simulator.run_speedup_empirical (ROADMAP item 9).
+    # simulator.run_speedup_empirical (ROADMAP item 10).
     if name == "empirical_first_success_rounds":
         from .simulator import run_speedup_empirical
 

@@ -15,16 +15,20 @@ then more verifications, then earlier arrival), the single placement rule:
 every slot takes its place by ``bisect.insort`` on it, and a health cycle
 credits all surviving standbys equally.  The active slot may trail its
 standbys between an admission and the upgrade decision that resolves it.
+Both fills rank a probe round by one rule (``_ranked``): the viable results
+whose id holds no slot, best first by the fill's key (latency for
+``reacquire``, quality descending then latency for ``refill``), each id
+once at its first place.  A viable result whose latency is NaN (which
+compares false with every latency) or not a number refuses the round.
 
 Every public operation opens with one guard of one shape: the reservoir
 must be in the state the operation needs and ``now`` must not be behind the
 clock (a NaN ``now`` is refused too).  Each operation tests both inline and
 calls ``_refuse`` only when the test fails, to raise the matching error.
-Either failure raises before any change, as does a fill or refill round
-given a viable result whose latency is NaN or not a number.  Every accepted
-call moves the clock to ``now`` itself, even a call that changes nothing, so
-no later call can log behind it, but only after its last step that can raise
-(a health cycle's checker, a round's latency check and sort).  Operations
+Either failure raises before any change, as does a refused round.  Every
+accepted call moves the clock to ``now`` itself, even a call that changes
+nothing, so no later call can log behind it, but only after its last step
+that can raise (a health cycle's checker, a fill's ranking).  Operations
 name their state by the module constants ``_MAINTAIN`` and ``_DEPLETED``,
 which skip the Enum lookup on this per-call path.
 
@@ -34,9 +38,9 @@ append-only list; ``transitions`` reads the state changes off it, one per
 the clock and the verification counts, and each takes a short path: a
 health cycle in which every standby passes credits and logs them in one
 loop and keeps the slot list (it rebuilds it only when some standby
-failed); a refill round with nothing viable and new returns before it
-sorts; an upgrade returns at once when no standby outranks the active
-stream in quality.
+failed); a round with fewer than two candidates left is not sorted; an
+upgrade returns at once when no standby outranks the active stream in
+quality.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from enum import Enum
 from math import isnan
 from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
-from .probe import ProbeResult, StreamCandidate, sort_results
+from .probe import ProbeResult, StreamCandidate
 from .prospect import DEFAULT_PARAMS, ProspectParams, switch_score
 
 __all__ = [
@@ -233,19 +237,10 @@ class Reservoir:
         """
         if self.state is not _MAINTAIN or not now >= self._clock:
             self._refuse(_MAINTAIN)
-        held = {slot.candidate.id for slot in self._slots}
-        fresh = [r for r in fresh_results if r.viable and r.candidate.id not in held]
-        if fresh:
-            _check_latencies(fresh)
-            if len(fresh) > 1:
-                fresh.sort(key=_fresh_order)
-        self._clock = now  # the checks and the sort returned: commit the call
-        if not fresh:
-            return 0
+        fresh = self._ranked(fresh_results, _fresh_order)
+        self._clock = now  # the round is checked and ranked: commit the call
         admitted = 0
         for result in fresh:
-            if result.candidate.id in held:
-                continue  # listed again after this round admitted it
             score = None  # a vacancy admits outright
             if len(self._slots) == self.capacity:
                 if len(self._slots) < 2:
@@ -270,7 +265,6 @@ class Reservoir:
             self._admit(result, lo=1)
             self._events.append(_event(("refill", result.candidate.id, now, score)))
             admitted += 1
-            held.add(result.candidate.id)
         return admitted
 
     def evaluate_upgrade(self, now: float) -> tuple[int, float] | None:
@@ -343,22 +337,15 @@ class Reservoir:
         """
         if self.state is not _DEPLETED or not now >= self._clock:
             self._refuse(_DEPLETED)
-        # Only viable results are ranked, so a dead result's latency, which
-        # may not compare, cannot refuse the round.
-        viable = [result for result in probe_results if result.viable]
-        _check_latencies(viable)
-        picked: dict[str, ProbeResult] = {}
-        for result in sort_results(viable):
-            if len(picked) == self.capacity:
-                break
-            picked.setdefault(result.candidate.id, result)
-        self._clock = now  # the sort returned: commit the call
+        fastest_first = operator.attrgetter("latency_ms")
+        picked = self._ranked(probe_results, fastest_first)[: self.capacity]
+        self._clock = now  # the round is checked and ranked: commit the call
         if not picked:
             self._events.append(_event(("reacquire", None, now, None)))
             return False
         # Highest quality leads; admission (latency) order breaks ties via
         # arrival, keeping equal-quality picks deterministic.
-        for result in picked.values():
+        for result in picked:
             self._admit(result, lo=0)
         self.state = _MAINTAIN
         self._events.append(_event(("filled", self._slots[0].candidate.id, now, None)))
@@ -383,19 +370,29 @@ class Reservoir:
             raise RuntimeError(f"operation requires {state.value}, got {self.state.value}")
         raise ValueError("event timestamps must be non-decreasing")
 
+    def _ranked(
+        self, results: Sequence[ProbeResult], key: Callable[[ProbeResult], object]
+    ) -> list[ProbeResult]:
+        # The fills' ranking rule.  isnan raises TypeError on a latency that is
+        # not a number, and every latency is checked before ids merge, so a NaN
+        # copy of an id refuses the round even behind a good copy.
+        held = {slot.candidate.id for slot in self._slots}
+        ranked = [r for r in results if r.viable and r.candidate.id not in held]
+        for result in ranked:
+            if isnan(result.latency_ms):
+                raise ValueError(f"latency_ms of {result.candidate.id!r} is NaN")
+        if len(ranked) < 2:
+            return ranked
+        ranked.sort(key=key)
+        first: dict[str, ProbeResult] = {}
+        for result in ranked:
+            first.setdefault(result.candidate.id, result)
+        return list(first.values())
+
 
 # Builds a ReservoirEvent from its four fields in one C call, without the
 # Python frame of the named tuple's generated __new__.
 _event = functools.partial(tuple.__new__, ReservoirEvent)
-
-
-def _check_latencies(viable: Sequence[ProbeResult]) -> None:
-    # A viable result's latency ranks it.  isnan raises TypeError on one that
-    # is not a number; NaN compares false with every latency, so the
-    # fastest-first order would depend on list order.
-    for result in viable:
-        if isnan(result.latency_ms):
-            raise ValueError(f"latency_ms of {result.candidate.id!r} is NaN")
 
 
 def _fresh_order(result: ProbeResult) -> tuple[int, float]:

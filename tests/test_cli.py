@@ -417,6 +417,22 @@ class TestUsageErrors:
         assert (code, captured.out) == (2, "")
         assert captured.err.endswith(message + "\n")
 
+    def test_hash_inside_a_url_is_not_a_comment(self, tmp_path):
+        # A fragment was once cut off as a comment, and its quality with it.
+        urls = tmp_path / "urls.txt"
+        urls.write_text(
+            "http://127.0.0.1:9/a#t=10 1080\n"
+            "http://127.0.0.1:9/b 1080 # note\n"
+            "# whole line\n"
+            "  # indented\n"
+            "http://127.0.0.1:9/c\t#tab 2160\n"
+        )
+        assert [(c.id, c.locator, c.quality) for c in cli._read_url_file(str(urls))] == [
+            ("http://127.0.0.1:9/a#t=10", "http://127.0.0.1:9/a#t=10", 1080),
+            ("http://127.0.0.1:9/b", "http://127.0.0.1:9/b", 1080),
+            ("http://127.0.0.1:9/c", "http://127.0.0.1:9/c", 720),
+        ]
+
     def test_url_line_with_extra_fields_is_usage_error(self, capsys, tmp_path):
         # A second quality was once dropped without a word.
         urls = tmp_path / "urls.txt"

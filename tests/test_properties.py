@@ -1,8 +1,10 @@
 """Property suites: scoring shapes, ordering invariants, machine fuzzing."""
 
+from math import inf, nan
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from fuzzutil import run_fuzz_sequence, slot_order_key
 from streamres.probe import ProbeResult, StreamCandidate, sort_results
@@ -173,6 +175,68 @@ class TestRefillAdmission:
         assert len(after) >= len(before)
         for held, now_held in zip(before, after):
             assert now_held >= held
+
+
+@st.composite
+def probe_rounds(draw, min_size=0, max_size=None, viable=st.booleans()):
+    # Distinct ids from a small pool, so a refill round meets held ids, and
+    # few latencies, so results tie.
+    names = draw(
+        st.lists(st.sampled_from("abcde"), unique=True, min_size=min_size, max_size=max_size)
+    )
+    qualities = st.sampled_from([360, 720, 1080, 2160])
+    return [
+        ProbeResult(
+            StreamCandidate(name, f"p-{name}", draw(qualities), f"sim://{name}"),
+            viable=draw(viable),
+            latency_ms=float(draw(st.integers(min_value=0, max_value=9))),
+        )
+        for name in names
+    ]
+
+
+@st.composite
+def relisted_rounds(draw):
+    # A round, and the round with one to four of its results listed again,
+    # each anywhere: a viable copy at no better a latency, a dead one at any.
+    round_ = draw(probe_rounds(min_size=1))
+    listed = list(round_)
+    for original in draw(st.lists(st.sampled_from(round_), min_size=1, max_size=4)):
+        if original.viable:
+            latency = original.latency_ms + draw(st.sampled_from([0.0, 0.5, 3.0, inf]))
+        else:
+            latency = draw(st.sampled_from([0.0, 7.0, nan, inf, None, "5"]))
+        position = draw(st.integers(min_value=0, max_value=len(listed)))
+        listed.insert(position, original._replace(latency_ms=latency))
+    return round_, listed
+
+
+class TestRepeatedListing:
+    # Each id ranks once, by its best listing, so a copy changes no fill.
+    @given(
+        st.integers(min_value=1, max_value=4),
+        # At most two held ids, so a refill round often meets vacancies.
+        probe_rounds(min_size=1, max_size=2, viable=st.just(True)),
+        relisted_rounds(),
+    )
+    # No explain phase: it can add seconds to a failure and no example.
+    @settings(
+        deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink),
+    )
+    def test_a_repeated_listing_changes_no_fill(self, capacity, initial, rounds):
+        round_, listed = rounds
+
+        def refill(results):
+            reservoir = Reservoir.sprint_fill(initial, capacity)
+            return reservoir.refill(results, now=1.0), reservoir.slots, reservoir.events
+
+        def reacquire(results):
+            reservoir = Reservoir(capacity)
+            return reservoir.reacquire(results, now=1.0), reservoir.slots, reservoir.events
+
+        assert refill(listed) == refill(round_)
+        assert reacquire(listed) == reacquire(round_)
 
 
 class TestMachineFuzz:

@@ -766,6 +766,21 @@ class TestLatencyThatCannotRank:
         reservoir = Reservoir.sprint_fill(round_[::order], capacity=2)
         assert reservoir is not None and slot_ids(reservoir) == {"a"}
 
+    # The NaN copy of "x" ranks after its good copy in the nan-last order, so
+    # a round that merged ids before it checked latencies would admit "x".
+    @pytest.mark.parametrize("order", [1, -1], ids=["nan-last", "nan-first"])
+    @pytest.mark.parametrize("fill", ["reacquire", "refill"])
+    def test_duplicated_id_with_one_nan_copy_is_refused(self, fill, order):
+        if fill == "reacquire":
+            reservoir = Reservoir(3)
+        else:
+            reservoir = Reservoir.sprint_fill([result("a", 720)], capacity=3)
+        copies = [result("x", 1080, latency=5.0), result("x", 1080, latency=NAN)]
+        before = full_snapshot(reservoir)
+        with pytest.raises(ValueError, match="latency_ms of 'x' is NaN"):
+            getattr(reservoir, fill)(copies[::order], now=5.0)
+        assert full_snapshot(reservoir) == before
+
     @pytest.mark.parametrize("latency", [NAN, None, "5"])
     def test_refill_refuses_and_changes_nothing(self, latency):
         reservoir = Reservoir.sprint_fill([result("a", 720)], capacity=3)
