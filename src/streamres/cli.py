@@ -220,9 +220,15 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_uptime(args: argparse.Namespace) -> int:
-    # Expected useful lifetime against slot count.
-    for k in range(1, args.slots + 1):
-        print(f"{k}\t{analytics.utility_estimate(k, args.failure_rate):.6g}")
+    # Expected useful lifetime against slot count: utility_estimate's
+    # H_k / rate, H_k accumulated rather than summed anew per line.  The first
+    # line goes through utility_estimate, which refuses a bad rate first.
+    rate = args.failure_rate
+    print(f"1\t{analytics.utility_estimate(1, rate):.6g}")
+    harmonic = 1.0
+    for k in range(2, args.slots + 1):
+        harmonic += 1.0 / k
+        print(f"{k}\t{harmonic / rate:.6g}")
     return 0
 
 

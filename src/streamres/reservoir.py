@@ -4,10 +4,11 @@ One slot is active (being consumed); the rest are warm standbys.  A
 reservoir has two states: MAINTAIN while it holds streams, DEPLETED while it
 is empty, which is how a new one starts.  A fill from one probe round
 (``reacquire``; ``sprint_fill`` is that on a new reservoir) enters MAINTAIN.
-The maintain loop health-checks standbys and lazily refills losses, failures
-promote the best standby, and losing the last stream enters DEPLETED, which
-asks to be re-acquired.  Upgrades to better standbys go through the
-loss-averse switch score, so a standby can outrank the active stream without instantly stealing
+A maintain step runs a health cycle, which returns the open slots, refills
+when there are any and weighs an upgrade.  Failures promote the best
+standby, and losing the last stream enters DEPLETED, which asks to be
+re-acquired.  Upgrades to better standbys go through the loss-averse switch
+score, so a standby can outrank the active stream without instantly stealing
 the session; it must first earn enough verification confidence.
 
 Standbys always stay in merit order (``_slot_order``: quality descending,
@@ -25,6 +26,8 @@ Every public operation opens with one guard of one shape: the reservoir
 must be in the state the operation needs and ``now`` must not be behind the
 clock (a NaN ``now`` is refused too).  Each operation tests both inline and
 calls ``_refuse`` only when the test fails, to raise the matching error.
+While a health cycle's checker runs the clock is NaN, so every operation
+the checker calls fails its guard and ``_refuse`` names that cause.
 Either failure raises before any change, as does a refused round.  Every
 accepted call moves the clock to ``now`` itself, even a call that changes
 nothing, so no later call can log behind it, but only after its last step
@@ -82,6 +85,10 @@ class ReservoirState(Enum):
 # the Enum metaclass on every lookup, which would be most of a guard's cost.
 _MAINTAIN = ReservoirState.MAINTAIN
 _DEPLETED = ReservoirState.DEPLETED
+
+# The clock while a health cycle's checker runs: now >= NaN is false, so a
+# call from the checker fails its guard with no test added to the fast path.
+_CHECKING = float("nan")
 
 # The events that mark a change of state, and the change each one marks.
 _EDGES = {
@@ -195,18 +202,24 @@ class Reservoir:
 
         The checker sees every standby, in standby order, before any verdict
         is applied, so a checker that raises leaves the reservoir as it was.
-        Returns the number of standbys that failed (each one is an open
-        refill request).
+        While it runs every operation is refused, so a checker cannot change
+        the reservoir under the cycle either.  Returns the open refill
+        requests after the cycle, capacity minus the slots held, whatever
+        opened them: a standby failed here, a failover or a short refill.
         """
         if self.state is not _MAINTAIN or not now >= self._clock:
             self._refuse(_MAINTAIN)
         slots = self._slots
         standbys = slots[1:]
-        verdicts = [bool(checker(slot)) for slot in standbys]
+        clock = self._clock
+        self._clock = _CHECKING  # fails every guard; see _refuse
+        try:
+            verdicts = [bool(checker(slot)) for slot in standbys]
+        finally:
+            self._clock = clock
         self._clock = now  # the checker returned: commit the call
         log = self._events.append
-        failures = verdicts.count(False)
-        if not failures:
+        if False not in verdicts:
             for slot in standbys:
                 slot.verified_count += 1
                 log(_event(("health_pass", slot.candidate.id, now, None)))
@@ -224,7 +237,7 @@ class Reservoir:
         active.verified_count = (
             count if count < ACTIVE_VERIFIED_CAP else ACTIVE_VERIFIED_CAP
         )
-        return failures
+        return self.capacity - len(slots)
 
     def refill(self, fresh_results: Sequence[ProbeResult], now: float) -> int:
         """Admit fresh probe results, best quality first.  Returns admissions.
@@ -309,8 +322,8 @@ class Reservoir:
     def on_active_failure(self, now: float) -> Slot | None:
         """Drop the dead active stream and promote the best standby.
 
-        Every promotion leaves a vacancy, so the caller should follow up
-        with a probe round and refill().  With no standbys left the
+        Every promotion leaves a vacancy, which the next health cycle
+        reports as an open slot for refill().  With no standbys left the
         reservoir is depleted and asks for re-acquisition instead.
         Returns the new active slot, or None when depleted.
         """
@@ -364,8 +377,10 @@ class Reservoir:
 
     def _refuse(self, state: ReservoirState) -> NoReturn:
         # Called by a public operation whose guard failed, before any change,
-        # so a wrong state or a backward (or NaN) clock raises with the
-        # reservoir exactly as it was.
+        # so a call from a running checker, a wrong state or a backward (or
+        # NaN) clock raises with the reservoir exactly as it was.
+        if self._clock is _CHECKING:
+            raise RuntimeError("reservoir operation called while a health check runs")
         if self.state is not state:
             raise RuntimeError(f"operation requires {state.value}, got {self.state.value}")
         raise ValueError("event timestamps must be non-decreasing")

@@ -18,7 +18,7 @@ refill drops every non-viable or held result, and a vacant step with no
 such provider skips the round; its latency row is read either way, so the
 draws stay the same.
 A config stores only its fields: each trial builds its candidates from them
-and asks its reservoir for vacancies, so no state is kept between trials.
+and takes its vacancies from its health cycles, so no state is kept.
 """
 
 from __future__ import annotations
@@ -270,13 +270,14 @@ def run_monotonicity(
     ends at the best quality whose availability clears tau.
 
     The trial builds its candidates from config.providers.  Each step reads
-    an up/down row.  Until some stream is viable it probes every provider,
-    with a latency row; then it runs a health cycle, a refill round when the
-    reservoir has a vacant slot, and an upgrade evaluation.  A vacant step
-    reads a latency row and passes the round the eligible providers that
-    are up and whose id holds no slot; when there are none it skips the
-    round, which would change nothing.  A switch point (step, active
-    quality) is recorded at acquisition and at each upgrade.
+    an up/down row.  Acquisition probes every provider, with a latency row,
+    until sprint_fill returns a reservoir; then each step runs a health
+    cycle, a refill round when the cycle reports an open slot, and an
+    upgrade evaluation.  A refill step reads a latency row and passes the
+    round the eligible providers that are up and whose id holds no slot;
+    when there are none it skips the round, which would change nothing.  A
+    switch point (step, active quality) is recorded at acquisition and at
+    each upgrade.
     """
     candidates = _candidates("p", (q for q, _ in config.providers))
     index_of = {c.id: i for i, c in enumerate(candidates)}
@@ -297,34 +298,32 @@ def run_monotonicity(
         i = index_of[slot.candidate.id]
         return up[i] < availabilities[i]
 
-    reservoir = None
-    # Only acquisition and an upgrade change the active stream.
-    switches: list[tuple[int, int]] = []
+    # A round draws a latency for every provider, probed or not.
     for step in range(config.steps + 1):
+        up = next(rows)
+        reservoir = Reservoir.sprint_fill(
+            [
+                ProbeResult(candidate, u < a, ms * 1000.0)
+                for candidate, u, a, ms in zip(candidates, up, availabilities, next(rows))
+            ],
+            capacity=config.slot_count,
+            now=float(step),
+        )
+        if reservoir is not None:
+            break
+    else:
+        return _summary([(config.steps, 0)])
+    # Only acquisition and an upgrade change the active stream.
+    switches = [(step, reservoir.active.quality)]
+    for step in range(step + 1, config.steps + 1):
         now = float(step)
         up = next(rows)
-        if reservoir is not None:
-            reservoir.run_health_cycle(healthy, now)
-            slots = reservoir.slots
-        if reservoir is None or len(slots) < config.slot_count:
-            # A round draws a latency for every provider, probed or not.
-            latency = next(rows)
-            if reservoir is None:
-                reservoir = Reservoir.sprint_fill(
-                    [
-                        ProbeResult(candidate, u < a, ms * 1000.0)
-                        for candidate, u, a, ms in zip(candidates, up, availabilities, latency)
-                    ],
-                    capacity=config.slot_count,
-                    now=now,
-                )
-                if reservoir is not None:
-                    switches.append((step, reservoir.active.quality))
-                continue
+        if reservoir.run_health_cycle(healthy, now):
             # Refill drops non-viable and held results before anything else,
             # so a round with none left would admit and log nothing, and the
             # health cycle has already moved the clock to now.
-            held = {slot.candidate.id for slot in slots}
+            latency = next(rows)
+            held = {slot.candidate.id for slot in reservoir.slots}
             fresh = [
                 _result((candidates[i], True, latency[i] * 1000.0, False, None))
                 for i in eligible
@@ -335,8 +334,6 @@ def run_monotonicity(
         if reservoir.evaluate_upgrade(now) is not None:
             switches.append((step, reservoir.active.quality))
 
-    if reservoir is None:
-        return _summary([(config.steps, 0)])
     if trace_sink is not None:
         trace_sink.extend(reservoir.trace_lines())
     return _summary(switches)

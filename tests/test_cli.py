@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import streamres
-from streamres import cli, registry
+from streamres import analytics, cli, registry
 from streamres.cli import _LEAST, CheckResult, build_parser, main, run_verify
 from streamres.simulator import MonotonicityConfig, run_depletion, run_monotonicity
 from streamres.viability import Rng
@@ -718,6 +718,17 @@ class TestCurves:
         plotted = [10.0, 15.0, 18.3, 20.8, 22.8, 24.5, 25.9, 27.2]
         for (k, y), expected in zip(points, plotted):
             assert float(y) == pytest.approx(expected, abs=0.05)
+
+    def test_uptime_prints_utility_estimate_per_slot_count(self, capsys):
+        # The harmonic sum is accumulated across lines; each line still
+        # prints what utility_estimate gives for its slot count.
+        code, out, _ = run_cli(
+            ["curves", "uptime", "--slots", "500", "--failure-rate", "0.37"], capsys
+        )
+        assert code == 0
+        assert out == "".join(
+            f"{k}\t{analytics.utility_estimate(k, 0.37):.6g}\n" for k in range(1, 501)
+        )
 
     def test_value_curve_passes_through_origin(self, capsys):
         _, out, _ = run_cli(["curves", "value", "--samples", "101"], capsys)

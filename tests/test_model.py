@@ -97,7 +97,7 @@ class Model:
         self.slots[1:] = [s for s, ok in zip(self.slots[1:], verdicts) if ok]
         self.sort_standbys()
         self.slots[0][1] = min(ACTIVE_VERIFIED_CAP, self.slots[0][1] + 1)
-        return verdicts.count(False)
+        return self.capacity - len(self.slots)
 
     def refill(self, results, now):
         self.enter(S.MAINTAIN, now)

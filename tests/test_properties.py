@@ -197,16 +197,23 @@ def probe_rounds(draw, min_size=0, max_size=None, viable=st.booleans()):
 
 @st.composite
 def relisted_rounds(draw):
-    # A round, and the round with one to four of its results listed again,
-    # each anywhere: a viable copy at no better a latency, a dead one at any.
+    # A round, and the round with one to four of its results listed again:
+    # a viable copy at no better a latency, a dead one at any.  Ties keep
+    # input order, so a viable copy at the original's latency goes after the
+    # original (ahead of it, it could take a tie the original loses to
+    # another id); a slower or dead copy goes anywhere.
     round_ = draw(probe_rounds(min_size=1))
     listed = list(round_)
     for original in draw(st.lists(st.sampled_from(round_), min_size=1, max_size=4)):
+        first = 0
         if original.viable:
-            latency = original.latency_ms + draw(st.sampled_from([0.0, 0.5, 3.0, inf]))
+            delay = draw(st.sampled_from([0.0, 0.5, 3.0, inf]))
+            latency = original.latency_ms + delay
+            if not delay:
+                first = listed.index(original) + 1
         else:
             latency = draw(st.sampled_from([0.0, 7.0, nan, inf, None, "5"]))
-        position = draw(st.integers(min_value=0, max_value=len(listed)))
+        position = draw(st.integers(min_value=first, max_value=len(listed)))
         listed.insert(position, original._replace(latency_ms=latency))
     return round_, listed
 
@@ -237,6 +244,19 @@ class TestRepeatedListing:
 
         assert refill(listed) == refill(round_)
         assert reacquire(listed) == reacquire(round_)
+
+    def test_a_tying_copy_ahead_of_the_original_takes_the_tie(self):
+        # Ties keep input order, whichever listing of an id comes first:
+        # b's copy ahead of a gives b the one slot a takes without it.
+        a, b = probe_result("a", 720, 0.0), probe_result("b", 720, 0.0)
+
+        def admitted(results):
+            reservoir = Reservoir(1)
+            assert reservoir.reacquire(results, now=1.0)
+            return [slot.candidate.id for slot in reservoir.slots]
+
+        assert admitted([a, b]) == ["a"]
+        assert admitted([b, a, b]) == ["b"]
 
 
 class TestMachineFuzz:

@@ -96,7 +96,8 @@ class TestSprintFill:
         round_ = [result("u", 1080, 40.0), result("u", 1080, 60.0), result("v", 720)]
         reservoir = Reservoir.sprint_fill(round_, capacity=3)
         assert [slot.candidate.id for slot in reservoir.slots] == ["u", "v"]
-        assert reservoir.run_health_cycle(lambda slot: True, now=1.0) == 0
+        # The third slot stays open: the cycle reports it.
+        assert reservoir.run_health_cycle(lambda slot: True, now=1.0) == 1
 
     def test_repeated_id_takes_no_capacity(self):
         round_ = [result("u", 1080, 40.0), result("u", 1080, 60.0), result("v", 720)]
@@ -177,6 +178,17 @@ class TestHealth:
         )
         assert failures == 1
         assert slot_ids(reservoir) == {"hi", "lo"}
+
+    def test_cycle_reports_slots_a_failover_or_short_refill_left_open(self):
+        # Every standby passes, yet slots are open: the cycle reports them
+        # whatever opened them, so a caller refills on its return alone.
+        reservoir = filled_reservoir(capacity=4)  # one slot open from the fill
+        assert reservoir.run_health_cycle(lambda slot: True, now=1.0) == 1
+        reservoir.on_active_failure(now=2.0)
+        assert reservoir.run_health_cycle(lambda slot: True, now=3.0) == 2
+        assert reservoir.refill([result("new", 360)], now=4.0) == 1
+        assert reservoir.run_health_cycle(lambda slot: True, now=5.0) == 1
+        assert drop(reservoir, "lo", now=6.0) == 2
 
     def test_cycle_credits_active_up_to_cap(self):
         reservoir = filled_reservoir()
@@ -445,7 +457,7 @@ class TestReacquire:
         round_ = [result("u", 1080, 40.0), result("u", 1080, 60.0), result("v", 720)]
         assert reservoir.reacquire(round_, now=2.0)
         assert [slot.candidate.id for slot in reservoir.slots] == ["u", "v"]
-        assert reservoir.run_health_cycle(lambda slot: True, now=3.0) == 0
+        assert reservoir.run_health_cycle(lambda slot: True, now=3.0) == 1
 
     def test_backward_clock_changes_nothing(self):
         reservoir = self.drained()
@@ -528,10 +540,10 @@ def quiet_upgrade_at_5():
 
 
 def quiet_health_cycle_at_9():
-    # No standby to check: nothing is logged.
+    # No standby to check: nothing is logged, and both vacancies stay open.
     reservoir = Reservoir.sprint_fill([result("only", 720)], capacity=3)
     assert reservoir is not None
-    assert reservoir.run_health_cycle(lambda slot: True, now=9.0) == 0
+    assert reservoir.run_health_cycle(lambda slot: True, now=9.0) == 2
     return reservoir
 
 
@@ -674,6 +686,61 @@ class TestHealthCycleGuarantee:
             )
         assert full_snapshot(reservoir) == before
         assert reservoir.run_health_cycle(lambda slot: True, now=0.5) == 0
+
+
+# Each call a checker might make back into the reservoir it checks.  Run
+# while the cycle runs, the failover would duplicate a slot, the refill drop
+# one, and failing over until depleted would crash the cycle.
+CHECKER_CALLS = {
+    "run_health_cycle": lambda r: r.run_health_cycle(lambda slot: True, now=1.0),
+    "refill": lambda r: r.refill([result("new", 2160)], now=1.0),
+    "evaluate_upgrade": lambda r: r.evaluate_upgrade(now=1.0),
+    "on_active_failure": lambda r: r.on_active_failure(now=1.0),
+    "reacquire": lambda r: r.reacquire([result("new", 2160)], now=1.0),
+}
+
+
+class TestCheckerCallsBack:
+    @pytest.mark.parametrize("call", CHECKER_CALLS.values(), ids=CHECKER_CALLS)
+    def test_call_from_a_checker_is_refused_and_changes_nothing(self, call):
+        reservoir = filled_reservoir()
+        before = full_snapshot(reservoir)
+
+        def checker(slot):
+            call(reservoir)
+            return True
+
+        with pytest.raises(RuntimeError, match="while a health check runs"):
+            reservoir.run_health_cycle(checker, now=1.0)
+        assert full_snapshot(reservoir) == before
+        # The clock did not move to 1.0: an earlier time is still accepted.
+        assert reservoir.run_health_cycle(lambda slot: True, now=0.5) == 0
+
+    @pytest.mark.parametrize("call", CHECKER_CALLS.values(), ids=CHECKER_CALLS)
+    def test_cycle_whose_checker_swallows_the_refusal_runs_as_usual(self, call):
+        reservoir, twin = filled_reservoir(), filled_reservoir()
+
+        def checker(slot):
+            with pytest.raises(RuntimeError, match="while a health check runs"):
+                call(reservoir)
+            return slot.candidate.id != "mid"
+
+        assert reservoir.run_health_cycle(checker, now=1.0) == 1
+        assert drop(twin, "mid") == 1
+        assert full_snapshot(reservoir) == full_snapshot(twin)
+
+    def test_failing_over_until_depleted_from_a_checker_is_refused(self):
+        reservoir = filled_reservoir()
+        before = full_snapshot(reservoir)
+
+        def checker(slot):
+            while reservoir.on_active_failure(now=1.0) is not None:
+                pass
+            return True
+
+        with pytest.raises(RuntimeError, match="while a health check runs"):
+            reservoir.run_health_cycle(checker, now=1.0)
+        assert full_snapshot(reservoir) == before
 
 
 class TestInputsThatRaiseMidCall:

@@ -590,6 +590,40 @@ class TestSlowConvergencePinned:
         )
 
 
+# Two providers that are rarely up, so trials acquire late (steps 0-29) and
+# the acquisition loop runs many steps before the first maintain step.
+# Summaries (violations, final quality, convergence step, switches) and one
+# digest over every trial's event log, pinned before the T3 trial split into
+# an acquisition loop and a maintenance loop.
+LATE_ACQUISITION = MonotonicityConfig(((720, 0.05), (1080, 0.1)), steps=200, tau=0.0)
+LATE_ACQUISITION_SUMMARIES = [
+    (0, 1080, 4, 0), (0, 1080, 0, 0), (0, 1080, 5, 0), (0, 1080, 5, 0),
+    (0, 1080, 183, 1), (0, 1080, 0, 0), (0, 1080, 121, 1), (0, 1080, 0, 0),
+    (0, 1080, 75, 1), (0, 1080, 8, 0), (0, 720, 7, 0), (0, 1080, 15, 0),
+    (0, 1080, 95, 1), (0, 1080, 4, 0), (0, 1080, 19, 1), (0, 1080, 19, 0),
+    (0, 1080, 29, 0), (0, 1080, 10, 0), (0, 1080, 11, 0), (0, 1080, 141, 1),
+]
+
+
+class TestLateAcquisitionPinned:
+    def test_every_trial_matches_pinned_draws(self):
+        digest = hashlib.sha256()
+        summaries, acquired = [], []
+        for trial in range(20):
+            trace: list[str] = []
+            s = run_monotonicity(LATE_ACQUISITION, Rng(42), trial, trace_sink=trace)
+            summaries.append(
+                (s.monotone_violations, s.final_quality, s.convergence_step, s.switch_count)
+            )
+            acquired.append(int(trace[0].split("\t")[0]))
+            digest.update(("\n".join(trace) + "\n").encode())
+        assert summaries == LATE_ACQUISITION_SUMMARIES
+        assert (min(acquired), max(acquired)) == (0, 29)
+        assert digest.hexdigest() == (
+            "eb9719667585ab08356148233acb44c3c41c6d059b5fd94aecda8ade2c13521d"
+        )
+
+
 class TestRegistrySweepWork:
     def test_sweep_runs_every_reservoir_call(self, monkeypatch):
         # The T3.1-T3.4 sweep is evidence only because every step of every

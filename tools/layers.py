@@ -133,8 +133,7 @@ def _maintain_step_us() -> float:
     started = time.perf_counter()
     for step in range(1, MAINTAIN_STEPS + 1):
         now = float(step)
-        reservoir.run_health_cycle(checker, now)
-        if len(reservoir.slots) < reservoir.capacity:
+        if reservoir.run_health_cycle(checker, now):
             reservoir.refill(results, now)
         reservoir.evaluate_upgrade(now)
     return (time.perf_counter() - started) / MAINTAIN_STEPS * 1e6
@@ -164,8 +163,7 @@ def _sim_tick_us() -> float:
     started = time.perf_counter()
     for step in range(1, MAINTAIN_STEPS + 1):
         now = float(step)
-        reservoir.run_health_cycle(checker, now)
-        if len(reservoir.slots) < reservoir.capacity:
+        if reservoir.run_health_cycle(checker, now):
             reservoir.refill(round_(), now)
         reservoir.evaluate_upgrade(now)
     return (time.perf_counter() - started) / MAINTAIN_STEPS * 1e6
