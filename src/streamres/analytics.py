@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Sequence
 
 __all__ = [
     "SpeedupScenario",
@@ -29,9 +29,6 @@ __all__ = [
 # Inclusion-exclusion enumerates all non-empty rate subsets; 2**20 terms is
 # the largest fleet that stays comfortably sub-second.
 MAX_EXACT_SLOTS = 20
-# Subset sums are built for the last _TAIL_RATES rates under one subset of
-# the others at a time, so at most 2**_TAIL_RATES are held at once.
-_TAIL_RATES = 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,9 +84,10 @@ def harmonic_number(k: int) -> float:
 def expected_max_exponential(failure_rates: Sequence[float]) -> float:
     """Expected maximum of independent exponentials by inclusion-exclusion.
 
-    E[max] = sum over non-empty subsets S of (-1)**(|S|+1) / sum(rates in S).
-    For equal rates this collapses to H_k / rate.  Capped at MAX_EXACT_SLOTS
-    slots because the subset count doubles per slot.
+    E[max] = sum over non-empty subsets S of (-1)**(|S|+1) / sum(rates in S),
+    with sum() over each itertools.combinations subset and fsum over the
+    terms.  For equal rates this collapses to H_k / rate.  Capped at
+    MAX_EXACT_SLOTS slots because the subset count doubles per slot.
     """
     k = len(failure_rates)
     if k == 0:
@@ -98,41 +96,15 @@ def expected_max_exponential(failure_rates: Sequence[float]) -> float:
         raise ValueError(f"exact evaluation is capped at {MAX_EXACT_SLOTS} slots")
     if any(not rate > 0.0 for rate in failure_rates):  # NaN fails too
         raise ValueError("failure rates must be positive")
-    # The alternating series cancels heavily at large k; fsum keeps the
-    # result exact to the last unit instead of drifting by ~1e-8 relative.
-    # Being exactly rounded, it does not depend on the order of the terms.
-    return math.fsum(chain.from_iterable(_inclusion_exclusion_terms(tuple(failure_rates))))
-
-
-def _inclusion_exclusion_terms(rates: tuple[float, ...]) -> Iterator[list[float]]:
-    """(-1)**(|S|+1) / sum(S) for every non-empty subset S of rates, in lists.
-
-    Each sum adds S's rates left to right in index order, as sum() over an
-    itertools.combinations subset does, so every term is that form's.
-    """
-    split = max(0, len(rates) - _TAIL_RATES)
-    tail = rates[split:]
-    head_even, head_odd = _subset_sums(0.0, rates[:split])
-    for heads, sign in ((head_even, 1.0), (head_odd, -1.0)):
-        for head in heads:
-            even, odd = _subset_sums(head, tail)
-            yield [sign / total for total in odd]
-            # Only the empty subset sums to 0.0: every rate is positive.
-            yield [-sign / total for total in even if total]
-
-
-def _subset_sums(start: float, rates: Sequence[float]) -> tuple[list[float], list[float]]:
-    """start plus the sum of each subset of rates, by subset size: even, odd.
-
-    Doubling in index order adds each subset's rates left to right.
-    """
-    even, odd = [start], []
-    for rate in rates:
-        even, odd = (
-            even + [total + rate for total in odd],
-            odd + [total + rate for total in even],
-        )
-    return even, odd
+    # sum() adds a subset's rates in index order; on Python 3.12+ it is
+    # compensated, so a term's last bit follows the interpreter.  The
+    # alternating series cancels heavily at large k; fsum keeps the result
+    # exact to the last unit instead of drifting by ~1e-8 relative.
+    return math.fsum(
+        (1.0 if size % 2 else -1.0) / sum(subset)
+        for size in range(1, k + 1)
+        for subset in combinations(failure_rates, size)
+    )
 
 
 def expected_time_concurrent(scenario: SpeedupScenario) -> float:

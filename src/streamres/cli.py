@@ -234,7 +234,7 @@ def _cmd_uptime(args: argparse.Namespace) -> int:
 
 def _read_url_file(path: str) -> list[StreamCandidate]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
     except OSError as exc:  # unreadable is a usage error
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:  # so is text that is not UTF-8
@@ -260,10 +260,14 @@ def _read_url_file(path: str) -> list[StreamCandidate]:
                     f"{path}:{number}: quality must be a positive integer, "
                     f"got {parts[1]!r}"
                 ) from None
+        try:
+            provider_id = urlparse(url).netloc or url
+        except ValueError:  # an unclosed '[' host: keep it, the probe says dead
+            provider_id = url
         candidates.append(
             StreamCandidate(
                 id=url,
-                provider_id=urlparse(url).netloc or url,
+                provider_id=provider_id,
                 quality=quality,
                 locator=url,
             )

@@ -134,8 +134,8 @@ class TestExpectedMaxExponential:
     @pytest.mark.parametrize("k", [1, 2, 3, 9, 10, 11, 12, 14])
     def test_equals_the_combinations_form_bit_for_bit(self, k):
         # The reference: every subset from itertools.combinations, summed by
-        # sum() and added up by fsum.  Past 10 rates the subset sums are
-        # built in chunks, so 11-14 cross that boundary.
+        # sum() and added up by fsum.  On Python 3.12+ sum() is compensated,
+        # so this pins the implementation to the interpreter's sum().
         gen = random.Random(k)
         for _ in range(3):
             rates = [gen.uniform(0.01, 3.0) for _ in range(k)]

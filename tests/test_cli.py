@@ -3,6 +3,7 @@
 import argparse
 import http.server
 import os
+import re
 import socketserver
 import subprocess
 import sys
@@ -831,6 +832,28 @@ class TestProbe:
         assert f"active {local_server}/a" in out
         assert f"standby {local_server}/a" not in out
         assert f"standby {local_server}/b" in out
+
+    def test_leading_bom_is_not_part_of_the_first_url(
+        self, capsys, tmp_path, local_server
+    ):
+        # The BOM once stayed on the first URL, which then probed dead.
+        urls = tmp_path / "urls.txt"
+        urls.write_bytes(f"\ufeff{local_server}/a 720\n".encode("utf-8"))
+        code, out, _ = run_cli(["probe", "--urls", str(urls)], capsys)
+        assert code == 0
+        assert out.endswith(f"active {local_server}/a\n")
+
+    def test_malformed_bracketed_host_is_probed_dead(
+        self, capsys, tmp_path, local_server
+    ):
+        # urlparse raises on an unclosed '[', which once aborted the probe.
+        urls = tmp_path / "urls.txt"
+        urls.write_text(f"http://[::1/a 720\n{local_server}/b 720\n")
+        code, out, _ = run_cli(["probe", "--urls", str(urls)], capsys)
+        assert code == 0
+        assert re.search(r"^dead .* http://\[::1/a$", out, re.MULTILINE)
+        assert re.search(rf"^ok .* {re.escape(local_server)}/b$", out, re.MULTILINE)
+        assert out.endswith(f"active {local_server}/b\n")
 
     def test_zero_max_in_flight_is_usage_error(self, capsys, tmp_path, local_server):
         urls = tmp_path / "urls.txt"

@@ -7,6 +7,7 @@ precision and pinned here; the functions must keep reproducing them.
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from streamres.prospect import (
     DEFAULT_PARAMS,
@@ -27,6 +28,13 @@ SCORE_720_1080_N1 = -0.00968829938868343
 SCORE_720_1080_N3 = 0.05542386567684718
 SCORE_720_1080_N5 = 0.07849025521978947
 SCORE_720_780_N1 = -0.09720453374784488
+
+# Theorem (4)'s dead zone: weight(p) <= weight(1) = 1, so no verification
+# count lets a gain of d* = quality_ceiling * switch_cost**(1/alpha) or less
+# score above zero.
+DEAD_ZONE = DEFAULT_PARAMS.quality_ceiling * DEFAULT_PARAMS.switch_cost ** (
+    1.0 / DEFAULT_PARAMS.alpha
+)
 
 
 class TestValue:
@@ -126,14 +134,25 @@ class TestSwitchScore:
         assert scores == sorted(scores)
 
     def test_dead_zone_width(self):
-        # Even at full confidence the flat cost swallows gains below
-        # ceiling * cost**(1/alpha) ~ 194 pixels.
-        threshold = DEFAULT_PARAMS.quality_ceiling * (
-            DEFAULT_PARAMS.switch_cost ** (1.0 / DEFAULT_PARAMS.alpha)
-        )
-        assert 190 < threshold < 200
+        # Even at full confidence the flat cost swallows gains below d*.
+        assert DEAD_ZONE == pytest.approx(194.119, abs=1e-3)
         assert switch_score(1000, 1000 + 190, 50) < 0.0
         assert switch_score(1000, 1000 + 200, 50) > 0.0
+
+    # Keep the 1e-9 margin: at g = d* exactly and q = 1e6 the score rounds
+    # to +1.5e-14.  The example is the zone's edge at full confidence.
+    @example(q=1e6, gain=DEAD_ZONE * (1.0 - 1e-9), n=10_000)
+    @given(
+        q=st.floats(1.0, 1e6),
+        gain=st.floats(0.0, DEAD_ZONE * (1.0 - 1e-9)),
+        n=st.integers(0, 10_000),
+    )
+    def test_no_gain_inside_the_dead_zone_switches(self, q, gain, n):
+        assert switch_score(q, q + gain, n) <= 0.0
+
+    def test_a_200px_gain_first_switches_at_six_verifications(self):
+        scores = [switch_score(720, 920, n) for n in range(8)]
+        assert [score > 0.0 for score in scores] == [False] * 6 + [True] * 2
 
     def test_downgrade_is_always_negative(self):
         for n in (1, 5, 50):

@@ -34,6 +34,9 @@ run times each layer once, after a warm-up run that is not recorded:
 Once per invocation, outside the timed runs, it also times the Tier-1
 suite (``suite.tier1_s``): SUITE_RUNS runs of pytest over ``tests/`` in a
 fresh interpreter at ``--hypothesis-seed=0``, in s of process wall time.
+If a run fails, the file is still written, without ``suite.tier1_s`` and
+with the tail of that run's output under ``tier1_failure`` (null when the
+suite passes), and the script exits 1.
 
 The file holds each layer's median, quartiles and samples, and the
 machine's core count, the Python and numpy versions, the git commit of
@@ -307,7 +310,11 @@ def main(argv: list[str] | None = None) -> int:
     one_run()  # warm-up: lazy imports and first-call costs
     runs = [one_run() for _ in range(args.runs)]
     layers = {name: summary([run[name] for run in runs]) for name in runs[0]}
-    layers["suite.tier1_s"] = summary(_tier1_s())
+    failure = None
+    try:
+        layers["suite.tier1_s"] = summary(_tier1_s())
+    except RuntimeError as exc:  # keep the timed layers, then fail
+        failure = str(exc)
     report = {
         "machine": {
             "cores": os.cpu_count(),
@@ -319,10 +326,14 @@ def main(argv: list[str] | None = None) -> int:
         },
         "runs": args.runs,
         "layers": layers,
+        "tier1_failure": failure,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for name, layer in report["layers"].items():
         print(f"{name} = {layer['median']:.6g} (q1 {layer['q1']:.6g}, q3 {layer['q3']:.6g})")
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 1
     return 0
 
 
