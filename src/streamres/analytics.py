@@ -75,10 +75,17 @@ def interruption_probability(failure_rates: Sequence[float], horizon: float) -> 
 
 
 def harmonic_number(k: int) -> float:
-    """H_k = 1 + 1/2 + ... + 1/k."""
+    """H_k = 1 + 1/2 + ... + 1/k, added left to right.
+
+    Plain float addition, as ``curves uptime`` accumulates it, so both give
+    the same bits on every interpreter (``sum()`` compensates on 3.12+).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return sum(1.0 / j for j in range(1, k + 1))
+    h = 0.0
+    for j in range(1, k + 1):
+        h += 1.0 / j
+    return h
 
 
 def expected_max_exponential(failure_rates: Sequence[float]) -> float:

@@ -35,15 +35,20 @@ that can raise (a health cycle's checker, a fill's ranking).  Operations
 name their state by the module constants ``_MAINTAIN`` and ``_DEPLETED``,
 which skip the Enum lookup on this per-call path.
 
-Every event is logged as a ``ReservoirEvent``, a named tuple, in an
-append-only list; ``transitions`` reads the state changes off it, one per
-``filled`` or ``depleted`` event.  Most maintain calls change nothing but
-the clock and the verification counts, and each takes a short path: a
-health cycle in which every standby passes credits and logs them in one
-loop and keeps the slot list (it rebuilds it only when some standby
-failed); a round with fewer than two candidates left is not sorted; an
-upgrade returns at once when no standby outranks the active stream in
-quality.
+The event log is append-only.  A write appends the event's four fields
+(kind, slot id, timestamp, score) to one flat list, so it allocates nothing
+the garbage collector tracks.  A read (``events``, ``transitions``,
+``trace_lines``) first builds the ``ReservoirEvent`` named tuples logged
+since the last read and keeps them, so each event is built once, and only
+if the log is read.  ``transitions`` reads the state changes off the log,
+one per ``filled`` or ``depleted`` event.
+
+Most maintain calls change nothing but the clock and the verification
+counts, and each takes a short path: a health cycle in which every standby
+passes credits and logs them in one loop and keeps the slot list (it
+rebuilds it only when some standby failed); a round with fewer than two
+candidates left is not sorted; an upgrade returns at once when no standby
+outranks the active stream in quality.
 """
 
 from __future__ import annotations
@@ -138,7 +143,10 @@ class Reservoir:
         self.params = params
         self.state = _DEPLETED
         self._slots: list[Slot] = []
+        # The log: the events built so far, then the raw fields of the ones
+        # logged since, four per event (see _built).
         self._events: list[ReservoirEvent] = []
+        self._raw: list[object] = []
         self._arrival_seq = 0
         self._clock = 0.0
 
@@ -186,13 +194,13 @@ class Reservoir:
 
     @property
     def events(self) -> tuple[ReservoirEvent, ...]:
-        return tuple(self._events)
+        return tuple(self._built())
 
     @property
     def transitions(self) -> tuple[tuple[ReservoirState, ReservoirState], ...]:
         """The state changes so far, read off the event log."""
         return tuple(
-            _EDGES[event.kind] for event in self._events if event.kind in _EDGES
+            _EDGES[event.kind] for event in self._built() if event.kind in _EDGES
         )
 
     # -- maintain loop -----------------------------------------------------
@@ -218,18 +226,18 @@ class Reservoir:
         finally:
             self._clock = clock
         self._clock = now  # the checker returned: commit the call
-        log = self._events.append
+        log = self._raw.extend
         if False not in verdicts:
             for slot in standbys:
                 slot.verified_count += 1
-                log(_event(("health_pass", slot.candidate.id, now, None)))
+                log(("health_pass", slot.candidate.id, now, None))
         else:
             for slot, viable in zip(standbys, verdicts):
                 if viable:
                     slot.verified_count += 1
-                    log(_event(("health_pass", slot.candidate.id, now, None)))
+                    log(("health_pass", slot.candidate.id, now, None))
                 else:
-                    log(_event(("health_fail", slot.candidate.id, now, None)))
+                    log(("health_fail", slot.candidate.id, now, None))
             slots[1:] = [slot for slot, viable in zip(standbys, verdicts) if viable]
         # min() by one comparison; a promoted standby above the cap drops to it.
         active = slots[0]
@@ -276,7 +284,7 @@ class Reservoir:
                 # result left in fresh carries it.
                 self._slots.pop()
             self._admit(result, lo=1)
-            self._events.append(_event(("refill", result.candidate.id, now, score)))
+            self._raw.extend(("refill", result.candidate.id, now, score))
             admitted += 1
         return admitted
 
@@ -314,7 +322,7 @@ class Reservoir:
         demoted = slots[0]
         slots[0] = promoted
         bisect.insort(slots, demoted, lo=1, key=_slot_order)
-        self._events.append(_event(("upgrade", promoted.candidate.id, now, best_score)))
+        self._raw.extend(("upgrade", promoted.candidate.id, now, best_score))
         return best_index, best_score
 
     # -- failover ----------------------------------------------------------
@@ -331,13 +339,12 @@ class Reservoir:
             self._refuse(_MAINTAIN)
         self._clock = now
         failed = self._slots.pop(0)
-        self._events.append(_event(("failover", failed.candidate.id, now, None)))
+        self._raw.extend(("failover", failed.candidate.id, now, None))
         if self._slots:
             # Standbys are sorted, so the best one is already in front.
             return self._slots[0]
         self.state = _DEPLETED
-        self._events.append(_event(("depleted", None, now, None)))
-        self._events.append(_event(("reacquire", None, now, None)))
+        self._raw.extend(("depleted", None, now, None, "reacquire", None, now, None))
         return None
 
     def reacquire(self, probe_results: Sequence[ProbeResult], now: float) -> bool:
@@ -354,26 +361,38 @@ class Reservoir:
         picked = self._ranked(probe_results, fastest_first)[: self.capacity]
         self._clock = now  # the round is checked and ranked: commit the call
         if not picked:
-            self._events.append(_event(("reacquire", None, now, None)))
+            self._raw.extend(("reacquire", None, now, None))
             return False
         # Highest quality leads; admission (latency) order breaks ties via
         # arrival, keeping equal-quality picks deterministic.
         for result in picked:
             self._admit(result, lo=0)
         self.state = _MAINTAIN
-        self._events.append(_event(("filled", self._slots[0].candidate.id, now, None)))
+        self._raw.extend(("filled", self._slots[0].candidate.id, now, None))
         return True
 
     # -- trace -------------------------------------------------------------
 
     def trace_lines(self) -> Iterator[str]:
         """One event per line: timestamp, kind, slot id, score (tab-separated)."""
-        for kind, slot_id, timestamp, score in self._events:
+        for kind, slot_id, timestamp, score in self._built():
             shown_id = "-" if slot_id is None else slot_id
             shown_score = "-" if score is None else f"{score:.6f}"
             yield f"{timestamp:g}\t{kind}\t{shown_id}\t{shown_score}"
 
     # -- internals ---------------------------------------------------------
+
+    def _built(self) -> list[ReservoirEvent]:
+        # The whole log as events: builds the ones logged since the last read
+        # and appends them to the built list.  They are built in full before
+        # either list changes, so a build that raises leaves the log as it was.
+        raw = self._raw
+        if raw:
+            it = iter(raw)
+            new = list(map(_event, zip(it, it, it, it)))
+            self._events += new
+            raw.clear()
+        return self._events
 
     def _refuse(self, state: ReservoirState) -> NoReturn:
         # Called by a public operation whose guard failed, before any change,

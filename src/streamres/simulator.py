@@ -293,10 +293,18 @@ def run_monotonicity(
         )
     )
 
+    # The providers of the standbys that passed the current health cycle,
+    # which drops exactly those that fail: with the active stream's, the
+    # providers holding a slot after the cycle.
+    kept: list[int] = []
+
     def healthy(slot: Slot) -> bool:
         # Reads the current step's up row.
         i = index_of[slot.candidate.id]
-        return up[i] < availabilities[i]
+        if up[i] < availabilities[i]:
+            kept.append(i)
+            return True
+        return False
 
     # A round draws a latency for every provider, probed or not.
     for step in range(config.steps + 1):
@@ -318,16 +326,17 @@ def run_monotonicity(
     for step in range(step + 1, config.steps + 1):
         now = float(step)
         up = next(rows)
+        kept.clear()
         if reservoir.run_health_cycle(healthy, now):
             # Refill drops non-viable and held results before anything else,
             # so a round with none left would admit and log nothing, and the
             # health cycle has already moved the clock to now.
             latency = next(rows)
-            held = {slot.candidate.id for slot in reservoir.slots}
+            kept.append(index_of[reservoir.active.candidate.id])
             fresh = [
                 _result((candidates[i], True, latency[i] * 1000.0, False, None))
                 for i in eligible
-                if up[i] < availabilities[i] and candidates[i].id not in held
+                if up[i] < availabilities[i] and i not in kept
             ]
             if fresh:
                 reservoir.refill(fresh, now)

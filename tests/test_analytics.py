@@ -111,6 +111,14 @@ class TestHarmonic:
             sum(1.0 / j for j in range(1, 9)), abs=1e-15
         )
 
+    def test_equals_the_running_sum_bit_for_bit(self):
+        # `curves uptime` accumulates H_k line by line; sum() would differ
+        # from it in the last bit on Python 3.12+, which compensates.
+        running = 0.0
+        for k in range(1, 501):
+            running += 1.0 / k
+            assert harmonic_number(k) == running
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             harmonic_number(0)

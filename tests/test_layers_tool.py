@@ -41,3 +41,13 @@ def test_failing_suite_still_writes_the_layers(layers, monkeypatch, tmp_path, ca
     }
     assert report["tier1_failure"].endswith("FAILED tests/test_x.py::test_y")
     assert "FAILED tests/test_x.py::test_y" in capsys.readouterr().err
+
+
+def test_one_run_times_the_event_log_read(layers, monkeypatch):
+    # The registry, verify-count and import layers take seconds; stub them.
+    monkeypatch.setattr(layers, "_sections", lambda: {})
+    monkeypatch.setattr(layers, "_calls_per_verify", lambda: {})
+    monkeypatch.setattr(layers, "_import_ms", lambda: 0.0)
+    run = layers.one_run()
+    assert run["reservoir.events_read_us"] > 0.0
+    assert run["reservoir.sim_tick_us"] > 0.0

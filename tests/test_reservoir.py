@@ -1,6 +1,7 @@
 """Reservoir lifecycle: sprint, maintain, failover, upgrade, reacquire."""
 
 import dataclasses
+import gc
 import hashlib
 import math
 import sys
@@ -979,6 +980,120 @@ class TestEvents:
                 assert score == "-"
             else:
                 assert float(score) == pytest.approx(event.score, abs=1e-6)
+
+
+def logged_session(read):
+    """A reservoir through every kind of event, calling read() after each call."""
+    reservoir = filled_reservoir()
+    read(reservoir)
+    steps = [
+        lambda now: drop(reservoir, "lo", now=now),
+        lambda now: reservoir.refill([result("uhd", 2160, latency=5.0)], now),
+        lambda now: reservoir.run_health_cycle(lambda slot: True, now),
+        lambda now: reservoir.evaluate_upgrade(now),
+        lambda now: reservoir.on_active_failure(now),
+        lambda now: reservoir.on_active_failure(now),
+        lambda now: reservoir.on_active_failure(now),
+        lambda now: reservoir.reacquire([result("x", 480, viable=False)], now),
+        lambda now: reservoir.reacquire([result("y", 720)], now),
+    ]
+    for now, step in enumerate(steps, start=1):
+        step(float(now))
+        read(reservoir)
+    return reservoir
+
+
+def log_reads(reservoir):
+    return reservoir.events, reservoir.transitions, list(reservoir.trace_lines())
+
+
+class TestLazyLog:
+    """Writes log raw fields; a read builds the events logged since the last."""
+
+    def test_reads_interleaved_with_writes_match_one_read_at_the_end(self):
+        read_often = logged_session(log_reads)
+        read_once = logged_session(lambda reservoir: None)
+        assert log_reads(read_often) == log_reads(read_once)
+        assert log_reads(read_once) == log_reads(read_once)
+        assert {event.kind for event in read_once.events} == set(EVENT_KINDS)
+        assert read_once.transitions == (FILL, DEPLETE, FILL)
+
+    def test_checker_reading_the_log_sees_it_as_before_the_cycle(self):
+        reservoir = filled_reservoir()
+        reservoir.events  # builds the filled event
+        reservoir.run_health_cycle(lambda slot: True, now=1.0)  # left pending
+        before = (
+            ("filled", "hi", 0.0, None),
+            ("health_pass", "mid", 1.0, None),
+            ("health_pass", "lo", 1.0, None),
+        )
+        seen = []
+
+        def checker(slot):
+            seen.append(reservoir.events)
+            return slot.candidate.id != "lo"
+
+        reservoir.run_health_cycle(checker, now=2.0)
+        assert seen == [before, before]
+        assert reservoir.events == before + (
+            ("health_pass", "mid", 2.0, None),
+            ("health_fail", "lo", 2.0, None),
+        )
+
+    @pytest.mark.parametrize(
+        "failing_read",
+        [
+            pytest.param(lambda reservoir: reservoir.events, id="events"),
+            pytest.param(lambda reservoir: reservoir.transitions, id="transitions"),
+            pytest.param(lambda reservoir: list(reservoir.trace_lines()), id="trace"),
+        ],
+    )
+    def test_read_that_raises_changes_nothing(self, monkeypatch, failing_read):
+        def built_then_pending():
+            reservoir = logged_session(lambda reservoir: None)
+            reservoir.events  # builds the session's events
+            reservoir.on_active_failure(10.0)  # three events left pending
+            return reservoir
+
+        expected = log_reads(built_then_pending())
+        reservoir = built_then_pending()
+        build = reservoir_module._event
+        calls = 0
+
+        def fails_once(fields):
+            # Raises on the second of the three pending events.
+            nonlocal calls
+            calls += 1
+            if calls == 2:
+                raise MemoryError
+            return build(fields)
+
+        monkeypatch.setattr(reservoir_module, "_event", fails_once)
+        with pytest.raises(MemoryError):
+            failing_read(reservoir)
+        assert log_reads(reservoir) == expected
+
+    def test_unread_log_keeps_no_tracked_objects(self):
+        reservoir = filled_reservoir()
+
+        def passing(slot):
+            return True
+
+        counts = []
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            now = 0.0
+            for cycles in (10, 990):
+                for _ in range(cycles):
+                    now += 1.0
+                    reservoir.run_health_cycle(passing, now)
+                counts.append(len(gc.get_objects()))
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert counts[0] == counts[1]
+        assert len(reservoir.events) == 1 + 2 * 1000
 
 
 class TestTrace:

@@ -19,6 +19,10 @@ run times each layer once, after a warm-up run that is not recorded:
   upgrade evaluation) on a 3-slot reservoir, in us, the mean over
   MAINTAIN_STEPS ticks: the benchmark's ``session`` step without its
   provider outages;
+- reading that reservoir's ``events`` after each block of READ_BLOCK such
+  ticks, as the ``session`` workload reads its log (the whole log, sliced
+  after the events already seen), in us per new event, the reads alone
+  timed;
 - ``switch_score``, in us per call, the mean over SCORE_CALLS calls;
 - ``Rng.substream``, in us per stream, the mean over SUBSTREAMS streams,
   and the number of streams one ``run_verify`` at the defaults builds;
@@ -85,6 +89,7 @@ PROBE_ROUNDS = 20
 SIM_IDS = 9
 SIM_ROUNDS = 2222
 TICK_FAILURE_PROB = 0.02  # the session workload's
+READ_BLOCK = 200  # the session workload's ticks between two reads of the log
 SUITE_RUNS = 3
 # The Tier-1 command, at one fixed hypothesis seed so every run draws the
 # same examples.
@@ -142,8 +147,11 @@ def _maintain_step_us() -> float:
     return (time.perf_counter() - started) / MAINTAIN_STEPS * 1e6
 
 
-def _sim_tick_us() -> float:
-    # Three providers x a 480/720/1080 ladder, and one line listed twice.
+def _sim_session():
+    """A 3-slot reservoir on SimTransport, with its health checker and round.
+
+    Three providers x a 480/720/1080 ladder, and one line listed twice.
+    """
     lines = [
         StreamCandidate(f"t{p}/{quality}", f"p{p}", quality, f"sim://p{p}/{quality}")
         for p in range(3)
@@ -158,7 +166,11 @@ def _sim_tick_us() -> float:
     def checker(slot) -> bool:
         return transport.probe(slot.candidate, 1e9).viable
 
-    reservoir = Reservoir.sprint_fill(round_(), capacity=3)
+    return Reservoir.sprint_fill(round_(), capacity=3), checker, round_
+
+
+def _sim_tick_us() -> float:
+    reservoir, checker, round_ = _sim_session()
     # A full collection of the heap the earlier layers left costs about a
     # third of this layer's time: start from a clean one, so none lands
     # inside only some of the samples.
@@ -170,6 +182,24 @@ def _sim_tick_us() -> float:
             reservoir.refill(round_(), now)
         reservoir.evaluate_upgrade(now)
     return (time.perf_counter() - started) / MAINTAIN_STEPS * 1e6
+
+
+def _events_read_us() -> float:
+    reservoir, checker, round_ = _sim_session()
+    gc.collect()  # as for the sim tick
+    seen = 0
+    reading = 0.0
+    for step in range(1, MAINTAIN_STEPS + 1):
+        now = float(step)
+        if reservoir.run_health_cycle(checker, now):
+            reservoir.refill(round_(), now)
+        reservoir.evaluate_upgrade(now)
+        if step % READ_BLOCK == 0:
+            started = time.perf_counter()
+            new = reservoir.events[seen:]
+            reading += time.perf_counter() - started
+            seen += len(new)
+    return reading / seen * 1e6
 
 
 def _switch_score_us() -> float:
@@ -269,6 +299,7 @@ def one_run() -> dict[str, float]:
         "simulator.sweep_block_us": _sweep_block_us(),
         "reservoir.maintain_step_us": _maintain_step_us(),
         "reservoir.sim_tick_us": _sim_tick_us(),
+        "reservoir.events_read_us": _events_read_us(),
         "prospect.switch_score_us": _switch_score_us(),
         "viability.substream_us": _substream_us(),
         **_calls_per_verify(),
