@@ -71,6 +71,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verify(seed=args.seed, trials=args.trials)
     if args.format == "records":
         sys.stdout.write(report.records())
+    elif args.format == "json":
+        sys.stdout.write(report.json())
     else:
         sys.stdout.write(report.text())
     return 0 if report.all_passed else 1
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trials(p_verify)
     p_verify.add_argument(
         "--format",
-        choices=("text", "records"),
+        choices=("text", "records", "json"),
         default="text",
         help="report format (default text)",
     )

@@ -5,12 +5,16 @@ deterministic switching calculus.  CHECKS is the table: one row per check,
 with its expected value, tolerance, provenance and comparison.  Four section
 functions run the experiments once per run and return what they measured,
 by check id, and one function judges every row against its measurement.
+run_verify starts the T3 sweep, nearly all of a run's time, before the other
+sections: where it forks, the child runs half the sweep's trials while this
+process runs depletion, speedup and prospect and then its own half.
 Output ordering and the records format are stable byte-for-byte for a given
 seed and trial count, so reports diff cleanly.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import pickle
@@ -18,7 +22,8 @@ import signal
 import threading
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, NoReturn
 
 from . import analytics
 from .analytics import SpeedupScenario
@@ -152,10 +157,21 @@ class CheckResult:
 
 @dataclass(frozen=True, slots=True)
 class VerifyReport:
+    """The judged checks of one run, and where its time went.
+
+    elapsed_s is the run's wall time and sections each section's own, by
+    name.  The sections overlap: monotonicity's time runs from the start of
+    the T3 sweep (its fork, where it forks) until the sweep's summaries are
+    read, and the other three run inside it, so the four sum to more than
+    elapsed_s.  forked says whether a child process ran half the sweep.
+    """
+
     checks: tuple[CheckResult, ...]
     seed: int
     trials: int
     elapsed_s: float
+    sections: dict[str, float]
+    forked: bool
 
     @property
     def hard_failures(self) -> int:
@@ -199,6 +215,30 @@ class VerifyReport:
             f"(seed {self.seed}, {self.trials} trials, {self.elapsed_s:.1f}s)"
         )
         return "\n".join([header, *rows, footer]) + "\n"
+
+    def json(self) -> str:
+        """The report as one JSON object: run, section times and every check."""
+        report = {
+            "seed": self.seed,
+            "trials": self.trials,
+            "elapsed_s": self.elapsed_s,
+            "forked": self.forked,
+            "sections": {
+                name: {"elapsed_s": seconds} for name, seconds in self.sections.items()
+            },
+            # Each row's fields, its widened tolerance, and the outcome.
+            "checks": [
+                {
+                    **asdict(c.check),
+                    "tolerance": c.tolerance,
+                    "actual": c.actual,
+                    "passed": c.passed,
+                    "warning": c.warning,
+                }
+                for c in self.checks
+            ],
+        }
+        return json.dumps(report, indent=2) + "\n"
 
 
 # -- sections: each runs its experiments once and returns actuals by id -------
@@ -249,14 +289,17 @@ def _speedup(rng: Rng, trials: int) -> dict[str, float]:
     }
 
 
-def _monotonicity(rng: Rng) -> dict[str, float]:
+def _monotonicity_jobs(rng: Rng) -> list[tuple[MonotonicityConfig, Rng, int]]:
+    """The T3 sweep's jobs: 100 trials at tau 0.3, then 100 at tau 0.7."""
     low = MonotonicityConfig(REFERENCE_PROVIDERS, steps=100, tau=0.3, slot_count=3)
     high = MonotonicityConfig(REFERENCE_PROVIDERS, steps=100, tau=0.7, slot_count=3)
     low_rng, high_rng = rng.split(31), rng.split(34)
-    runs = _sweep(
-        [(low, low_rng, trial) for trial in range(SWEEP_SEEDS)]
-        + [(high, high_rng, trial) for trial in range(SWEEP_SEEDS)]
-    )
+    return [(low, low_rng, trial) for trial in range(SWEEP_SEEDS)] + [
+        (high, high_rng, trial) for trial in range(SWEEP_SEEDS)
+    ]
+
+
+def _monotonicity_actuals(runs: list[TrialSummary]) -> dict[str, float]:
     low_runs, high_runs = runs[:SWEEP_SEEDS], runs[SWEEP_SEEDS:]
     return {
         "T3.1": float(sum(r.monotone_violations for r in low_runs)),
@@ -264,6 +307,11 @@ def _monotonicity(rng: Rng) -> dict[str, float]:
         "T3.3": sum(r.convergence_step for r in low_runs) / len(low_runs),
         "T3.4": sum(r.convergence_step for r in high_runs) / len(high_runs),
     }
+
+
+def _monotonicity(rng: Rng) -> dict[str, float]:
+    with _Sweep(_monotonicity_jobs(rng)) as sweep:
+        return _monotonicity_actuals(sweep.runs())
 
 
 def _fork_pays() -> bool:
@@ -280,68 +328,106 @@ def _fork_pays() -> bool:
     )
 
 
-def _sweep(jobs: list[tuple[MonotonicityConfig, Rng, int]]) -> list[TrialSummary]:
-    """run_monotonicity(*job) for every job, in job order.
+class _Sweep:
+    """run_monotonicity(*job) for every job, started here and read by runs().
 
-    Where _fork_pays, a forked child runs the jobs at odd positions while
-    this process runs the rest, and sends its summaries back pickled through
-    a pipe.  Every trial draws from its own substream, so where it runs
-    cannot change a summary.  A trial that raises in the child raises
-    RuntimeError here with the child's traceback.
+    Where _fork_pays, a new sweep forks a child that starts on the jobs at
+    odd positions at once, so the caller can do other work meanwhile
+    (run_verify's other sections).  runs() runs the rest here, reads the
+    child's summaries through a pipe, each as its four ints, reaps it and
+    returns every summary in job order; otherwise, or when the fork fails,
+    it runs every job here.  The split is fixed, so each process runs the
+    same trials every time, and each trial draws from its own substream, so
+    where it runs cannot change a summary.  A trial that raises in the child
+    raises RuntimeError from runs() with the child's traceback.  Leaving the
+    with block kills and reaps a child whose summaries were not read.
     """
-    if not _fork_pays():
-        return [run_monotonicity(*job) for job in jobs]
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # CPython 3.12+ warns on fork whenever the process has another OS
-            # thread, and numpy's BLAS pool is one.  That pool runs no Python
-            # and the child calls no BLAS; Python threads were ruled out above.
-            warnings.filterwarnings(
-                "ignore", r"This process .* is multi-threaded", DeprecationWarning
-            )
-            pid = os.fork()
-    except OSError:  # no process to spare: run every job here
-        os.close(read_fd)
-        os.close(write_fd)
-        return [run_monotonicity(*job) for job in jobs]
-    if pid == 0:
-        # The child ends in os._exit on every path, so it never flushes the
-        # stdio buffers it inherited or runs the caller's exit handlers.  It
-        # exits 0 once its whole message is written.
-        exit_code = 1
-        try:
-            os.close(read_fd)
-            try:
-                message = (True, [run_monotonicity(*job) for job in jobs[1::2]])
-            except BaseException:
-                import traceback
 
-                message = (False, traceback.format_exc())
-            data = memoryview(pickle.dumps(message))
-            while data:
-                data = data[os.write(write_fd, data):]
-            exit_code = 0
-        finally:
-            os._exit(exit_code)
-    try:
-        with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
-            writer.close()  # the child's end: the read below ends when it exits
-            own = [run_monotonicity(*job) for job in jobs[::2]]
+    def __init__(self, jobs: list[tuple[MonotonicityConfig, Rng, int]]) -> None:
+        self.jobs = jobs
+        self.forked = False
+        self._pid = 0
+        self._reader = None
+        if not _fork_pays():
+            return
+        read_fd, write_fd = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # CPython 3.12+ warns on fork whenever the process has another
+                # OS thread, and numpy's BLAS pool is one.  That pool runs no
+                # Python and the child calls no BLAS; Python threads were
+                # ruled out above.
+                warnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                )
+                pid = os.fork()
+        except OSError:  # no process to spare: runs() runs every job here
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if pid == 0:
+            _child(jobs[1::2], read_fd, write_fd)
+        self.forked = True
+        self._pid = pid
+        os.close(write_fd)  # the child's end: the read in runs() ends when it exits
+        self._reader = open(read_fd, "rb")
+
+    def __enter__(self) -> "_Sweep":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._pid:  # a child whose summaries were not read
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = 0
+        if self._reader is not None:
+            self._reader.close()
+
+    def runs(self) -> list[TrialSummary]:
+        if not self.forked:
+            return [run_monotonicity(*job) for job in self.jobs]
+        own = [run_monotonicity(*job) for job in self.jobs[::2]]
+        with self._reader as reader:
             payload = reader.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = 0
+        if status != 0:
+            raise RuntimeError(f"the sweep's child process failed (wait status {status})")
+        ok, message = pickle.loads(payload)
+        if not ok:
+            raise RuntimeError(f"a sweep trial failed in the child process:\n{message}")
+        theirs = [TrialSummary(*fields) for fields in message]
+        runs = own + theirs  # a list of the right length, interleaved below
+        runs[::2], runs[1::2] = own, theirs
+        return runs
+
+
+def _child(
+    jobs: list[tuple[MonotonicityConfig, Rng, int]], read_fd: int, write_fd: int
+) -> NoReturn:
+    # The sweep's forked child.  It ends in os._exit on every path, so it
+    # never flushes the stdio buffers it inherited or runs the caller's exit
+    # handlers, and it exits 0 once its whole message is written.
+    exit_code = 1
+    try:
+        os.close(read_fd)
+        try:
+            runs = [run_monotonicity(*job) for job in jobs]
+            fields = [
+                (r.monotone_violations, r.final_quality, r.convergence_step, r.switch_count)
+                for r in runs
+            ]
+            message = (True, fields)
+        except BaseException:
+            import traceback
+
+            message = (False, traceback.format_exc())
+        data = memoryview(pickle.dumps(message))
+        while data:
+            data = data[os.write(write_fd, data):]
+        exit_code = 0
     finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        raise RuntimeError(f"the sweep's child process failed (wait status {status})")
-    ok, theirs = pickle.loads(payload)
-    if not ok:
-        raise RuntimeError(f"a sweep trial failed in the child process:\n{theirs}")
-    runs = own + theirs  # a list of the right length, interleaved below
-    runs[::2], runs[1::2] = own, theirs
-    return runs
+        os._exit(exit_code)
 
 
 def _prospect() -> dict[str, float]:
@@ -382,17 +468,26 @@ def _judge(check: Check, actual: float, widen: float) -> CheckResult:
     )
 
 
+def _timed(
+    section: Callable[..., dict[str, float]], *args: object
+) -> tuple[dict[str, float], float]:
+    started = time.perf_counter()
+    return section(*args), time.perf_counter() - started
+
+
 def run_verify(
     seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS, workers: int = 1
 ) -> VerifyReport:
     """Run every check in CHECKS and return the report.
 
-    Where this process may use two or more CPUs and runs no other Python
-    thread, the T3 sweep runs half its trials in a forked child; the
-    records are identical either way, because every trial draws from its
-    own substream.  workers must be >= 1 and has no effect.  It stays in the
-    signature only because existing callers, the committed benchmark among
-    them, pass it.
+    The T3 sweep starts first.  Where this process may use two or more CPUs
+    and runs no other Python thread, it forks a child that runs half the
+    sweep's trials while this process runs the depletion, speedup and
+    prospect sections and then its own half; the records are identical
+    either way, because every trial draws from its own substream.  A section
+    that raises kills and reaps the child before the error propagates.
+    workers must be >= 1 and has no effect.  It stays in the signature only
+    because existing callers, the committed benchmark among them, pass it.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
@@ -400,10 +495,18 @@ def run_verify(
         raise ValueError("workers must be >= 1")
     started = time.perf_counter()
     rng = Rng(seed)
+    jobs = _monotonicity_jobs(rng)
+    sweep_started = time.perf_counter()
+    with _Sweep(jobs) as sweep:
+        depletion, depletion_s = _timed(_depletion, rng, trials)
+        speedup, speedup_s = _timed(_speedup, rng, trials)
+        prospect, prospect_s = _timed(_prospect)
+        monotonicity = _monotonicity_actuals(sweep.runs())
+    monotonicity_s = time.perf_counter() - sweep_started
     # Only these two sections run at --trials, so only their Monte Carlo rows
     # widen below the baseline; the sweeps and closed forms never do.
-    at_trials = {**_depletion(rng, trials), **_speedup(rng, trials)}
-    actuals = {**at_trials, **_monotonicity(rng), **_prospect()}
+    at_trials = {**depletion, **speedup}
+    actuals = {**at_trials, **monotonicity, **prospect}
     widen = math.sqrt(BASELINE_TRIALS / trials) if trials < BASELINE_TRIALS else 1.0
     checks = tuple(
         _judge(check, actuals[check.id], widen if check.id in at_trials else 1.0)
@@ -414,4 +517,11 @@ def run_verify(
         seed=seed,
         trials=trials,
         elapsed_s=time.perf_counter() - started,
+        sections={
+            "depletion": depletion_s,
+            "speedup": speedup_s,
+            "monotonicity": monotonicity_s,
+            "prospect": prospect_s,
+        },
+        forked=sweep.forked,
     )

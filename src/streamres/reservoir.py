@@ -40,8 +40,9 @@ The event log is append-only.  A write appends the event's four fields
 the garbage collector tracks.  A read (``events``, ``transitions``,
 ``trace_lines``) first builds the ``ReservoirEvent`` named tuples logged
 since the last read and keeps them, so each event is built once, and only
-if the log is read.  ``transitions`` reads the state changes off the log,
-one per ``filled`` or ``depleted`` event.
+if the log is read.  The same build appends the state changes of those
+events, one per ``filled`` or ``depleted`` event, to a kept list, which
+``transitions`` returns without rescanning the log.
 
 Most maintain calls change nothing but the clock and the verification
 counts, and each takes a short path: a health cycle in which every standby
@@ -147,6 +148,8 @@ class Reservoir:
         # logged since, four per event (see _built).
         self._events: list[ReservoirEvent] = []
         self._raw: list[object] = []
+        # The state changes of the built events, kept as they are built.
+        self._edges: list[tuple[ReservoirState, ReservoirState]] = []
         self._arrival_seq = 0
         self._clock = 0.0
 
@@ -198,10 +201,9 @@ class Reservoir:
 
     @property
     def transitions(self) -> tuple[tuple[ReservoirState, ReservoirState], ...]:
-        """The state changes so far, read off the event log."""
-        return tuple(
-            _EDGES[event.kind] for event in self._built() if event.kind in _EDGES
-        )
+        """The state changes so far, one per filled or depleted event."""
+        self._built()
+        return tuple(self._edges)
 
     # -- maintain loop -----------------------------------------------------
 
@@ -384,13 +386,16 @@ class Reservoir:
 
     def _built(self) -> list[ReservoirEvent]:
         # The whole log as events: builds the ones logged since the last read
-        # and appends them to the built list.  They are built in full before
-        # either list changes, so a build that raises leaves the log as it was.
+        # and appends them to the built list, and their state changes to the
+        # edge list.  Both are built in full before any list changes, so a
+        # build that raises leaves the log as it was.
         raw = self._raw
         if raw:
             it = iter(raw)
             new = list(map(_event, zip(it, it, it, it)))
+            edges = [_EDGES[kind] for kind in raw[::4] if kind in _EDGES]
             self._events += new
+            self._edges += edges
             raw.clear()
         return self._events
 

@@ -16,7 +16,10 @@ compares or scales only the values it uses.  Its refill round passes only
 the eligible providers that are up and whose id holds no slot, since
 refill drops every non-viable or held result, and a vacant step with no
 such provider skips the round; its latency row is read either way, so the
-draws stay the same.
+draws stay the same.  After acquisition a trial is one maintenance loop: it
+binds the reservoir's health cycle, refill and upgrade calls once, keeps the
+active stream's provider index in a local that it reads again only after an
+upgrade, and builds a round's list only when some provider qualifies.
 A config stores only its fields: each trial builds its candidates from them
 and takes its vacancies from its health cycles, so no state is kept.
 """
@@ -321,27 +324,33 @@ def run_monotonicity(
             break
     else:
         return _summary([(config.steps, 0)])
-    # Only acquisition and an upgrade change the active stream.
-    switches = [(step, reservoir.active.quality)]
+    health_cycle = reservoir.run_health_cycle
+    refill = reservoir.refill
+    evaluate_upgrade = reservoir.evaluate_upgrade
+    # Only acquisition and an upgrade change the active stream's provider.
+    active = index_of[reservoir.active.candidate.id]
+    switches = [(step, candidates[active].quality)]
     for step in range(step + 1, config.steps + 1):
         now = float(step)
         up = next(rows)
         kept.clear()
-        if reservoir.run_health_cycle(healthy, now):
+        if health_cycle(healthy, now):
             # Refill drops non-viable and held results before anything else,
             # so a round with none left would admit and log nothing, and the
             # health cycle has already moved the clock to now.
             latency = next(rows)
-            kept.append(index_of[reservoir.active.candidate.id])
-            fresh = [
-                _result((candidates[i], True, latency[i] * 1000.0, False, None))
-                for i in eligible
-                if up[i] < availabilities[i] and i not in kept
-            ]
-            if fresh:
-                reservoir.refill(fresh, now)
-        if reservoir.evaluate_upgrade(now) is not None:
-            switches.append((step, reservoir.active.quality))
+            kept.append(active)
+            fresh = None
+            for i in eligible:
+                if up[i] < availabilities[i] and i not in kept:
+                    if fresh is None:
+                        fresh = []
+                    fresh.append(_result((candidates[i], True, latency[i] * 1000.0, False, None)))
+            if fresh is not None:
+                refill(fresh, now)
+        if evaluate_upgrade(now) is not None:
+            active = index_of[reservoir.active.candidate.id]
+            switches.append((step, candidates[active].quality))
 
     if trace_sink is not None:
         trace_sink.extend(reservoir.trace_lines())

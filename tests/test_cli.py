@@ -2,6 +2,7 @@
 
 import argparse
 import http.server
+import json
 import os
 import re
 import socketserver
@@ -167,6 +168,55 @@ class TestVerify:
             if rows != "—":
                 named.extend(row.strip() for row in rows.split(","))
         assert sorted(named) == sorted(check.id for check in registry.CHECKS)
+
+    def test_json_report(self):
+        # Every field but the elapsed_s ones repeats across runs and
+        # processes; passed and warning say what records() and text() say.
+        def untimed(report):
+            assert report["elapsed_s"] > 0.0
+            assert list(report["sections"]) == [
+                "depletion", "speedup", "monotonicity", "prospect"
+            ]
+            for section in report["sections"].values():
+                assert list(section) == ["elapsed_s"]
+                assert 0.0 < section["elapsed_s"] <= report["elapsed_s"]
+            return {
+                key: value
+                for key, value in report.items()
+                if key not in ("elapsed_s", "sections")
+            }
+
+        report, again = run_verify(seed=7, trials=300), run_verify(seed=7, trials=300)
+        here = untimed(json.loads(report.json()))
+        assert untimed(json.loads(again.json())) == here
+        assert here["seed"] == 7 and here["trials"] == 300
+        assert here["forked"] == registry._fork_pays()
+
+        src = str(Path(streamres.__file__).resolve().parents[1])
+        argv = ["verify", "--format", "json", "--seed", "7", "--trials", "300"]
+        elsewhere = []
+        for hashseed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hashseed}
+            done = subprocess.run(
+                [sys.executable, "-m", "streamres", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0
+            elsewhere.append(untimed(json.loads(done.stdout)))
+        assert elsewhere[0] == elsewhere[1]
+        # Another thread in this process may rule the fork out here alone.
+        assert {**elsewhere[0], "forked": here["forked"]} == here
+
+        records = [line.split("\t") for line in report.records().splitlines()]
+        statuses = [line.split()[4] for line in report.text().splitlines()[1:-1]]
+        assert len(here["checks"]) == len(records) == len(statuses) == 24
+        for check, record, status in zip(here["checks"], records, statuses):
+            assert check["id"] == record[0]
+            assert record[4] == ("pass" if check["passed"] else "fail")
+            assert (status == "warn") == (check["warning"] is not None)
+            assert check["passed"] == (status != "FAIL")
+        warned = [c["id"] for c in here["checks"] if c["warning"] is not None]
+        assert warned == ["T3.3", "T3.4"]
 
     def test_run_verify_validation(self):
         with pytest.raises(ValueError):

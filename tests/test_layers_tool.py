@@ -46,8 +46,17 @@ def test_failing_suite_still_writes_the_layers(layers, monkeypatch, tmp_path, ca
 def test_one_run_times_the_event_log_read(layers, monkeypatch):
     # The registry, verify-count and import layers take seconds; stub them.
     monkeypatch.setattr(layers, "_sections", lambda: {})
+    monkeypatch.setattr(layers, "_verify_layers", lambda: {})
     monkeypatch.setattr(layers, "_calls_per_verify", lambda: {})
     monkeypatch.setattr(layers, "_import_ms", lambda: 0.0)
     run = layers.one_run()
     assert run["reservoir.events_read_us"] > 0.0
     assert run["reservoir.sim_tick_us"] > 0.0
+
+
+def test_one_run_times_verify_whole_and_the_sweep_in_process(layers):
+    fork_pays = layers.registry._fork_pays
+    timed = layers._verify_layers()
+    assert layers.registry._fork_pays is fork_pays
+    assert set(timed) == {"registry.verify_s", "registry.sweep_in_process_s"}
+    assert all(seconds > 0.0 for seconds in timed.values())

@@ -1073,6 +1073,38 @@ class TestLazyLog:
             failing_read(reservoir)
         assert log_reads(reservoir) == expected
 
+    def test_transitions_equal_the_edges_off_the_events(self):
+        # transitions keeps the edges of the events each read builds.  Over
+        # fill and depletion cycles, read in either order after any number of
+        # calls, it equals the edges read off the whole event log.
+        edge_of = {"filled": FILL, "depleted": DEPLETE}
+        reservoir = Reservoir(capacity=2)
+        now = 0.0
+        reads = 0
+        for cycle in range(5):
+            calls = [
+                lambda now: reservoir.reacquire([result("x", 480, viable=False)], now),
+                lambda now: reservoir.reacquire([result("a", 720), result("b", 360)], now),
+                lambda now: reservoir.run_health_cycle(lambda slot: True, now),
+                lambda now: reservoir.on_active_failure(now),
+                lambda now: reservoir.on_active_failure(now),
+            ]
+            for index, call in enumerate(calls):
+                now += 1.0
+                call(now)
+                if (index + cycle) % 3:
+                    continue  # leave this call's events unread
+                reads += 1
+                if reads % 2:
+                    transitions, events = reservoir.transitions, reservoir.events
+                else:
+                    events, transitions = reservoir.events, reservoir.transitions
+                assert transitions == tuple(
+                    edge_of[e.kind] for e in events if e.kind in edge_of
+                )
+        assert reservoir.transitions == (FILL, DEPLETE) * 5
+        assert reads > 5
+
     def test_unread_log_keeps_no_tracked_objects(self):
         reservoir = filled_reservoir()
 

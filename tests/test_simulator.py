@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import signal
 import threading
 import warnings
 
@@ -697,21 +698,22 @@ class TestSweepProcesses:
     def sweep(monkeypatch, seed: int, fork: bool):
         forks = 0
         runs: list[TrialSummary] = []
-        real_fork, real_sweep = os.fork, registry._sweep
+        real_fork, real_sweep = os.fork, registry._Sweep
 
         def counting_fork():
             nonlocal forks
             forks += 1
             return real_fork()
 
-        def recording_sweep(jobs):
-            runs.extend(real_sweep(jobs))
-            return runs
+        class RecordingSweep(real_sweep):
+            def runs(self):
+                runs.extend(super().runs())
+                return runs
 
         with monkeypatch.context() as patch:
             patch.setattr(registry, "_fork_pays", lambda: fork)
             patch.setattr(os, "fork", counting_fork)
-            patch.setattr(registry, "_sweep", recording_sweep)
+            patch.setattr(registry, "_Sweep", RecordingSweep)
             actuals = registry._monotonicity(Rng(seed))
         assert forks == int(fork)
         return runs, actuals
@@ -763,6 +765,55 @@ class TestSweepProcesses:
         fds = open_fds()
         with pytest.raises(KeyboardInterrupt):
             registry._monotonicity(Rng(42))
+        assert_no_child_left(fds)
+
+    @pytest.mark.parametrize(
+        "section, error", [("_depletion", ValueError), ("_speedup", KeyboardInterrupt)]
+    )
+    def test_parent_section_error_kills_and_reaps_child(self, monkeypatch, section, error):
+        # run_verify forks the sweep's child before the other sections run, so
+        # a section that raises must end the child, not wait for it.
+        children = []
+        statuses = []
+        real_fork, real_waitpid = os.fork, os.waitpid
+
+        def recording_fork():
+            pid = real_fork()
+            children.append(pid)
+            return pid
+
+        def recording_waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            statuses.append(reaped)
+            return reaped
+
+        def failing(*args):
+            raise error(f"{section} exploded")
+
+        monkeypatch.setattr(registry, "_fork_pays", lambda: True)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+        monkeypatch.setattr(registry, section, failing)
+        fds = open_fds()
+        with pytest.raises(error, match=f"{section} exploded"):
+            registry.run_verify(seed=42, trials=5000)
+        monkeypatch.setattr(os, "waitpid", real_waitpid)
+        # Killed, not waited for: its 100 trials take far longer than a
+        # section that raises at once.
+        [(pid, status)] = statuses
+        assert children == [pid]
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert_no_child_left(fds)
+
+    @pytest.mark.parametrize("seed, trials", [(42, 5000), (7, 300)])
+    def test_verify_records_equal_forked_and_in_process(self, monkeypatch, seed, trials):
+        reports = {}
+        fds = open_fds()
+        for fork in (True, False):
+            monkeypatch.setattr(registry, "_fork_pays", lambda: fork)
+            reports[fork] = registry.run_verify(seed=seed, trials=trials)
+        assert reports[True].forked and not reports[False].forked
+        assert reports[True].records() == reports[False].records()
         assert_no_child_left(fds)
 
     def test_failed_fork_runs_every_trial_here(self, monkeypatch):

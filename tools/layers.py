@@ -6,7 +6,13 @@ Imports the package from the ``src`` directory next to this script.  One
 run times each layer once, after a warm-up run that is not recorded:
 
 - each registry section at the ``verify`` defaults (seed 42, 5000 trials:
-  depletion, speedup, monotonicity, prospect), in s;
+  depletion, speedup, monotonicity, prospect), in s, each run alone;
+- the whole ``run_verify`` at those defaults (``registry.verify_s``), with
+  the T3 sweep forked where the library forks it, and so overlapping the
+  other sections, in s;
+- the T3 sweep with every trial in this process
+  (``registry.sweep_in_process_s``), in s, so the trial loop's cost shows
+  apart from the fork's;
 - one block of a T3 sweep trial's rows, as the trial reads it: a
   ``_uniform_rows`` block of the reference providers at 100 steps (202 rows
   of four uniforms, every row the trial can read) and its ``.tolist()``, in
@@ -111,6 +117,21 @@ def _sections() -> dict[str, float]:
         section()
         seconds[f"registry.{name}_s"] = time.perf_counter() - started
     return seconds
+
+
+def _verify_layers() -> dict[str, float]:
+    started = time.perf_counter()
+    registry.run_verify(registry.DEFAULT_SEED, registry.DEFAULT_TRIALS)
+    verify_s = time.perf_counter() - started
+    fork_pays = registry._fork_pays
+    registry._fork_pays = lambda: False
+    try:
+        started = time.perf_counter()
+        registry._monotonicity(Rng(registry.DEFAULT_SEED))
+        sweep_s = time.perf_counter() - started
+    finally:
+        registry._fork_pays = fork_pays
+    return {"registry.verify_s": verify_s, "registry.sweep_in_process_s": sweep_s}
 
 
 def _sweep_block_us() -> float:
@@ -296,6 +317,7 @@ def _tier1_s() -> list[float]:
 def one_run() -> dict[str, float]:
     return {
         **_sections(),
+        **_verify_layers(),
         "simulator.sweep_block_us": _sweep_block_us(),
         "reservoir.maintain_step_us": _maintain_step_us(),
         "reservoir.sim_tick_us": _sim_tick_us(),
